@@ -2,13 +2,8 @@
 //!
 //! A checkpoint is a binary snapshot of sweep progress: the config
 //! fingerprint, the total trial count, and every completed `(trial index,
-//! SimResult)` pair. The file layout is
-//!
-//! ```text
-//! magic "DSTLCKPT" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
-//! ```
-//!
-//! and the payload is `fingerprint u64 | total_trials u64 | count u64 |
+//! SimResult)` pair. It is one [`crate::frame`] with magic `DSTLCKPT`,
+//! whose payload is `fingerprint u64 | total_trials u64 | count u64 |
 //! count × (trial u64, SimResult)` with trials strictly ascending. Decoding
 //! is total: truncation, bit flips, version skew, and config mismatches all
 //! yield a typed [`CheckpointError`] (property-tested in
@@ -16,18 +11,16 @@
 //! wrong result — the checksum is verified before any payload byte is
 //! interpreted.
 //!
-//! Writes go through [`Checkpoint::write_atomic`]: encode to a
-//! process-unique sibling `<path>.tmp.<pid>` file, fsync, then `rename(2)`
-//! over the target (shared with the experiment store via [`crate::atomic`]).
-//! A process killed at any instant therefore leaves either the previous
-//! complete checkpoint or the new complete checkpoint on disk, never a torn
-//! hybrid — at worst an orphaned scratch file, which [`Checkpoint::load`]
-//! sweeps before reading.
+//! Writes are atomic (tmp, fsync, rename), so a process killed at any
+//! instant leaves either the previous complete checkpoint or the new one on
+//! disk, never a torn hybrid — at worst an orphaned scratch file, which
+//! [`Checkpoint::load`] sweeps before reading.
 
-use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer};
+use crate::frame::{self, FrameError};
 use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -35,55 +28,15 @@ use std::path::Path;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
 
 /// Current checkpoint format version. Bump on any layout change; old
-/// versions are rejected with [`CheckpointError::UnsupportedVersion`]
-/// rather than misread.
+/// versions are rejected with [`FrameError::UnsupportedVersion`] rather
+/// than misread.
 pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Why a checkpoint could not be loaded or does not match the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Reading or writing the file failed.
-    Io(String),
-    /// The file is shorter than the fixed header.
-    TooShort {
-        /// Observed file length.
-        len: usize,
-    },
-    /// The magic bytes are wrong — not a checkpoint file.
-    BadMagic,
-    /// The format version is not one this build can read.
-    UnsupportedVersion {
-        /// Version found in the file.
-        found: u32,
-        /// Version this build writes.
-        supported: u32,
-    },
-    /// The payload is shorter than the header claims (torn or truncated
-    /// file).
-    Truncated {
-        /// Payload bytes the header promised.
-        expected: u64,
-        /// Payload bytes actually present.
-        found: u64,
-    },
-    /// The file has bytes beyond the declared payload.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        extra: usize,
-    },
-    /// The payload checksum does not match (bit rot or torn write).
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        stored: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// The payload itself failed to decode (corruption past the checksum,
-    /// which is effectively unreachable but still handled).
-    Decode(CodecError),
+    /// The file could not be read or written, or its frame is damaged.
+    Frame(FrameError),
     /// Completed-trial indices are not strictly ascending.
     OutOfOrder {
         /// The index that broke the order.
@@ -115,33 +68,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
-            CheckpointError::TooShort { len } => {
-                write!(
-                    f,
-                    "checkpoint file too short ({len} bytes < {HEADER_LEN}-byte header)"
-                )
-            }
-            CheckpointError::BadMagic => f.write_str("not a checkpoint file (bad magic)"),
-            CheckpointError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "checkpoint version {found} unsupported (this build reads {supported})"
-                )
-            }
-            CheckpointError::Truncated { expected, found } => {
-                write!(
-                    f,
-                    "checkpoint truncated: header promises {expected} payload bytes, found {found}"
-                )
-            }
-            CheckpointError::TrailingBytes { extra } => {
-                write!(f, "checkpoint has {extra} bytes past the declared payload")
-            }
-            CheckpointError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
-            }
-            CheckpointError::Decode(e) => write!(f, "checkpoint payload corrupt: {e}"),
+            CheckpointError::Frame(e) => write!(f, "checkpoint: {e}"),
             CheckpointError::OutOfOrder { trial } => {
                 write!(
                     f,
@@ -170,9 +97,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<CodecError> for CheckpointError {
-    fn from(e: CodecError) -> Self {
-        CheckpointError::Decode(e)
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        CheckpointError::Frame(e)
     }
 }
 
@@ -188,100 +115,83 @@ pub struct Checkpoint {
     pub completed: Vec<(u64, SimResult)>,
 }
 
+/// The one checkpoint encoder: [`Checkpoint::encode`] and
+/// [`write_completed`] both go through it, so a sweep's live result map is
+/// written without first cloning it into a [`Checkpoint`].
+fn encode_completed<'a>(
+    fingerprint: u64,
+    total_trials: u64,
+    completed: impl ExactSizeIterator<Item = (&'a u64, &'a SimResult)>,
+) -> Vec<u8> {
+    frame::encode(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |w| {
+        w.put_u64(fingerprint);
+        w.put_u64(total_trials);
+        w.put_u64(completed.len() as u64);
+        for (trial, result) in completed {
+            w.put_u64(*trial);
+            encode_sim_result(w, result);
+        }
+    })
+}
+
+/// Writes the checkpoint of a sweep's completed-result map atomically —
+/// the same bytes as [`Checkpoint::write_atomic`] on the equivalent
+/// [`Checkpoint`], without copying a result.
+///
+/// # Errors
+/// [`CheckpointError::Frame`] with the failing path and OS error.
+pub fn write_completed(
+    path: &Path,
+    fingerprint: u64,
+    total_trials: u64,
+    completed: &BTreeMap<u64, SimResult>,
+) -> Result<(), CheckpointError> {
+    let bytes = encode_completed(fingerprint, total_trials, completed.iter());
+    Ok(frame::write_atomic(path, &bytes)?)
+}
+
 impl Checkpoint {
     /// Encodes the checkpoint to its on-disk byte layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.fingerprint);
-        payload.put_u64(self.total_trials);
-        payload.put_u64(self.completed.len() as u64);
-        for (trial, result) in &self.completed {
-            payload.put_u64(*trial);
-            encode_sim_result(&mut payload, result);
-        }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let completed = self.completed.iter().map(|(trial, result)| (trial, result));
+        encode_completed(self.fingerprint, self.total_trials, completed)
     }
 
-    /// Decodes a checkpoint, verifying magic, version, length, and checksum
-    /// before interpreting a single payload byte.
+    /// Decodes a checkpoint; the frame is verified before a single payload
+    /// byte is interpreted.
     ///
     /// # Errors
     /// Every corruption mode maps to a [`CheckpointError`] variant; no input
     /// can cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        if bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        let payload_len = header.u64()?;
-        let stored_checksum = header.u64()?;
-        let payload = &bytes[HEADER_LEN..];
-        if (payload.len() as u64) < payload_len {
-            return Err(CheckpointError::Truncated {
-                expected: payload_len,
-                found: payload.len() as u64,
-            });
-        }
-        if (payload.len() as u64) > payload_len {
-            return Err(CheckpointError::TrailingBytes {
-                extra: payload.len() - payload_len as usize,
-            });
-        }
-        let computed = fnv1a64(payload);
-        if computed != stored_checksum {
-            return Err(CheckpointError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
-        let mut r = Reader::new(payload);
-        let fingerprint = r.u64()?;
-        let total_trials = r.u64()?;
-        let count = r.seq_len(8)?;
-        let mut completed = Vec::with_capacity(count);
+        let ck = frame::decode_one(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes, |r| {
+            let fingerprint = r.u64()?;
+            let total_trials = r.u64()?;
+            let count = r.seq_len(8)?;
+            let mut completed = Vec::with_capacity(count);
+            for _ in 0..count {
+                completed.push((r.u64()?, decode_sim_result(r)?));
+            }
+            Ok(Checkpoint {
+                fingerprint,
+                total_trials,
+                completed,
+            })
+        })?;
         let mut prev: Option<u64> = None;
-        for _ in 0..count {
-            let trial = r.u64()?;
+        for &(trial, _) in &ck.completed {
             if prev.is_some_and(|p| trial <= p) {
                 return Err(CheckpointError::OutOfOrder { trial });
             }
-            if trial >= total_trials {
+            if trial >= ck.total_trials {
                 return Err(CheckpointError::TrialOutOfRange {
                     trial,
-                    total: total_trials,
+                    total: ck.total_trials,
                 });
             }
             prev = Some(trial);
-            let result = decode_sim_result(&mut r)?;
-            completed.push((trial, result));
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
-        Ok(Checkpoint {
-            fingerprint,
-            total_trials,
-            completed,
-        })
+        Ok(ck)
     }
 
     /// Verifies the checkpoint belongs to the sweep described by
@@ -306,32 +216,23 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads and decodes a checkpoint file, first sweeping any orphaned
-    /// `*.tmp*` scratch siblings a killed writer left behind (a crash
-    /// between create and rename leaves the previous complete checkpoint at
-    /// `path` plus crash debris next to it; the debris is reclaimed here so
-    /// it cannot accumulate across restarts). A failed sweep is deliberately
-    /// non-fatal — resuming from the intact checkpoint matters more.
+    /// Loads and decodes a checkpoint file after sweeping a killed writer's
+    /// scratch files (see [`frame::load`]).
     ///
     /// # Errors
-    /// I/O failures surface as [`CheckpointError::Io`]; corrupt contents as
-    /// the corresponding decode variant.
+    /// I/O failures surface as [`FrameError::Io`] (kind `NotFound` for a
+    /// missing file); corrupt contents as the corresponding decode variant.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let _ = atomic::sweep_stale_tmp(path);
-        let bytes = std::fs::read(path)
-            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
-        Checkpoint::decode(&bytes)
+        Checkpoint::decode(&frame::load(path)?)
     }
 
-    /// Writes the checkpoint atomically: encode to `<path>.tmp.<pid>`,
-    /// fsync, then rename over `path` (see [`crate::atomic`]). A crash at
-    /// any point leaves either the old or the new complete file, never a
-    /// torn one.
+    /// Writes the checkpoint atomically: a crash at any point leaves either
+    /// the old or the new complete file, never a torn one.
     ///
     /// # Errors
-    /// [`CheckpointError::Io`] with the failing path and OS error.
+    /// [`CheckpointError::Frame`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic::write_atomic(path, &self.encode()).map_err(|e| CheckpointError::Io(e.to_string()))
+        Ok(frame::write_atomic(path, &self.encode())?)
     }
 }
 
@@ -737,49 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn header_corruption_is_typed() {
-        let ck = sample_checkpoint();
-        let good = ck.encode();
-
-        assert_eq!(
-            Checkpoint::decode(&good[..10]),
-            Err(CheckpointError::TooShort { len: 10 })
-        );
-
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert_eq!(Checkpoint::decode(&bad), Err(CheckpointError::BadMagic));
-
-        let mut bad = good.clone();
-        bad[8] = 99; // version field
-        assert!(matches!(
-            Checkpoint::decode(&bad),
-            Err(CheckpointError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        let truncated = &good[..good.len() - 1];
-        assert!(matches!(
-            Checkpoint::decode(truncated),
-            Err(CheckpointError::Truncated { .. })
-        ));
-
-        let mut extended = good.clone();
-        extended.push(0);
-        assert!(matches!(
-            Checkpoint::decode(&extended),
-            Err(CheckpointError::TrailingBytes { extra: 1 })
-        ));
-
-        let mut flipped = good.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(matches!(
-            Checkpoint::decode(&flipped),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn semantic_corruption_is_typed() {
         // Out-of-order and out-of-range trials are rebuilt with a correct
         // checksum so decode reaches the semantic checks.
@@ -832,6 +690,10 @@ mod tests {
         ck2.completed.pop();
         ck2.write_atomic(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck2);
+        // The result-map writer emits exactly the bytes of `encode`.
+        let map: BTreeMap<u64, SimResult> = ck.completed.iter().cloned().collect();
+        write_completed(&path, ck.fingerprint, ck.total_trials, &map).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), ck.encode());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -861,30 +723,20 @@ mod tests {
     #[test]
     fn load_missing_file_is_io_error() {
         let err = Checkpoint::load(Path::new("/nonexistent/distill.ckpt")).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(_)));
+        assert!(matches!(
+            err,
+            CheckpointError::Frame(FrameError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            })
+        ));
         assert!(err.to_string().contains("nonexistent"));
     }
 
     #[test]
     fn errors_render() {
         for e in [
-            CheckpointError::Io("x".into()),
-            CheckpointError::TooShort { len: 3 },
-            CheckpointError::BadMagic,
-            CheckpointError::UnsupportedVersion {
-                found: 2,
-                supported: 1,
-            },
-            CheckpointError::Truncated {
-                expected: 10,
-                found: 5,
-            },
-            CheckpointError::TrailingBytes { extra: 4 },
-            CheckpointError::ChecksumMismatch {
-                stored: 1,
-                computed: 2,
-            },
-            CheckpointError::Decode(CodecError::BadUtf8 { at: 0 }),
+            CheckpointError::Frame(FrameError::BadMagic { at: 0 }),
             CheckpointError::OutOfOrder { trial: 3 },
             CheckpointError::TrialOutOfRange { trial: 9, total: 8 },
             CheckpointError::ConfigMismatch {

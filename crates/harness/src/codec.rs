@@ -1,7 +1,7 @@
-//! Minimal binary codec for checkpoint payloads.
+//! Minimal binary codec for the payloads of [`crate::frame`] files.
 //!
 //! Hand-rolled because the build environment is offline (the vendored serde
-//! stub has no binary backend) and because checkpoints need a *stable,
+//! stub has no binary backend) and because those files need a *stable,
 //! versioned* layout that survives compiler and dependency upgrades: every
 //! multi-byte integer is little-endian, every `f64` travels as its raw IEEE
 //! bit pattern (so NaN payloads round-trip bit-identically), and every
@@ -108,10 +108,15 @@ impl Writer {
         self.put_u8(u8::from(v));
     }
 
+    /// Appends raw bytes, without a length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 }
 

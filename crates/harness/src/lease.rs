@@ -10,18 +10,13 @@
 //! worker — that is the whole worker-loss story: a kill -9 mid-chunk leaves
 //! an expired lease, and the next claim re-runs the chunk.
 //!
-//! The file layout mirrors the checkpoint format:
-//!
-//! ```text
-//! magic "DSTLLEAS" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
-//! ```
-//!
-//! with payload `fingerprint u64 | total_trials u64 | chunk_size u64 |
-//! max_claims u32 | chunk_count u64 | chunk_count × entry` and each entry
-//! `claims u32 | tag u8 [| worker u64 | expires_ms u64]` (tag 0 available,
-//! 1 leased, 2 done). Decoding is total: truncation, bit flips, version
-//! skew, and geometry mismatches all yield a typed [`LeaseError`]
-//! (property-tested in `tests/lease_corruption.rs`), never a panic.
+//! The file is one [`crate::frame`] with magic `DSTLLEAS`, whose payload
+//! is `fingerprint u64 | total_trials u64 | chunk_size u64 | max_claims
+//! u32 | chunk_count u64 | chunk_count × entry` and each entry `claims u32
+//! | tag u8 [| worker u64 | expires_ms u64]` (tag 0 available, 1 leased, 2
+//! done). Decoding is total: truncation, bit flips, version skew, and
+//! geometry mismatches all yield a typed [`LeaseError`] (property-tested in
+//! `tests/lease_corruption.rs`), never a panic.
 //!
 //! ## Correctness versus performance
 //!
@@ -38,8 +33,8 @@
 //! deterministic (lint rule D2) and makes lease expiry testable without
 //! sleeping.
 
-use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::CodecError;
+use crate::frame::{self, FrameError};
 use std::fmt;
 use std::path::Path;
 
@@ -47,58 +42,18 @@ use std::path::Path;
 pub const LEASE_MAGIC: [u8; 8] = *b"DSTLLEAS";
 
 /// Current lease-queue format version. Bump on any layout change; old
-/// versions are rejected with [`LeaseError::UnsupportedVersion`] rather
+/// versions are rejected with [`FrameError::UnsupportedVersion`] rather
 /// than misread.
 pub const LEASE_VERSION: u32 = 1;
-
-/// Header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Why a lease queue could not be built, loaded, or does not match the
 /// sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseError {
-    /// Reading or writing the file failed.
-    Io(String),
+    /// The file could not be read or written, or its frame is damaged.
+    Frame(FrameError),
     /// `chunk_size` was zero — there is no chunk geometry to build.
     BadGeometry,
-    /// The file is shorter than the fixed header.
-    TooShort {
-        /// Observed file length.
-        len: usize,
-    },
-    /// The magic bytes are wrong — not a lease-queue file.
-    BadMagic,
-    /// The format version is not one this build can read.
-    UnsupportedVersion {
-        /// Version found in the file.
-        found: u32,
-        /// Version this build writes.
-        supported: u32,
-    },
-    /// The payload is shorter than the header claims (torn or truncated
-    /// file).
-    Truncated {
-        /// Payload bytes the header promised.
-        expected: u64,
-        /// Payload bytes actually present.
-        found: u64,
-    },
-    /// The file has bytes beyond the declared payload.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        extra: usize,
-    },
-    /// The payload checksum does not match (bit rot or torn write).
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        stored: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// The payload itself failed to decode (corruption past the checksum,
-    /// which is effectively unreachable but still handled).
-    Decode(CodecError),
     /// The stored chunk count disagrees with the stored geometry.
     ChunkCountMismatch {
         /// Chunk count stored in the file.
@@ -132,37 +87,8 @@ pub enum LeaseError {
 impl fmt::Display for LeaseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LeaseError::Io(msg) => write!(f, "lease-queue I/O error: {msg}"),
+            LeaseError::Frame(e) => write!(f, "lease queue: {e}"),
             LeaseError::BadGeometry => f.write_str("lease-queue chunk size must be at least 1"),
-            LeaseError::TooShort { len } => {
-                write!(
-                    f,
-                    "lease-queue file too short ({len} bytes < {HEADER_LEN}-byte header)"
-                )
-            }
-            LeaseError::BadMagic => f.write_str("not a lease-queue file (bad magic)"),
-            LeaseError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "lease-queue version {found} unsupported (this build reads {supported})"
-                )
-            }
-            LeaseError::Truncated { expected, found } => {
-                write!(
-                    f,
-                    "lease-queue truncated: header promises {expected} payload bytes, found {found}"
-                )
-            }
-            LeaseError::TrailingBytes { extra } => {
-                write!(f, "lease-queue has {extra} bytes past the declared payload")
-            }
-            LeaseError::ChecksumMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "lease-queue checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                )
-            }
-            LeaseError::Decode(e) => write!(f, "lease-queue payload corrupt: {e}"),
             LeaseError::ChunkCountMismatch { stored, expected } => {
                 write!(
                     f,
@@ -196,9 +122,9 @@ impl fmt::Display for LeaseError {
 
 impl std::error::Error for LeaseError {}
 
-impl From<CodecError> for LeaseError {
-    fn from(e: CodecError) -> Self {
-        LeaseError::Decode(e)
+impl From<FrameError> for LeaseError {
+    fn from(e: FrameError) -> Self {
+        LeaseError::Frame(e)
     }
 }
 
@@ -440,134 +366,81 @@ impl LeaseQueue {
     /// canonical — a function of the queue state alone — so two processes
     /// that arrive at the same state write bit-identical files.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.fingerprint);
-        payload.put_u64(self.total_trials);
-        payload.put_u64(self.chunk_size);
-        payload.put_u32(self.max_claims);
-        payload.put_u64(self.chunks.len() as u64);
-        for entry in &self.chunks {
-            payload.put_u32(entry.claims);
-            match entry.state {
-                ChunkState::Available => payload.put_u8(0),
-                ChunkState::Leased { worker, expires_ms } => {
-                    payload.put_u8(1);
-                    payload.put_u64(worker);
-                    payload.put_u64(expires_ms);
+        frame::encode(LEASE_MAGIC, LEASE_VERSION, |w| {
+            w.put_u64(self.fingerprint);
+            w.put_u64(self.total_trials);
+            w.put_u64(self.chunk_size);
+            w.put_u32(self.max_claims);
+            w.put_u64(self.chunks.len() as u64);
+            for entry in &self.chunks {
+                w.put_u32(entry.claims);
+                match entry.state {
+                    ChunkState::Available => w.put_u8(0),
+                    ChunkState::Leased { worker, expires_ms } => {
+                        w.put_u8(1);
+                        w.put_u64(worker);
+                        w.put_u64(expires_ms);
+                    }
+                    ChunkState::Done => w.put_u8(2),
                 }
-                ChunkState::Done => payload.put_u8(2),
             }
-        }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&LEASE_MAGIC);
-        out.extend_from_slice(&LEASE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        })
     }
 
-    /// Decodes a queue, verifying magic, version, length, and checksum
-    /// before interpreting a single payload byte.
+    /// Decodes a queue; the frame is verified before a single payload byte
+    /// is interpreted.
     ///
     /// # Errors
     /// Every corruption mode maps to a [`LeaseError`] variant; no input can
     /// cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, LeaseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(LeaseError::TooShort { len: bytes.len() });
-        }
-        if bytes[..8] != LEASE_MAGIC {
-            return Err(LeaseError::BadMagic);
-        }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32()?;
-        if version != LEASE_VERSION {
-            return Err(LeaseError::UnsupportedVersion {
-                found: version,
-                supported: LEASE_VERSION,
-            });
-        }
-        let payload_len = header.u64()?;
-        let stored_checksum = header.u64()?;
-        let payload = &bytes[HEADER_LEN..];
-        if (payload.len() as u64) < payload_len {
-            return Err(LeaseError::Truncated {
-                expected: payload_len,
-                found: payload.len() as u64,
-            });
-        }
-        if (payload.len() as u64) > payload_len {
-            return Err(LeaseError::TrailingBytes {
-                extra: payload.len() - usize::try_from(payload_len).unwrap_or(payload.len()),
-            });
-        }
-        let computed = fnv1a64(payload);
-        if computed != stored_checksum {
-            return Err(LeaseError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
-        let mut r = Reader::new(payload);
-        let fingerprint = r.u64()?;
-        let total_trials = r.u64()?;
-        let chunk_size = r.u64()?;
-        let max_claims = r.u32()?;
-        if chunk_size == 0 {
+        let queue = frame::decode_one(LEASE_MAGIC, LEASE_VERSION, bytes, |r| {
+            let fingerprint = r.u64()?;
+            let total_trials = r.u64()?;
+            let chunk_size = r.u64()?;
+            let max_claims = r.u32()?;
+            // Each entry is at least claims u32 + tag u8 = 5 bytes.
+            let count = r.seq_len(5)?;
+            let mut chunks = Vec::with_capacity(count);
+            for _ in 0..count {
+                let claims = r.u32()?;
+                let at = r.position();
+                let state = match r.u8()? {
+                    0 => ChunkState::Available,
+                    1 => ChunkState::Leased {
+                        worker: r.u64()?,
+                        expires_ms: r.u64()?,
+                    },
+                    2 => ChunkState::Done,
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            at,
+                            tag,
+                            what: "chunk state",
+                        })
+                    }
+                };
+                chunks.push(ChunkEntry { claims, state });
+            }
+            Ok(LeaseQueue {
+                fingerprint,
+                total_trials,
+                chunk_size,
+                max_claims,
+                chunks,
+            })
+        })?;
+        if queue.chunk_size == 0 {
             return Err(LeaseError::BadGeometry);
         }
-        let stored_count = r.u64()?;
-        let expected_count = total_trials.div_ceil(chunk_size);
-        if stored_count != expected_count {
+        let expected = queue.total_trials.div_ceil(queue.chunk_size);
+        if queue.chunk_count() != expected {
             return Err(LeaseError::ChunkCountMismatch {
-                stored: stored_count,
-                expected: expected_count,
+                stored: queue.chunk_count(),
+                expected,
             });
         }
-        // Each entry is at least claims u32 + tag u8 = 5 bytes; bound the
-        // allocation by what the payload could actually hold.
-        let count = usize::try_from(stored_count).map_err(|_| LeaseError::BadGeometry)?;
-        if (r.remaining() as u64) < stored_count.saturating_mul(5) {
-            return Err(LeaseError::Decode(CodecError::LengthOverflow {
-                at: r.position(),
-                len: stored_count,
-            }));
-        }
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            let claims = r.u32()?;
-            let at = r.position();
-            let state = match r.u8()? {
-                0 => ChunkState::Available,
-                1 => ChunkState::Leased {
-                    worker: r.u64()?,
-                    expires_ms: r.u64()?,
-                },
-                2 => ChunkState::Done,
-                tag => {
-                    return Err(LeaseError::Decode(CodecError::BadTag {
-                        at,
-                        tag,
-                        what: "chunk state",
-                    }))
-                }
-            };
-            chunks.push(ChunkEntry { claims, state });
-        }
-        if r.remaining() != 0 {
-            return Err(LeaseError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
-        Ok(LeaseQueue {
-            fingerprint,
-            total_trials,
-            chunk_size,
-            max_claims,
-            chunks,
-        })
+        Ok(queue)
     }
 
     /// Verifies the queue belongs to the sweep described by `fingerprint`
@@ -604,30 +477,23 @@ impl LeaseQueue {
         Ok(())
     }
 
-    /// Loads and decodes a queue file, first sweeping any orphaned `*.tmp*`
-    /// scratch siblings a killed writer left behind (same debris story as
-    /// [`crate::checkpoint::Checkpoint::load`]). A failed sweep is
-    /// deliberately non-fatal.
+    /// Loads and decodes a queue file after sweeping a killed writer's
+    /// scratch files (see [`frame::load`]).
     ///
     /// # Errors
-    /// I/O failures surface as [`LeaseError::Io`]; corrupt contents as the
-    /// corresponding decode variant.
+    /// I/O failures surface as [`FrameError::Io`] (kind `NotFound` for a
+    /// missing file); corrupt contents as the corresponding decode variant.
     pub fn load(path: &Path) -> Result<Self, LeaseError> {
-        let _ = atomic::sweep_stale_tmp(path);
-        let bytes =
-            std::fs::read(path).map_err(|e| LeaseError::Io(format!("{}: {e}", path.display())))?;
-        LeaseQueue::decode(&bytes)
+        LeaseQueue::decode(&frame::load(path)?)
     }
 
-    /// Writes the queue atomically: encode to `<path>.tmp.<pid>`, fsync,
-    /// then rename over `path` (see [`crate::atomic`]). A crash at any
-    /// point leaves either the old or the new complete file, never a torn
-    /// one.
+    /// Writes the queue atomically: a crash at any point leaves either the
+    /// old or the new complete file, never a torn one.
     ///
     /// # Errors
-    /// [`LeaseError::Io`] with the failing path and OS error.
+    /// [`LeaseError::Frame`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), LeaseError> {
-        atomic::write_atomic(path, &self.encode()).map_err(|e| LeaseError::Io(e.to_string()))
+        Ok(frame::write_atomic(path, &self.encode())?)
     }
 }
 
@@ -726,45 +592,35 @@ mod tests {
         assert_eq!(decoded.encode(), bytes);
     }
 
+    /// The geometry checks run on the decoded payload, so frames with a
+    /// valid checksum but impossible geometry are still refused.
     #[test]
-    fn header_corruption_is_typed() {
-        let good = queue().encode();
-
+    fn impossible_geometry_is_typed() {
+        let queue_bytes = |chunk_size: u64, count: u64| {
+            frame::encode(LEASE_MAGIC, LEASE_VERSION, |w| {
+                w.put_u64(0xFEED);
+                w.put_u64(10);
+                w.put_u64(chunk_size);
+                w.put_u32(2);
+                w.put_u64(count);
+                for _ in 0..count {
+                    w.put_u32(0);
+                    w.put_u8(0);
+                }
+            })
+        };
         assert_eq!(
-            LeaseQueue::decode(&good[..10]),
-            Err(LeaseError::TooShort { len: 10 })
+            LeaseQueue::decode(&queue_bytes(0, 0)),
+            Err(LeaseError::BadGeometry)
         );
-
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert_eq!(LeaseQueue::decode(&bad), Err(LeaseError::BadMagic));
-
-        let mut bad = good.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            LeaseQueue::decode(&bad),
-            Err(LeaseError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        assert!(matches!(
-            LeaseQueue::decode(&good[..good.len() - 1]),
-            Err(LeaseError::Truncated { .. })
-        ));
-
-        let mut extended = good.clone();
-        extended.push(0);
-        assert!(matches!(
-            LeaseQueue::decode(&extended),
-            Err(LeaseError::TrailingBytes { extra: 1 })
-        ));
-
-        let mut flipped = good.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(matches!(
-            LeaseQueue::decode(&flipped),
-            Err(LeaseError::ChecksumMismatch { .. })
-        ));
+        assert_eq!(
+            LeaseQueue::decode(&queue_bytes(4, 2)),
+            Err(LeaseError::ChunkCountMismatch {
+                stored: 2,
+                expected: 3
+            })
+        );
+        assert!(LeaseQueue::decode(&queue_bytes(4, 3)).is_ok());
     }
 
     #[test]
@@ -811,24 +667,8 @@ mod tests {
     #[test]
     fn errors_render() {
         for e in [
-            LeaseError::Io("x".into()),
+            LeaseError::Frame(FrameError::BadMagic { at: 0 }),
             LeaseError::BadGeometry,
-            LeaseError::TooShort { len: 3 },
-            LeaseError::BadMagic,
-            LeaseError::UnsupportedVersion {
-                found: 2,
-                supported: 1,
-            },
-            LeaseError::Truncated {
-                expected: 10,
-                found: 5,
-            },
-            LeaseError::TrailingBytes { extra: 4 },
-            LeaseError::ChecksumMismatch {
-                stored: 1,
-                computed: 2,
-            },
-            LeaseError::Decode(CodecError::BadUtf8 { at: 0 }),
             LeaseError::ChunkCountMismatch {
                 stored: 4,
                 expected: 3,

@@ -9,10 +9,11 @@
 //! Module map:
 //! - [`codec`] — little-endian binary primitives with total decoding and
 //!   the FNV-1a checksum/fingerprint hash.
-//! - [`atomic`] — the tmp/fsync/rename write idiom with pid-unique scratch
-//!   files and stale-orphan sweeping, shared by checkpoints and the store.
-//! - [`checkpoint`] — the versioned, checksummed, atomically-written sweep
-//!   snapshot ([`Checkpoint`]) and its typed corruption errors.
+//! - [`frame`] — the one on-disk envelope (`magic | version | len |
+//!   fnv1a64 | payload`) of every harness file, its stale-scratch-sweeping
+//!   load and tmp/fsync/rename write, and its typed [`FrameError`].
+//! - [`checkpoint`] — the sweep snapshot ([`Checkpoint`]) and its payload
+//!   schema.
 //! - [`store`] — the append-only experiment-results store
 //!   ([`ExperimentStore`]): perf measurements keyed by
 //!   `(bench id, commit, timestamp)` with set-union merge, plus the
@@ -42,17 +43,18 @@
 //! rule D1 bans `catch_unwind` and rule D2 bans wall-clock reads precisely
 //! so that panic absorption and timing live *here*, in the supervision
 //! layer, and nowhere in the simulation crates. See DESIGN.md §12. The
-//! persistence modules ([`store`], [`atomic`], [`lease`], [`merge`]) need
-//! neither escape hatch, so they are individually file-protected under
-//! rules D1–D7 via `xtask::LintConfig::protected_files` (DESIGN.md §16);
-//! [`lease`] in particular takes the clock as an explicit argument so it
-//! stays deterministic, leaving wall-clock reads to [`worker`].
+//! persistence modules ([`frame`], [`checkpoint`], [`store`], [`codec`],
+//! [`lease`], [`merge`]) need neither escape hatch, so they are
+//! individually file-protected under rules D1–D7 via
+//! `xtask::LintConfig::protected_files` (DESIGN.md §16); [`lease`] in
+//! particular takes the clock as an explicit argument so it stays
+//! deterministic, leaving wall-clock reads to [`worker`].
 
 #![forbid(unsafe_code)]
 
-pub mod atomic;
 pub mod checkpoint;
 pub mod codec;
+pub mod frame;
 pub mod lease;
 pub mod merge;
 pub mod quarantine;
@@ -61,9 +63,9 @@ pub mod supervisor;
 pub mod sweep;
 pub mod worker;
 
-pub use atomic::{sweep_stale_tmp, write_atomic, AtomicIoError};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use codec::{fnv1a64, CodecError, Reader, Writer};
+pub use frame::FrameError;
 pub use lease::{
     ChunkEntry, ChunkState, LeaseError, LeaseOutcome, LeaseQueue, LEASE_MAGIC, LEASE_VERSION,
 };

@@ -121,23 +121,21 @@ pub fn merge_checkpoints(parts: &[Checkpoint]) -> Result<Checkpoint, MergeError>
             });
         }
     }
-    let mut union: BTreeMap<u64, (Vec<u8>, SimResult)> = BTreeMap::new();
+    // The union borrows each trial's first occurrence; only a trial seen
+    // again is encoded, and only the merged output is cloned.
+    let mut union: BTreeMap<u64, &SimResult> = BTreeMap::new();
     for part in parts {
         for (trial, result) in &part.completed {
-            let bytes = result_bytes(result);
-            match union.get(trial) {
-                None => {
-                    union.insert(*trial, (bytes, result.clone()));
-                }
-                Some((existing, _)) if *existing == bytes => {}
-                Some(_) => return Err(MergeError::Conflict { trial: *trial }),
+            let first = *union.entry(*trial).or_insert(result);
+            if !std::ptr::eq(first, result) && result_bytes(first) != result_bytes(result) {
+                return Err(MergeError::Conflict { trial: *trial });
             }
         }
     }
     Ok(Checkpoint {
         fingerprint: first.fingerprint,
         total_trials: first.total_trials,
-        completed: union.into_iter().map(|(t, (_, r))| (t, r)).collect(),
+        completed: union.into_iter().map(|(t, r)| (t, r.clone())).collect(),
     })
 }
 

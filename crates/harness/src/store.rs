@@ -11,14 +11,8 @@
 //!
 //! ## File format
 //!
-//! A store file is a sequence of frames, each framed exactly like the sweep
-//! checkpoint (`DSTLCKPT`, DESIGN.md §12):
-//!
-//! ```text
-//! magic "DSTLSTOR" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
-//! ```
-//!
-//! and a payload is `count u64 | count × record` with each record
+//! A store file is a sequence of [`crate::frame`] frames with magic
+//! `DSTLSTOR`. A payload is `count u64 | count × record` with each record
 //! `bench_id str | commit str | timestamp u64 | kind u8 | unit str |
 //! mean f64 | median f64 | min f64 | samples u64` (strings length-prefixed,
 //! floats as raw IEEE bits — NaN-preserving). Decoding is total: any byte
@@ -31,10 +25,9 @@
 //! order (floats via `f64::total_cmp`) and deduplicated bit-exactly.
 //! Decoding unions every frame in the file, so duplicate or interleaved
 //! appends from concurrent writers converge; writing always emits one
-//! canonical frame via the atomic tmp/fsync/rename machinery
-//! ([`crate::atomic`]). The same record set therefore always produces
-//! bit-identical store bytes, no matter how many appends, in what order,
-//! or from how many processes it arrived.
+//! canonical frame atomically (tmp, fsync, rename). The same record set
+//! therefore always produces bit-identical store bytes, no matter how many
+//! appends, in what order, or from how many processes it arrived.
 //!
 //! ## The trend gate
 //!
@@ -46,22 +39,20 @@
 //! compared in nanosecond terms, and degenerate series (zero, non-finite)
 //! yield [`TrendStatus::Indeterminate`] instead of NaN verdicts.
 
-use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer};
+use crate::frame::{self, FrameError};
 use std::cmp::Ordering;
 use std::fmt;
+use std::io;
 use std::path::Path;
 
 /// File magic: identifies a distill experiment store.
 pub const STORE_MAGIC: [u8; 8] = *b"DSTLSTOR";
 
 /// Current store format version. Bump on any layout change; other versions
-/// are rejected with [`StoreError::UnsupportedVersion`] rather than
+/// are rejected with [`FrameError::UnsupportedVersion`] rather than
 /// misread.
 pub const STORE_VERSION: u32 = 1;
-
-/// Frame header size: magic + version + payload length + checksum.
-const FRAME_HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Minimum encoded size of one record (empty strings): three length
 /// prefixes, timestamp, kind tag, three floats, samples.
@@ -214,58 +205,9 @@ impl ExperimentRecord {
 /// Why a store could not be loaded, decoded, or parsed from bench JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
-    /// Reading or writing the file failed.
-    Io(String),
-    /// A frame header is cut off: fewer than the fixed header bytes remain
-    /// at offset `at`.
-    TooShort {
-        /// Byte offset of the torn frame.
-        at: usize,
-        /// Bytes actually remaining there.
-        len: usize,
-    },
-    /// The bytes at `at` are not a store frame.
-    BadMagic {
-        /// Byte offset of the bad frame.
-        at: usize,
-    },
-    /// A frame's format version is not one this build can read.
-    UnsupportedVersion {
-        /// Byte offset of the frame.
-        at: usize,
-        /// Version found in the frame.
-        found: u32,
-        /// Version this build writes.
-        supported: u32,
-    },
-    /// A frame's payload is shorter than its header claims (torn append).
-    Truncated {
-        /// Byte offset of the frame.
-        at: usize,
-        /// Payload bytes the header promised.
-        expected: u64,
-        /// Payload bytes actually present.
-        found: u64,
-    },
-    /// A frame's payload checksum does not match (bit rot or torn write).
-    ChecksumMismatch {
-        /// Byte offset of the frame.
-        at: usize,
-        /// Checksum stored in the frame header.
-        stored: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// A frame payload failed to decode past the checksum (effectively
-    /// unreachable, but still total).
-    Decode(CodecError),
-    /// A frame has payload bytes beyond its declared records.
-    TrailingBytes {
-        /// Byte offset of the frame.
-        at: usize,
-        /// Number of surplus bytes.
-        extra: usize,
-    },
+    /// The file could not be read or written, or one of its frames is
+    /// damaged.
+    Frame(FrameError),
     /// A `BENCH_*.json` document failed to parse.
     Json {
         /// Byte offset where parsing stopped.
@@ -286,45 +228,7 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(msg) => write!(f, "store I/O error: {msg}"),
-            StoreError::TooShort { at, len } => write!(
-                f,
-                "store frame at byte {at} cut off ({len} bytes < {FRAME_HEADER_LEN}-byte header)"
-            ),
-            StoreError::BadMagic { at } => {
-                write!(f, "not a store frame at byte {at} (bad magic)")
-            }
-            StoreError::UnsupportedVersion {
-                at,
-                found,
-                supported,
-            } => write!(
-                f,
-                "store frame at byte {at} has version {found} (this build reads {supported})"
-            ),
-            StoreError::Truncated {
-                at,
-                expected,
-                found,
-            } => write!(
-                f,
-                "store frame at byte {at} truncated: header promises {expected} payload bytes, \
-                 found {found}"
-            ),
-            StoreError::ChecksumMismatch {
-                at,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "store frame at byte {at} checksum mismatch: stored {stored:#018x}, \
-                 computed {computed:#018x}"
-            ),
-            StoreError::Decode(e) => write!(f, "store payload corrupt: {e}"),
-            StoreError::TrailingBytes { at, extra } => write!(
-                f,
-                "store frame at byte {at} has {extra} bytes past its declared records"
-            ),
+            StoreError::Frame(e) => write!(f, "store: {e}"),
             StoreError::Json { at, message } => {
                 write!(f, "bench JSON parse error at byte {at}: {message}")
             }
@@ -339,15 +243,9 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-impl From<CodecError> for StoreError {
-    fn from(e: CodecError) -> Self {
-        StoreError::Decode(e)
-    }
-}
-
-impl From<atomic::AtomicIoError> for StoreError {
-    fn from(e: atomic::AtomicIoError) -> Self {
-        StoreError::Io(e.to_string())
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> Self {
+        StoreError::Frame(e)
     }
 }
 
@@ -420,38 +318,27 @@ impl ExperimentStore {
     /// Encodes the store as one canonical frame. Equal record sets always
     /// produce identical bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.records.len() as u64);
-        for record in &self.records {
-            record.encode_into(&mut payload);
-        }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        out.extend_from_slice(&STORE_MAGIC);
-        out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame::encode(STORE_MAGIC, STORE_VERSION, |w| {
+            w.put_u64(self.records.len() as u64);
+            for record in &self.records {
+                record.encode_into(w);
+            }
+        })
     }
 
-    /// Decodes a store file: every frame is verified (magic, version,
-    /// length, checksum) before a payload byte is interpreted, and all
-    /// frames are set-unioned — so a file built by repeated or interleaved
-    /// appends decodes to the same store as a single canonical write.
+    /// Decodes a store file: every frame is verified before a payload byte
+    /// is interpreted, and all frames are set-unioned — so a file built by
+    /// repeated or interleaved appends decodes to the same store as a
+    /// single canonical write.
     ///
     /// # Errors
     /// Every corruption mode maps to a [`StoreError`] variant; no input can
     /// cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let (mut batch, next) = decode_frame(bytes, at)?;
-            records.append(&mut batch);
-            at = next;
+        match ExperimentStore::decode_salvage(bytes) {
+            (store, None) => Ok(store),
+            (_, Some(e)) => Err(e),
         }
-        Ok(ExperimentStore::from_records(records))
     }
 
     /// Best-effort decode: unions every intact leading frame and reports
@@ -459,58 +346,47 @@ impl ExperimentStore {
     /// of refusing the whole file. The crash-recovery path for a file whose
     /// tail was torn by a non-atomic writer.
     pub fn decode_salvage(bytes: &[u8]) -> (Self, Option<StoreError>) {
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        while at < bytes.len() {
-            match decode_frame(bytes, at) {
-                Ok((mut batch, next)) => {
-                    records.append(&mut batch);
-                    at = next;
-                }
-                Err(e) => return (ExperimentStore::from_records(records), Some(e)),
-            }
-        }
-        (ExperimentStore::from_records(records), None)
+        let (frames, damage) = frame::decode_seq(STORE_MAGIC, STORE_VERSION, bytes, |r| {
+            let count = r.seq_len(MIN_RECORD_BYTES)?;
+            (0..count)
+                .map(|_| ExperimentRecord::decode_from(r))
+                .collect::<Result<Vec<_>, _>>()
+        });
+        let records = frames.into_iter().flatten().collect();
+        (
+            ExperimentStore::from_records(records),
+            damage.map(StoreError::Frame),
+        )
     }
 
-    /// Opens a store for reading or appending: sweeps any orphaned
-    /// `*.tmp*` scratch files a killed writer left behind, then decodes the
-    /// file. A missing file is an empty store (first append creates it);
-    /// a failed sweep is non-fatal.
+    /// Opens a store for reading or appending: [`load`], except that a
+    /// missing file is an empty store (the first append creates it).
+    ///
+    /// [`load`]: ExperimentStore::load
     ///
     /// # Errors
-    /// [`StoreError::Io`] for unreadable files, decode variants for corrupt
-    /// ones.
+    /// As [`load`](ExperimentStore::load), minus the missing file.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let _ = atomic::sweep_stale_tmp(path);
-        match std::fs::read(path) {
-            Ok(bytes) => ExperimentStore::decode(&bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(ExperimentStore::new()),
-            Err(e) => Err(StoreError::Io(format!("{}: {e}", path.display()))),
+        match ExperimentStore::load(path) {
+            Err(StoreError::Frame(FrameError::Io {
+                kind: io::ErrorKind::NotFound,
+                ..
+            })) => Ok(ExperimentStore::new()),
+            loaded => loaded,
         }
     }
 
-    /// Loads an existing store; a missing file is an error (use [`open`]
-    /// for the append path).
+    /// Loads an existing store after sweeping a killed writer's scratch
+    /// files (see [`frame::load`]); a missing file is an error (use
+    /// [`open`] for the append path).
     ///
     /// [`open`]: ExperimentStore::open
     ///
     /// # Errors
-    /// [`StoreError::Io`] including for a missing file.
+    /// [`FrameError::Io`] including for a missing file, decode variants for
+    /// corrupt ones.
     pub fn load(path: &Path) -> Result<Self, StoreError> {
-        let _ = atomic::sweep_stale_tmp(path);
-        let bytes =
-            std::fs::read(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
-        ExperimentStore::decode(&bytes)
-    }
-
-    /// Writes the canonical frame atomically (tmp/fsync/rename; see
-    /// [`crate::atomic`]).
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] with the failing path and OS error.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), StoreError> {
-        Ok(atomic::write_atomic(path, &self.encode())?)
+        ExperimentStore::decode(&frame::load(path)?)
     }
 
     /// The append operation: open (reclaiming crash debris), set-union the
@@ -524,72 +400,13 @@ impl ExperimentStore {
         let mut store = ExperimentStore::open(path)?;
         let existing = store.len();
         let added = store.merge_records(new.iter().cloned());
-        store.write_atomic(path)?;
+        frame::write_atomic(path, &store.encode())?;
         Ok(AppendOutcome {
             store,
             existing,
             added,
         })
     }
-}
-
-/// Decodes one frame starting at byte `at`; returns its records and the
-/// offset of the next frame.
-fn decode_frame(bytes: &[u8], at: usize) -> Result<(Vec<ExperimentRecord>, usize), StoreError> {
-    let rest = bytes.get(at..).unwrap_or(&[]);
-    if rest.len() < FRAME_HEADER_LEN {
-        return Err(StoreError::TooShort {
-            at,
-            len: rest.len(),
-        });
-    }
-    if rest.get(..8) != Some(&STORE_MAGIC[..]) {
-        return Err(StoreError::BadMagic { at });
-    }
-    let mut header = Reader::new(rest.get(8..FRAME_HEADER_LEN).unwrap_or(&[]));
-    let version = header.u32()?;
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            at,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let payload_len = header.u64()?;
-    let stored_checksum = header.u64()?;
-    let body = rest.get(FRAME_HEADER_LEN..).unwrap_or(&[]);
-    let available = body.len() as u64;
-    if available < payload_len {
-        return Err(StoreError::Truncated {
-            at,
-            expected: payload_len,
-            found: available,
-        });
-    }
-    // payload_len <= body.len() <= usize::MAX, so the conversion is exact.
-    let payload_end = usize::try_from(payload_len).unwrap_or(body.len());
-    let payload = body.get(..payload_end).unwrap_or(&[]);
-    let computed = fnv1a64(payload);
-    if computed != stored_checksum {
-        return Err(StoreError::ChecksumMismatch {
-            at,
-            stored: stored_checksum,
-            computed,
-        });
-    }
-    let mut r = Reader::new(payload);
-    let count = r.seq_len(MIN_RECORD_BYTES)?;
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        records.push(ExperimentRecord::decode_from(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(StoreError::TrailingBytes {
-            at,
-            extra: r.remaining(),
-        });
-    }
-    Ok((records, at + FRAME_HEADER_LEN + payload_end))
 }
 
 // ---------------------------------------------------------------------------
@@ -1184,52 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_typed() {
-        let store = ExperimentStore::from_records(sample_records());
-        let good = store.encode();
-
-        assert!(matches!(
-            ExperimentStore::decode(&good[..10]),
-            Err(StoreError::TooShort { at: 0, .. })
-        ));
-
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            ExperimentStore::decode(&bad),
-            Err(StoreError::BadMagic { at: 0 })
-        ));
-
-        let mut bad = good.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            ExperimentStore::decode(&bad),
-            Err(StoreError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        assert!(matches!(
-            ExperimentStore::decode(&good[..good.len() - 1]),
-            Err(StoreError::Truncated { at: 0, .. })
-        ));
-
-        let mut flipped = good.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(matches!(
-            ExperimentStore::decode(&flipped),
-            Err(StoreError::ChecksumMismatch { at: 0, .. })
-        ));
-
-        // Bytes past a valid frame that are not a frame header.
-        let mut extended = good.clone();
-        extended.push(0);
-        assert!(matches!(
-            ExperimentStore::decode(&extended),
-            Err(StoreError::TooShort { .. })
-        ));
-    }
-
-    #[test]
     fn salvage_recovers_intact_prefix_frames() {
         let a = ExperimentStore::from_records(vec![rec("x/a", "c1", 1, 1.0, 2.0)]);
         let b = ExperimentStore::from_records(vec![rec("x/b", "c2", 2, 3.0, 4.0)]);
@@ -1238,7 +1009,12 @@ mod tests {
         bytes.extend_from_slice(&b_bytes[..b_bytes.len() / 2]); // torn append
         let (recovered, err) = ExperimentStore::decode_salvage(&bytes);
         assert_eq!(recovered, a);
-        assert!(matches!(err, Some(StoreError::Truncated { .. })));
+        // The damage names the torn frame's own offset.
+        let torn_at = a.encode().len();
+        assert!(matches!(
+            err,
+            Some(StoreError::Frame(FrameError::Truncated { at, .. })) if at == torn_at
+        ));
         let (clean, none) = ExperimentStore::decode_salvage(&a.encode());
         assert_eq!(clean, a);
         assert!(none.is_none());
@@ -1295,7 +1071,10 @@ mod tests {
         assert!(ExperimentStore::open(&path).unwrap().is_empty());
         assert!(matches!(
             ExperimentStore::load(&path),
-            Err(StoreError::Io(_))
+            Err(StoreError::Frame(FrameError::Io {
+                kind: io::ErrorKind::NotFound,
+                ..
+            }))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1441,26 +1220,7 @@ mod tests {
     #[test]
     fn errors_render() {
         for e in [
-            StoreError::Io("x".into()),
-            StoreError::TooShort { at: 3, len: 1 },
-            StoreError::BadMagic { at: 0 },
-            StoreError::UnsupportedVersion {
-                at: 0,
-                found: 9,
-                supported: 1,
-            },
-            StoreError::Truncated {
-                at: 0,
-                expected: 10,
-                found: 4,
-            },
-            StoreError::ChecksumMismatch {
-                at: 0,
-                stored: 1,
-                computed: 2,
-            },
-            StoreError::Decode(CodecError::BadUtf8 { at: 0 }),
-            StoreError::TrailingBytes { at: 0, extra: 2 },
+            StoreError::Frame(FrameError::BadMagic { at: 0 }),
             StoreError::Json {
                 at: 5,
                 message: "x".into(),

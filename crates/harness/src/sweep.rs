@@ -16,8 +16,9 @@
 //! an uninterrupted run follows, and `tests/sweep_resume.rs` property-tests
 //! it across thread counts.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::codec::fnv1a64;
+use crate::frame::FrameError;
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
 use distill_sim::{ResultFold, SimResult};
@@ -215,10 +216,16 @@ pub fn run_sweep_with<S: TrialSpec>(
     let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
     if config.resume {
         if let Some(path) = &config.checkpoint {
-            if path.exists() {
-                let ck = Checkpoint::load(path)?;
-                ck.validate_for(fingerprint, config.trials)?;
-                completed.extend(ck.completed);
+            match Checkpoint::load(path) {
+                Ok(ck) => {
+                    ck.validate_for(fingerprint, config.trials)?;
+                    completed.extend(ck.completed);
+                }
+                Err(CheckpointError::Frame(FrameError::Io {
+                    kind: std::io::ErrorKind::NotFound,
+                    ..
+                })) => {}
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -285,12 +292,7 @@ pub fn run_sweep_with<S: TrialSpec>(
         let write_checkpoint =
             |completed: &BTreeMap<u64, SimResult>, written: &mut u64| -> Result<(), SweepError> {
                 if let Some(path) = &config.checkpoint {
-                    let ck = Checkpoint {
-                        fingerprint,
-                        total_trials: config.trials,
-                        completed: completed.iter().map(|(t, r)| (*t, r.clone())).collect(),
-                    };
-                    ck.write_atomic(path)?;
+                    checkpoint::write_completed(path, fingerprint, config.trials, completed)?;
                     *written += 1;
                 }
                 Ok(())

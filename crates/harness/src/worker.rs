@@ -36,7 +36,8 @@
 //! supervisor itself can be killed and restarted freely — a fresh
 //! supervisor run picks up exactly where the files say.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::frame::FrameError;
 use crate::lease::{LeaseError, LeaseOutcome, LeaseQueue};
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
@@ -44,6 +45,7 @@ use crate::sweep::{fingerprint_of, TrialSpec};
 use distill_sim::SimResult;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::Arc;
@@ -68,8 +70,8 @@ pub fn system_clock() -> ClockFn {
 pub enum WorkerError {
     /// The lease queue could not be loaded, validated, or written.
     Lease(LeaseError),
-    /// This worker's own checkpoint failed to write, or an existing one
-    /// belongs to a different sweep.
+    /// This worker's own checkpoint failed to read or write, or an existing
+    /// one belongs to a different sweep.
     Checkpoint(CheckpointError),
     /// Appending a quarantine record failed.
     Quarantine(String),
@@ -214,9 +216,11 @@ pub struct WorkerReport {
     pub trials_skipped: u64,
     /// Trials that exhausted the in-process retry budget this run.
     pub quarantined: Vec<QuarantineRecord>,
-    /// Times the shared queue was rebuilt from scratch after corruption.
+    /// Times the shared queue was rebuilt from scratch after corruption of
+    /// the queue or of this worker's own checkpoint.
     pub queue_rebuilt: u64,
-    /// True when this worker's own checkpoint was corrupt and discarded.
+    /// True when this worker's own checkpoint was corrupt and discarded
+    /// (which also resets the queue, so the lost trials run again).
     pub checkpoint_rebuilt: bool,
     /// True when the worker exited because the queue was fully done (as
     /// opposed to a test hook stopping it early).
@@ -340,7 +344,8 @@ struct QueueIdentity {
 
 /// Under the queue lock: load the queue (initialising a missing one,
 /// rebuilding a corrupt one — corruption only costs re-execution, never
-/// results), apply `mutate`, write back atomically.
+/// results), apply `mutate`, write back atomically. Any other I/O failure
+/// is returned, never mistaken for corruption.
 fn update_queue<T>(
     path: &Path,
     id: QueueIdentity,
@@ -356,9 +361,11 @@ fn update_queue<T>(
             q.validate_for(id.fingerprint, id.trials, id.chunk_size, id.max_claims)?;
             q
         }
-        Err(LeaseError::Io(_)) if !path.exists() => {
-            LeaseQueue::new(id.fingerprint, id.trials, id.chunk_size, id.max_claims)?
-        }
+        Err(LeaseError::Frame(FrameError::Io {
+            kind: io::ErrorKind::NotFound,
+            ..
+        })) => LeaseQueue::new(id.fingerprint, id.trials, id.chunk_size, id.max_claims)?,
+        Err(e @ LeaseError::Frame(FrameError::Io { .. })) => return Err(e.into()),
         Err(_) => {
             // Corrupt queue file (truncation, bit rot): rebuild fresh. Done
             // markers are lost, so chunks may be re-executed — but results
@@ -417,32 +424,38 @@ pub fn run_worker<S: TrialSpec>(
         finished: false,
     };
 
-    // This worker's own prior progress. A corrupt own checkpoint is
-    // discarded (results are re-derivable by re-running); a checkpoint
-    // from a different sweep is a hard error.
+    // This worker's own prior progress. A checkpoint from a different
+    // sweep, or one that exists but cannot be read, is a hard error. A
+    // corrupt one is discarded; its trials are in no other file while the
+    // queue may already mark their chunks done, so the queue is reset under
+    // the lock and they run again.
     let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
-    if ckpt_path.exists() {
-        match Checkpoint::load(&ckpt_path) {
-            Ok(ck) => {
-                ck.validate_for(fingerprint, config.trials)?;
-                completed.extend(ck.completed);
-            }
-            Err(CheckpointError::Io(_)) => {}
-            Err(_) => report.checkpoint_rebuilt = true,
+    match Checkpoint::load(&ckpt_path) {
+        Ok(ck) => {
+            ck.validate_for(fingerprint, config.trials)?;
+            completed.extend(ck.completed);
+        }
+        Err(CheckpointError::Frame(FrameError::Io {
+            kind: io::ErrorKind::NotFound,
+            ..
+        })) => {}
+        Err(e @ CheckpointError::Frame(FrameError::Io { .. })) => return Err(e.into()),
+        Err(_) => {
+            report.checkpoint_rebuilt = true;
+            let fresh = LeaseQueue::new(fingerprint, id.trials, id.chunk_size, id.max_claims)?;
+            update_queue(
+                &config.queue,
+                id,
+                &config.clock,
+                &mut report.queue_rebuilt,
+                |q| *q = fresh,
+            )?;
+            report.queue_rebuilt += 1;
         }
     }
 
     let every = config.checkpoint_every.max(1);
     let mut unsaved = 0u64;
-    let write_checkpoint = |completed: &BTreeMap<u64, SimResult>| -> Result<(), WorkerError> {
-        Checkpoint {
-            fingerprint,
-            total_trials: config.trials,
-            completed: completed.iter().map(|(t, r)| (*t, r.clone())).collect(),
-        }
-        .write_atomic(&ckpt_path)?;
-        Ok(())
-    };
 
     loop {
         if config
@@ -528,7 +541,12 @@ pub fn run_worker<S: TrialSpec>(
                     report.trials_run += 1;
                     unsaved += 1;
                     if unsaved >= every {
-                        write_checkpoint(&completed)?;
+                        checkpoint::write_completed(
+                            &ckpt_path,
+                            fingerprint,
+                            config.trials,
+                            &completed,
+                        )?;
                         unsaved = 0;
                     }
                 }
@@ -558,7 +576,7 @@ pub fn run_worker<S: TrialSpec>(
         // checkpoint before the queue says done, so a crash between the
         // two re-runs the chunk instead of losing it.
         if unsaved > 0 {
-            write_checkpoint(&completed)?;
+            checkpoint::write_completed(&ckpt_path, fingerprint, config.trials, &completed)?;
             unsaved = 0;
         }
         if chunk_quarantined > 0 {
@@ -596,7 +614,7 @@ pub fn run_worker<S: TrialSpec>(
         }
     }
     if unsaved > 0 {
-        write_checkpoint(&completed)?;
+        checkpoint::write_completed(&ckpt_path, fingerprint, config.trials, &completed)?;
     }
     Ok(report)
 }
@@ -1096,11 +1114,79 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A worker whose own checkpoint is corrupted after it finished a chunk
+    /// must not lose that chunk: the queue already says done, and no other
+    /// file holds the results, so the discard resets the queue.
+    #[test]
+    fn corrupt_own_checkpoint_after_a_done_chunk_loses_no_trial() {
+        let dir = scratch("ownloss");
+        let queue = dir.join("sweep.queue");
+        let (_, clock) = test_clock(0);
+        let mut cfg = config(queue.clone(), 4, 8, Arc::clone(&clock));
+        cfg.stop_after_chunks = Some(1);
+        run_worker(Arc::new(SynthSpec { tag: 17 }), &cfg).unwrap();
+        let path = worker_checkpoint_path(&queue, 4);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        cfg.stop_after_chunks = None;
+        let report = run_worker(Arc::new(SynthSpec { tag: 17 }), &cfg).unwrap();
+        assert!(report.checkpoint_rebuilt);
+        assert!(report.finished);
+        let merged = merge_checkpoints(&[Checkpoint::load(&path).unwrap()]).unwrap();
+        assert_eq!(merged.encode(), reference_results(17, 8).encode());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An own checkpoint that exists but cannot be read is not mistaken for
+    /// a missing one: the worker stops before claiming anything.
+    #[test]
+    fn unreadable_own_checkpoint_is_a_hard_error() {
+        let dir = scratch("unreadable");
+        let queue = dir.join("sweep.queue");
+        let (_, clock) = test_clock(0);
+        std::fs::create_dir(worker_checkpoint_path(&queue, 5)).unwrap();
+        let cfg = config(queue.clone(), 5, 8, clock);
+        let err = run_worker(Arc::new(SynthSpec { tag: 19 }), &cfg).unwrap_err();
+        assert!(matches!(
+            err,
+            WorkerError::Checkpoint(CheckpointError::Frame(FrameError::Io { .. }))
+        ));
+        assert!(!queue.exists(), "no chunk may be claimed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Only decode errors rebuild the queue; an unreadable queue file is an
+    /// I/O error, returned as such.
+    #[test]
+    fn unreadable_queue_is_returned_not_rebuilt() {
+        let dir = scratch("unreadable-queue");
+        let queue = dir.join("sweep.queue");
+        let (_, clock) = test_clock(0);
+        std::fs::create_dir(&queue).unwrap();
+        let id = QueueIdentity {
+            fingerprint: 1,
+            trials: 8,
+            chunk_size: 4,
+            max_claims: 2,
+        };
+        let mut rebuilds = 0;
+        let err = update_queue(&queue, id, &clock, &mut rebuilds, |_| ()).unwrap_err();
+        assert!(matches!(
+            err,
+            WorkerError::Lease(LeaseError::Frame(FrameError::Io { .. }))
+        ));
+        assert_eq!(rebuilds, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn errors_render() {
         for e in [
-            WorkerError::Lease(LeaseError::BadMagic),
-            WorkerError::Checkpoint(CheckpointError::BadMagic),
+            WorkerError::Lease(LeaseError::Frame(FrameError::BadMagic { at: 0 })),
+            WorkerError::Checkpoint(CheckpointError::Frame(FrameError::BadMagic { at: 0 })),
             WorkerError::Quarantine("x".into()),
             WorkerError::Lock("y".into()),
             WorkerError::Spawn("z".into()),

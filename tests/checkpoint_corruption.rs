@@ -5,7 +5,7 @@
 
 use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_harness::checkpoint::encode_sim_result;
-use distill_harness::{Checkpoint, CheckpointError, Writer, CHECKPOINT_VERSION};
+use distill_harness::{Checkpoint, CheckpointError, FrameError, Writer, CHECKPOINT_VERSION};
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
 use proptest::prelude::*;
 
@@ -250,7 +250,11 @@ fn wrong_version_is_rejected_before_payload() {
     let bad_version = CHECKPOINT_VERSION + 1;
     bytes[8..12].copy_from_slice(&bad_version.to_le_bytes());
     match Checkpoint::decode(&bytes) {
-        Err(CheckpointError::UnsupportedVersion { found, supported }) => {
+        Err(CheckpointError::Frame(FrameError::UnsupportedVersion {
+            at: 0,
+            found,
+            supported,
+        })) => {
             assert_eq!(found, bad_version);
             assert_eq!(supported, CHECKPOINT_VERSION);
         }

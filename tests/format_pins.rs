@@ -1,0 +1,162 @@
+//! The on-disk bytes of the three harness formats are pinned: the committed
+//! experiment store re-encodes to itself, and a fixed checkpoint and a fixed
+//! lease queue encode to recorded FNV-1a digests. Any change to the shared
+//! frame or to a payload schema that moves a byte fails here, so a format
+//! change has to bump its version instead of silently rewriting old files.
+//! The formats share one envelope, so each decoder must also refuse the
+//! other two formats' files by their magic.
+
+use distill_billboard::{ObjectId, PlayerId, Round};
+use distill_harness::{
+    fnv1a64, Checkpoint, CheckpointError, ExperimentStore, FrameError, LeaseError, LeaseQueue,
+    StoreError,
+};
+use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
+
+/// A result touching every field of the `SimResult` codec, NaN included.
+fn fixed_result(seed: u64) -> SimResult {
+    SimResult {
+        rounds: 10 + seed,
+        all_satisfied: seed % 2 == 0,
+        players: vec![
+            PlayerOutcome {
+                probes: 3,
+                cost_paid: 3.5,
+                satisfied_round: Some(Round(2)),
+                advice_probes: 1,
+                explore_probes: 2,
+                crash_round: None,
+            },
+            PlayerOutcome {
+                probes: 7,
+                cost_paid: f64::NAN,
+                satisfied_round: None,
+                advice_probes: 0,
+                explore_probes: 7,
+                crash_round: Some(Round(4)),
+            },
+        ],
+        satisfied_per_round: vec![0, 1, 1, 2],
+        posts_total: 19,
+        forged_rejected: 2,
+        notes: vec![("iterations".into(), 3.0), ("α-guess".into(), 0.5)],
+        final_eval: Some(FinalEval {
+            found_good: vec![true, false],
+            success_fraction: 0.5,
+        }),
+        faults: FaultCounters {
+            posts_dropped: 1,
+            crashes: 1,
+            recoveries: 0,
+        },
+        trace: Some(vec![
+            TraceEvent::RoundStart {
+                round: Round(0),
+                active_honest: 2,
+            },
+            TraceEvent::Probe {
+                round: Round(0),
+                player: PlayerId(0),
+                object: ObjectId(5),
+                via_advice: true,
+                good: false,
+            },
+            TraceEvent::Satisfied {
+                round: Round(2),
+                player: PlayerId(0),
+                object: ObjectId(1),
+            },
+            TraceEvent::AdversaryPosts {
+                round: Round(1),
+                count: 4,
+            },
+            TraceEvent::PostDropped {
+                round: Round(1),
+                player: PlayerId(1),
+                object: ObjectId(3),
+            },
+            TraceEvent::PlayerCrashed {
+                round: Round(4),
+                player: PlayerId(1),
+            },
+            TraceEvent::PlayerRecovered {
+                round: Round(5),
+                player: PlayerId(1),
+            },
+        ]),
+    }
+}
+
+#[test]
+fn committed_history_store_re_encodes_to_its_own_bytes() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_history.store");
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(bytes.len(), 5_514);
+    let store = ExperimentStore::decode(&bytes).unwrap();
+    assert_eq!(store.len(), 51);
+    assert_eq!(store.encode(), bytes);
+}
+
+#[test]
+fn fixed_checkpoint_bytes_are_pinned() {
+    let ck = Checkpoint {
+        fingerprint: 0xFEED_FACE_CAFE_BEEF,
+        total_trials: 8,
+        completed: vec![
+            (0, fixed_result(0)),
+            (2, fixed_result(2)),
+            (5, fixed_result(5)),
+        ],
+    };
+    let bytes = ck.encode();
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (1_144, 0x5301_5b85_42ef_e31f),
+        "checkpoint bytes moved"
+    );
+}
+
+#[test]
+fn fixed_lease_queue_bytes_are_pinned() {
+    let mut q = LeaseQueue::new(0xFEED, 10, 4, 2).unwrap();
+    q.claim(7, 123, 456);
+    q.claim(8, 124, 456);
+    q.complete(1, 8);
+    let bytes = q.encode();
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (95, 0xb31b_9363_087f_d388),
+        "lease-queue bytes moved"
+    );
+}
+
+#[test]
+fn each_decoder_refuses_the_other_formats_by_magic() {
+    let checkpoint = Checkpoint {
+        fingerprint: 1,
+        total_trials: 1,
+        completed: Vec::new(),
+    }
+    .encode();
+    let queue = LeaseQueue::new(1, 4, 2, 1).unwrap().encode();
+    let store = ExperimentStore::new().encode();
+    let bad_magic = FrameError::BadMagic { at: 0 };
+    for bytes in [&queue, &store] {
+        assert_eq!(
+            Checkpoint::decode(bytes),
+            Err(CheckpointError::Frame(bad_magic.clone()))
+        );
+    }
+    for bytes in [&checkpoint, &store] {
+        assert_eq!(
+            LeaseQueue::decode(bytes),
+            Err(LeaseError::Frame(bad_magic.clone()))
+        );
+    }
+    for bytes in [&checkpoint, &queue] {
+        assert_eq!(
+            ExperimentStore::decode(bytes),
+            Err(StoreError::Frame(bad_magic.clone()))
+        );
+    }
+}

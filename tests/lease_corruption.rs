@@ -5,7 +5,7 @@
 //! converge) rather than fatal. Mirrors `tests/store_corruption.rs` for the
 //! `DSTLLEAS` format.
 
-use distill_harness::{LeaseError, LeaseOutcome, LeaseQueue, LEASE_VERSION};
+use distill_harness::{FrameError, LeaseError, LeaseOutcome, LeaseQueue, LEASE_VERSION};
 use proptest::prelude::*;
 
 /// A queue with arbitrary geometry, advanced through an arbitrary op
@@ -98,7 +98,9 @@ proptest! {
         let mut bytes = q.encode();
         bytes.extend(std::iter::repeat(0xAA).take(extra));
         match LeaseQueue::decode(&bytes) {
-            Err(LeaseError::TrailingBytes { extra: got }) => prop_assert_eq!(got, extra),
+            Err(LeaseError::Frame(FrameError::TrailingBytes { at: 0, extra: got })) => {
+                prop_assert_eq!(got, extra)
+            }
             other => return Err(TestCaseError::fail(format!(
                 "expected TrailingBytes, got {other:?}"
             ))),
@@ -113,7 +115,11 @@ fn wrong_version_is_rejected_before_payload() {
     let bad_version = LEASE_VERSION + 1;
     bytes[8..12].copy_from_slice(&bad_version.to_le_bytes());
     match LeaseQueue::decode(&bytes) {
-        Err(LeaseError::UnsupportedVersion { found, supported }) => {
+        Err(LeaseError::Frame(FrameError::UnsupportedVersion {
+            at: 0,
+            found,
+            supported,
+        })) => {
             assert_eq!(found, bad_version);
             assert_eq!(supported, LEASE_VERSION);
         }

@@ -5,7 +5,9 @@
 //! record set. Property-tested over generated stores and corruptions, in
 //! the style of `tests/checkpoint_corruption.rs`.
 
-use distill_harness::{ExperimentRecord, ExperimentStore, RowKind, StoreError, STORE_VERSION};
+use distill_harness::{
+    ExperimentRecord, ExperimentStore, FrameError, RowKind, StoreError, STORE_VERSION,
+};
 use proptest::prelude::*;
 
 /// An `f64` that is NaN about one draw in four, exercising the
@@ -150,11 +152,11 @@ fn wrong_version_is_rejected_before_payload() {
     let bad_version = STORE_VERSION + 1;
     bytes[8..12].copy_from_slice(&bad_version.to_le_bytes());
     match ExperimentStore::decode(&bytes) {
-        Err(StoreError::UnsupportedVersion {
+        Err(StoreError::Frame(FrameError::UnsupportedVersion {
             at,
             found,
             supported,
-        }) => {
+        })) => {
             assert_eq!(at, 0);
             assert_eq!(found, bad_version);
             assert_eq!(supported, STORE_VERSION);
