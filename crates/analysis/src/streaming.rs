@@ -412,7 +412,6 @@ mod tests {
         e.merge(&whole);
         assert_eq!(e, whole);
         let before = whole;
-        let mut whole = whole;
         whole.merge(&RunningMoments::new());
         assert_eq!(whole, before);
     }

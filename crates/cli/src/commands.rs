@@ -141,8 +141,8 @@ RUN FLAGS (defaults in parentheses):
     --recovery-rate <f64> fault injection: per-round rejoin probability (0)
 
 SWEEP FLAGS (all RUN FLAGS, plus):
-    --checkpoint <path>      write an atomic, checksummed progress snapshot
-    --checkpoint-every <k>   snapshot after every k completed trials (8)
+    --checkpoint <path>      checksummed progress log, one frame per write
+    --checkpoint-every <k>   append a frame after every k completed trials (8)
     --resume                 skip trials already in the checkpoint
     --trial-timeout <secs>   watchdog per-attempt wall-clock limit (0 = off)
     --max-retries <u32>      retries per trial after a failure (2)
@@ -152,7 +152,7 @@ SWEEP FLAGS (all RUN FLAGS, plus):
     --stream                 O(1)-memory streaming aggregation (Welford
                              moments + GK quantile sketch, rank error 0.5%)
                              instead of retaining every result; excludes
-                             --checkpoint/--resume/--out
+                             --out; --resume still loads the whole log
     exits 3 when any trial ends quarantined
 
 SWEEP-WORKER FLAGS (all RUN FLAGS, plus):
@@ -721,18 +721,10 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         });
     let out_path = args.flags.get("out").map(std::path::PathBuf::from);
     let stream = args.has("stream");
-    if stream {
-        if checkpoint.is_some() || resume {
-            return Err(err(
-                "--stream keeps no per-trial results, so it cannot checkpoint or resume \
-                 (use the multi-process fabric for restartable big sweeps)",
-            ));
-        }
-        if out_path.is_some() {
-            return Err(err(
-                "--stream keeps no per-trial results, so --out digests are unavailable",
-            ));
-        }
+    if stream && out_path.is_some() {
+        return Err(err(
+            "--stream keeps no per-trial results, so --out digests are unavailable",
+        ));
     }
 
     let spec = std::sync::Arc::new(spec);
@@ -1134,14 +1126,16 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     // Set-union merge of every worker checkpoint that exists. Racing or
     // duplicated workers are fine: duplicated trials must be bit-identical
     // (determinism), and `merge_checkpoints` hard-errors if they are not.
+    // A worker killed mid-append, and not restarted since, leaves a torn
+    // last frame; it holds no trial of a chunk marked done, so the merge
+    // drops it. Any other damage is an error.
     let mut parts = Vec::new();
     for id in 0..workers {
         let path = distill_harness::worker_checkpoint_path(&queue, id);
         if path.exists() {
-            parts.push(
-                distill_harness::Checkpoint::load(&path)
-                    .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?,
-            );
+            let part = distill_harness::Checkpoint::load_after_crash(&path)
+                .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?;
+            parts.extend(part);
         }
     }
     if parts.is_empty() {
@@ -2114,8 +2108,8 @@ mod tests {
     }
 
     /// `sweep --stream` must report the same mean cost (to rounding) and
-    /// satisfied count as the retained sweep of the same spec, while
-    /// refusing the retained-results-only flags.
+    /// satisfied count as the retained sweep of the same spec, also when
+    /// resumed from its checkpoint, while refusing `--out`.
     #[test]
     fn sweep_stream_matches_retained_aggregates() {
         let base = [
@@ -2147,14 +2141,27 @@ mod tests {
         assert!(streamed.contains("6/6"));
         assert!(streamed.contains("p50/p90/p99"));
 
-        // Streaming keeps no per-trial results: checkpoint/resume/out are out.
+        // Streaming keeps no per-trial results, so `--out` is refused.
+        let bad = ["sweep", "--stream", "--out", "/tmp/x.digests"];
+        assert!(dispatch(&parse_stream(&bad)).is_err(), "{bad:?} must fail");
+
+        // It checkpoints like a retained sweep, and a resume that finds
+        // every trial in the log folds them all.
         let ckpt = sweep_tmp("stream.ckpt");
-        for bad in [
-            vec!["sweep", "--stream", "--checkpoint", ckpt.to_str().unwrap()],
-            vec!["sweep", "--stream", "--out", "/tmp/x.digests"],
-        ] {
-            assert!(dispatch(&parse_stream(&bad)).is_err(), "{bad:?} must fail");
-        }
+        let ckpt_s = ckpt.display().to_string();
+        std::fs::remove_file(&ckpt).ok();
+        let mut checkpointed = with_stream.clone();
+        checkpointed.extend_from_slice(&["--checkpoint", &ckpt_s]);
+        dispatch(&parse_stream(&checkpointed)).unwrap();
+        checkpointed.push("--resume");
+        let resumed = dispatch(&parse_stream(&checkpointed)).unwrap();
+        assert_eq!(grab(&resumed, "resumed from checkpoint"), "6");
+        assert_eq!(
+            grab(&resumed, "mean individual cost"),
+            grab(&retained, "mean individual cost"),
+        );
+        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_file(format!("{ckpt_s}.quarantine.jsonl")).ok();
     }
 
     /// Two in-process fabric workers on one queue: disjoint leased chunks,
@@ -2229,6 +2236,70 @@ mod tests {
             std::fs::read_to_string(&out_ref).unwrap(),
             "fabric merge must be bit-identical to the single-process sweep"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker killed mid-append and never restarted leaves a torn last
+    /// frame behind a queue the other workers finished. `sweep-supervise`
+    /// spawns nothing for a finished queue, merges past the torn frame, and
+    /// still reproduces the single-process digests; other damage is an
+    /// error.
+    #[test]
+    fn sweep_supervise_merges_past_a_torn_worker_log() {
+        let dir = std::env::temp_dir().join(format!("distill-cli-torn-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let queue = dir.join("sweep.queue");
+        let queue_s = queue.display().to_string();
+        let out_ref_s = dir.join("reference.digests").display().to_string();
+        let out_s = dir.join("fabric.digests").display().to_string();
+        let spec = [
+            "--n", "16", "--honest", "14", "--trials", "6", "--seed", "13",
+        ];
+        let run = |head: &[&str], tail: &[&str]| {
+            let argv: Vec<&str> = head.iter().chain(&spec).chain(tail).copied().collect();
+            dispatch(&parse(&argv))
+        };
+        run(&["sweep"], &["--out", &out_ref_s]).unwrap();
+        let worker = [
+            "sweep-worker",
+            "--queue",
+            &queue_s,
+            "--chunk",
+            "2",
+            "--worker-id",
+        ];
+        run(
+            &[&worker[..], &["0"]].concat(),
+            &["--stop-after-chunks", "1"],
+        )
+        .unwrap();
+        run(&[&worker[..], &["1"]].concat(), &[]).unwrap();
+
+        // The torn frame: the opening bytes of a frame, cut short.
+        let log = distill_harness::worker_checkpoint_path(&queue, 1);
+        let whole = std::fs::read(&log).unwrap();
+        std::fs::write(&log, [&whole[..], &whole[..100]].concat()).unwrap();
+        let supervise = [
+            "sweep-supervise",
+            "--queue",
+            &queue_s,
+            "--chunk",
+            "2",
+            "--workers",
+            "2",
+        ];
+        let report = run(&supervise, &["--out", &out_s]).unwrap();
+        assert!(report.contains("6/6"), "{report}");
+        assert_eq!(
+            std::fs::read_to_string(&out_s).unwrap(),
+            std::fs::read_to_string(&out_ref_s).unwrap()
+        );
+
+        let mut flipped = whole.clone();
+        flipped[whole.len() / 2] ^= 1;
+        std::fs::write(&log, &flipped).unwrap();
+        assert!(run(&supervise, &[]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

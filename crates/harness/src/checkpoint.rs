@@ -1,20 +1,31 @@
-//! Versioned, checksummed sweep checkpoints with atomic writes.
+//! Versioned, checksummed sweep checkpoints, kept as append-only logs.
 //!
-//! A checkpoint is a binary snapshot of sweep progress: the config
-//! fingerprint, the total trial count, and every completed `(trial index,
-//! SimResult)` pair. It is one [`crate::frame`] with magic `DSTLCKPT`,
-//! whose payload is `fingerprint u64 | total_trials u64 | count u64 |
-//! count × (trial u64, SimResult)` with trials strictly ascending. Decoding
-//! is total: truncation, bit flips, version skew, and config mismatches all
-//! yield a typed [`CheckpointError`] (property-tested in
+//! A checkpoint file is a log of [`crate::frame`]s with magic `DSTLCKPT`.
+//! Each frame's payload is `fingerprint u64 | total_trials u64 | count u64
+//! | count × (trial u64, SimResult)` with trials strictly ascending, and
+//! holds the trials finished since the frame before it. The checkpoint is
+//! the union of the frames, sorted by trial; a one-frame file is a
+//! one-frame log, so [`Checkpoint::encode`] writes the same bytes it always
+//! has. Decoding is total: truncation, bit flips, version skew, and config
+//! mismatches all yield a typed [`CheckpointError`] (property-tested in
 //! `tests/checkpoint_corruption.rs`), never a panic and never a silently
-//! wrong result — the checksum is verified before any payload byte is
-//! interpreted.
+//! wrong result — each frame's checksum is verified before any of its
+//! payload bytes are interpreted.
 //!
-//! Writes are atomic (tmp, fsync, rename), so a process killed at any
-//! instant leaves either the previous complete checkpoint or the new one on
-//! disk, never a torn hybrid — at worst an orphaned scratch file, which
-//! [`Checkpoint::load`] sweeps before reading.
+//! [`Checkpoint::decode`] is strict: any damage, a frame whose fingerprint
+//! or trial count differs from the first frame's, and a trial in two
+//! frames are all errors. [`Checkpoint::decode_salvage`] instead returns
+//! the union of the intact leading frames and the first damage.
+//! [`Checkpoint::load_after_crash`] sits between them: it drops a torn last
+//! frame — what a process killed mid-append leaves — and refuses any other
+//! damage.
+//!
+//! Sweeps and fabric workers write through a `CheckpointLog`, which
+//! appends one frame per cadence with [`frame::append`], so a checkpoint
+//! write costs bytes in proportion to the new trials only. The one whole-map
+//! rewrite is compaction after damage: `CheckpointLog::resume` rewrites a
+//! damaged log's intact prefix as one frame with [`frame::write_atomic`]
+//! before anything is appended behind the damage.
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::frame::{self, FrameError};
@@ -22,7 +33,8 @@ use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// File magic: identifies a distill sweep checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
@@ -32,12 +44,17 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
 /// than misread.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
+/// The damage an empty checkpoint file reports: its first frame is missing.
+const EMPTY: FrameError = FrameError::TooShort { at: 0, len: 0 };
+
 /// Why a checkpoint could not be loaded or does not match the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The file could not be read or written, or its frame is damaged.
+    /// The file could not be read or written, or one of its frames is
+    /// damaged.
     Frame(FrameError),
-    /// Completed-trial indices are not strictly ascending.
+    /// Completed-trial indices are not strictly ascending within a frame,
+    /// or a trial appears in two frames.
     OutOfOrder {
         /// The index that broke the order.
         trial: u64,
@@ -49,18 +66,22 @@ pub enum CheckpointError {
         /// The sweep's trial count.
         total: u64,
     },
-    /// The checkpoint was written by a sweep with a different configuration.
+    /// The checkpoint, or one frame of it, was written by a sweep with a
+    /// different configuration.
     ConfigMismatch {
-        /// Fingerprint stored in the checkpoint.
+        /// Fingerprint stored in the checkpoint or frame.
         stored: u64,
-        /// Fingerprint of the sweep attempting to resume.
+        /// Fingerprint of the sweep attempting to resume, or of the log's
+        /// first frame.
         expected: u64,
     },
-    /// The checkpoint was written for a different trial count.
+    /// The checkpoint, or one frame of it, was written for a different
+    /// trial count.
     TrialCountMismatch {
-        /// Count stored in the checkpoint.
+        /// Count stored in the checkpoint or frame.
         stored: u64,
-        /// Count of the sweep attempting to resume.
+        /// Count of the sweep attempting to resume, or of the log's first
+        /// frame.
         expected: u64,
     },
 }
@@ -115,83 +136,133 @@ pub struct Checkpoint {
     pub completed: Vec<(u64, SimResult)>,
 }
 
-/// The one checkpoint encoder: [`Checkpoint::encode`] and
-/// [`write_completed`] both go through it, so a sweep's live result map is
-/// written without first cloning it into a [`Checkpoint`].
-fn encode_completed<'a>(
+/// The one frame encoder: `put` writes each entry's result, from a
+/// [`SimResult`] ([`Checkpoint::encode`]) or from bytes a [`CheckpointLog`]
+/// encoded when the trial finished.
+fn encode_frame<E>(
     fingerprint: u64,
     total_trials: u64,
-    completed: impl ExactSizeIterator<Item = (&'a u64, &'a SimResult)>,
+    entries: impl ExactSizeIterator<Item = (u64, E)>,
+    put: impl Fn(&mut Writer, E),
 ) -> Vec<u8> {
     frame::encode(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |w| {
         w.put_u64(fingerprint);
         w.put_u64(total_trials);
-        w.put_u64(completed.len() as u64);
-        for (trial, result) in completed {
-            w.put_u64(*trial);
-            encode_sim_result(w, result);
+        w.put_u64(entries.len() as u64);
+        for (trial, result) in entries {
+            w.put_u64(trial);
+            put(w, result);
         }
     })
 }
 
-/// Writes the checkpoint of a sweep's completed-result map atomically —
-/// the same bytes as [`Checkpoint::write_atomic`] on the equivalent
-/// [`Checkpoint`], without copying a result.
-///
-/// # Errors
-/// [`CheckpointError::Frame`] with the failing path and OS error.
-pub fn write_completed(
-    path: &Path,
-    fingerprint: u64,
-    total_trials: u64,
-    completed: &BTreeMap<u64, SimResult>,
-) -> Result<(), CheckpointError> {
-    let bytes = encode_completed(fingerprint, total_trials, completed.iter());
-    Ok(frame::write_atomic(path, &bytes)?)
+/// Reads one frame's payload.
+fn read_frame(r: &mut Reader<'_>) -> Result<Checkpoint, CodecError> {
+    let fingerprint = r.u64()?;
+    let total_trials = r.u64()?;
+    let count = r.seq_len(8)?;
+    let mut completed = Vec::with_capacity(count);
+    for _ in 0..count {
+        completed.push((r.u64()?, decode_sim_result(r)?));
+    }
+    Ok(Checkpoint {
+        fingerprint,
+        total_trials,
+        completed,
+    })
 }
 
 impl Checkpoint {
-    /// Encodes the checkpoint to its on-disk byte layout.
+    /// Encodes the checkpoint as a one-frame log.
     pub fn encode(&self) -> Vec<u8> {
-        let completed = self.completed.iter().map(|(trial, result)| (trial, result));
-        encode_completed(self.fingerprint, self.total_trials, completed)
+        let completed = self
+            .completed
+            .iter()
+            .map(|(trial, result)| (*trial, result));
+        encode_frame(
+            self.fingerprint,
+            self.total_trials,
+            completed,
+            encode_sim_result,
+        )
     }
 
-    /// Decodes a checkpoint; the frame is verified before a single payload
-    /// byte is interpreted.
+    /// Decodes a checkpoint log strictly: every frame must be intact and
+    /// agree with the first on fingerprint and trial count, and no trial
+    /// may appear twice. Each frame is verified before a single one of its
+    /// payload bytes is interpreted.
     ///
     /// # Errors
-    /// Every corruption mode maps to a [`CheckpointError`] variant; no input
-    /// can cause a panic.
+    /// Every corruption mode maps to a [`CheckpointError`] variant — an
+    /// empty file is [`FrameError::TooShort`] at byte 0 — and no input can
+    /// cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let ck = frame::decode_one(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes, |r| {
-            let fingerprint = r.u64()?;
-            let total_trials = r.u64()?;
-            let count = r.seq_len(8)?;
-            let mut completed = Vec::with_capacity(count);
-            for _ in 0..count {
-                completed.push((r.u64()?, decode_sim_result(r)?));
+        match Checkpoint::decode_salvage(bytes) {
+            (Some(ck), None) => Ok(ck),
+            (_, damage) => Err(damage.unwrap_or(CheckpointError::Frame(EMPTY))),
+        }
+    }
+
+    /// Best-effort decode: the union of the longest run of leading frames
+    /// that are intact and agree with each other (`None` when the first
+    /// frame is not), and the first damage, if any. An empty file is
+    /// damage. [`Checkpoint::decode`] succeeds exactly when this reports no
+    /// damage.
+    pub fn decode_salvage(bytes: &[u8]) -> (Option<Self>, Option<CheckpointError>) {
+        let (frames, damage) =
+            frame::decode_seq(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes, read_frame);
+        let mut damage = damage.map(CheckpointError::Frame);
+        let Some(&Checkpoint {
+            fingerprint,
+            total_trials,
+            ..
+        }) = frames.first()
+        else {
+            // No intact frame: the first one is damaged, or the file is empty.
+            return (None, Some(damage.unwrap_or(CheckpointError::Frame(EMPTY))));
+        };
+        let mut union = BTreeMap::new();
+        let mut intact = 0usize;
+        for frame in frames {
+            if let Err(e) = frame.check_frame(fingerprint, total_trials, &union) {
+                damage = Some(e);
+                break;
             }
-            Ok(Checkpoint {
-                fingerprint,
-                total_trials,
-                completed,
-            })
-        })?;
+            union.extend(frame.completed);
+            intact += 1;
+        }
+        let ck = (intact > 0).then(|| Checkpoint {
+            fingerprint,
+            total_trials,
+            completed: union.into_iter().collect(),
+        });
+        (ck, damage)
+    }
+
+    /// Checks one frame of a log: it belongs to the log's sweep, and its
+    /// trials are strictly ascending, in range, and not in an earlier
+    /// frame.
+    fn check_frame(
+        &self,
+        fingerprint: u64,
+        total_trials: u64,
+        earlier: &BTreeMap<u64, SimResult>,
+    ) -> Result<(), CheckpointError> {
+        self.validate_for(fingerprint, total_trials)?;
         let mut prev: Option<u64> = None;
-        for &(trial, _) in &ck.completed {
-            if prev.is_some_and(|p| trial <= p) {
+        for &(trial, _) in &self.completed {
+            if prev.is_some_and(|p| trial <= p) || earlier.contains_key(&trial) {
                 return Err(CheckpointError::OutOfOrder { trial });
             }
-            if trial >= ck.total_trials {
+            if trial >= total_trials {
                 return Err(CheckpointError::TrialOutOfRange {
                     trial,
-                    total: ck.total_trials,
+                    total: total_trials,
                 });
             }
             prev = Some(trial);
         }
-        Ok(ck)
+        Ok(())
     }
 
     /// Verifies the checkpoint belongs to the sweep described by
@@ -216,8 +287,8 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads and decodes a checkpoint file after sweeping a killed writer's
-    /// scratch files (see [`frame::load`]).
+    /// Loads and strictly decodes a checkpoint log after sweeping a killed
+    /// writer's scratch files (see [`frame::load`]).
     ///
     /// # Errors
     /// I/O failures surface as [`FrameError::Io`] (kind `NotFound` for a
@@ -226,13 +297,185 @@ impl Checkpoint {
         Checkpoint::decode(&frame::load(path)?)
     }
 
-    /// Writes the checkpoint atomically: a crash at any point leaves either
-    /// the old or the new complete file, never a torn one.
+    /// Loads a log whose writer may have been killed mid-append: as
+    /// [`Checkpoint::load`], except that a torn last frame is dropped. A
+    /// writer reports no trial finished before the append holding it has
+    /// returned, so the torn frame holds nothing another file relies on.
+    /// `None` when no frame is whole (the writer died in its first append).
+    ///
+    /// # Errors
+    /// As [`Checkpoint::load`], for every damage but a torn last frame.
+    pub fn load_after_crash(path: &Path) -> Result<Option<Self>, CheckpointError> {
+        let bytes = frame::load(path)?;
+        match Checkpoint::decode_salvage(&bytes) {
+            (_, Some(damage)) if !is_torn(&bytes, &damage) => Err(damage),
+            (intact, _) => Ok(intact),
+        }
+    }
+
+    /// Writes the checkpoint atomically as a one-frame log: a crash at any
+    /// point leaves either the old or the new complete file, never a torn
+    /// one.
     ///
     /// # Errors
     /// [`CheckpointError::Frame`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
         Ok(frame::write_atomic(path, &self.encode())?)
+    }
+}
+
+/// Whether `damage`, found in the log `bytes`, is a torn last frame — what
+/// a writer killed mid-append leaves — rather than corruption.
+fn is_torn(bytes: &[u8], damage: &CheckpointError) -> bool {
+    match damage {
+        CheckpointError::Frame(
+            FrameError::TooShort { at, .. } | FrameError::Truncated { at, .. },
+        ) => frame::is_torn(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes, *at),
+        _ => false,
+    }
+}
+
+/// The writing end of a sweep's or worker's checkpoint log. It holds only
+/// the results finished since its last frame, already encoded, and appends
+/// them as one new frame every `checkpoint_every` results.
+#[derive(Debug)]
+pub(crate) struct CheckpointLog {
+    path: PathBuf,
+    fingerprint: u64,
+    total_trials: u64,
+    /// The cadence: pending results that trigger an append.
+    every: usize,
+    /// Finished since the last frame: trial and encoded result, in
+    /// completion order.
+    pending: Vec<(u64, Vec<u8>)>,
+}
+
+impl CheckpointLog {
+    fn new(path: &Path, fingerprint: u64, total_trials: u64, checkpoint_every: u64) -> Self {
+        CheckpointLog {
+            path: path.to_path_buf(),
+            fingerprint,
+            total_trials,
+            every: usize::try_from(checkpoint_every.max(1)).unwrap_or(usize::MAX),
+            pending: Vec::new(),
+        }
+    }
+
+    /// A new, empty log at `path` for a sweep that is not resuming,
+    /// appending after every `checkpoint_every` results (at least 1). Any
+    /// old file at `path` is removed.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Frame`] when an old file cannot be removed.
+    pub(crate) fn create(
+        path: &Path,
+        fingerprint: u64,
+        total_trials: u64,
+        checkpoint_every: u64,
+    ) -> Result<Self, CheckpointError> {
+        let log = CheckpointLog::new(path, fingerprint, total_trials, checkpoint_every);
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(FrameError::io(path, &e).into()),
+            _ => Ok(log),
+        }
+    }
+
+    /// Continues the log at `path` (a missing file is an empty log) at the
+    /// same cadence as [`CheckpointLog::create`], and returns it with the
+    /// trials it already holds, ascending.
+    ///
+    /// A damaged log keeps its intact frames, which are rewritten as one
+    /// frame before anything is appended behind the damage. A torn last
+    /// frame is simply cut off: its trials were never reported finished.
+    /// Any other damage goes to `on_damage` first, which may refuse it or
+    /// undo what the lost frames' trials let another file record (a fabric
+    /// worker resets its queue), before they are gone for good.
+    ///
+    /// # Errors
+    /// An unreadable file, a file whose first frame is not a checkpoint
+    /// frame of this version, a log (or one frame of it) from another
+    /// sweep, `on_damage`'s error, or the compaction write. A refused file
+    /// is left as it was.
+    pub(crate) fn resume<E: From<CheckpointError>>(
+        path: &Path,
+        fingerprint: u64,
+        total_trials: u64,
+        checkpoint_every: u64,
+        on_damage: impl FnOnce(CheckpointError) -> Result<(), E>,
+    ) -> Result<(Self, Vec<(u64, SimResult)>), E> {
+        let log = CheckpointLog::new(path, fingerprint, total_trials, checkpoint_every);
+        let bytes = match frame::load(path) {
+            Ok(bytes) => bytes,
+            Err(FrameError::Io {
+                kind: io::ErrorKind::NotFound,
+                ..
+            }) => return Ok((log, Vec::new())),
+            Err(e) => return Err(CheckpointError::from(e).into()),
+        };
+        let (intact, damage) = Checkpoint::decode_salvage(&bytes);
+        if let Some(ck) = &intact {
+            ck.validate_for(fingerprint, total_trials)?;
+        }
+        let completed = intact.map_or_else(Vec::new, |ck| ck.completed);
+        match damage {
+            None => return Ok((log, completed)),
+            Some(e) if is_torn(&bytes, &e) => {}
+            Some(
+                e @ (CheckpointError::ConfigMismatch { .. }
+                | CheckpointError::TrialCountMismatch { .. }
+                | CheckpointError::Frame(
+                    FrameError::BadMagic { at: 0 }
+                    | FrameError::UnsupportedVersion { at: 0, .. }
+                    | FrameError::TooShort { at: 0, .. },
+                )),
+            ) => return Err(e.into()),
+            Some(e) => on_damage(e)?,
+        }
+        drop(bytes);
+        let entries = completed.iter().map(|(trial, result)| (*trial, result));
+        let bytes = encode_frame(fingerprint, total_trials, entries, encode_sim_result);
+        frame::write_atomic(path, &bytes).map_err(CheckpointError::from)?;
+        Ok((log, completed))
+    }
+
+    /// Records a finished trial for the next frame, and appends that frame
+    /// once the cadence is reached. Returns whether it appended.
+    ///
+    /// # Errors
+    /// As [`CheckpointLog::append`].
+    pub(crate) fn push(&mut self, trial: u64, result: &SimResult) -> Result<bool, CheckpointError> {
+        let mut w = Writer::new();
+        encode_sim_result(&mut w, result);
+        self.pending.push((trial, w.into_bytes()));
+        if self.pending.len() < self.every {
+            return Ok(false);
+        }
+        self.append()
+    }
+
+    /// Writes the recorded trials as one frame, in trial order, and fsyncs
+    /// it. Returns whether there was anything to write.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Frame`] with the failing path and OS error.
+    pub(crate) fn append(&mut self) -> Result<bool, CheckpointError> {
+        if self.pending.is_empty() {
+            return Ok(false);
+        }
+        self.pending.sort_unstable_by_key(|&(trial, _)| trial);
+        let entries = self
+            .pending
+            .iter()
+            .map(|(trial, bytes)| (*trial, &bytes[..]));
+        let bytes = encode_frame(
+            self.fingerprint,
+            self.total_trials,
+            entries,
+            Writer::put_bytes,
+        );
+        frame::append(&self.path, &bytes)?;
+        self.pending.clear();
+        Ok(true)
     }
 }
 
@@ -690,10 +933,173 @@ mod tests {
         ck2.completed.pop();
         ck2.write_atomic(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck2);
-        // The result-map writer emits exactly the bytes of `encode`.
-        let map: BTreeMap<u64, SimResult> = ck.completed.iter().cloned().collect();
-        write_completed(&path, ck.fingerprint, ck.total_trials, &map).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), ck.encode());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("distill-ckpt-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A log appends one sorted frame per cadence and holds exactly the
+    /// checkpoint's trials; creating a log removes a stale file.
+    #[test]
+    fn log_appends_one_frame_per_write() {
+        let dir = scratch("log");
+        let path = dir.join("sweep.ckpt");
+        std::fs::write(&path, b"stale").unwrap();
+        let ck = sample_checkpoint();
+        let mut log = CheckpointLog::create(&path, ck.fingerprint, ck.total_trials, 2).unwrap();
+        assert!(!path.exists());
+        assert!(!log.append().unwrap(), "nothing pending, nothing written");
+        let push = |log: &mut CheckpointLog, i: usize| {
+            let (trial, result) = &ck.completed[i];
+            log.push(*trial, result).unwrap()
+        };
+        assert!(!push(&mut log, 2), "below the cadence");
+        assert!(push(&mut log, 0), "the cadence appends");
+        assert!(!push(&mut log, 1));
+        assert!(log.append().unwrap());
+        let frame = |completed: Vec<(u64, SimResult)>| {
+            Checkpoint {
+                completed,
+                ..ck.clone()
+            }
+            .encode()
+        };
+        let expected = [
+            frame(vec![ck.completed[0].clone(), ck.completed[2].clone()]),
+            frame(vec![ck.completed[1].clone()]),
+        ]
+        .concat();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `ck` as a log of one frame per trial and returns its bytes.
+    fn write_log(path: &Path, ck: &Checkpoint) -> Vec<u8> {
+        let mut log = CheckpointLog::create(path, ck.fingerprint, ck.total_trials, 1).unwrap();
+        for (trial, result) in &ck.completed {
+            assert!(log.push(*trial, result).unwrap());
+        }
+        std::fs::read(path).unwrap()
+    }
+
+    /// `on_damage` for damage that must not reach it.
+    fn unreachable(e: CheckpointError) -> Result<(), CheckpointError> {
+        panic!("on_damage called for {e:?}")
+    }
+
+    /// Resuming a log whose last frame a crash tore keeps the whole frames,
+    /// compacts them into one without calling `on_damage`, and appends
+    /// after it; `load_after_crash` reads the torn log the same way.
+    #[test]
+    fn resume_cuts_off_a_torn_last_frame() {
+        let dir = scratch("torn");
+        let path = dir.join("sweep.ckpt");
+        let ck = sample_checkpoint();
+        let (fp, total) = (ck.fingerprint, ck.total_trials);
+        let whole = write_log(&path, &ck);
+        std::fs::write(&path, &whole[..whole.len() - 7]).unwrap();
+        let kept = Checkpoint {
+            completed: ck.completed[..2].to_vec(),
+            ..ck.clone()
+        };
+        assert_eq!(
+            Checkpoint::load_after_crash(&path).unwrap(),
+            Some(kept.clone())
+        );
+
+        let (mut log, resumed) = CheckpointLog::resume(&path, fp, total, 1, unreachable).unwrap();
+        assert_eq!(resumed, kept.completed);
+        assert_eq!(std::fs::read(&path).unwrap(), kept.encode());
+        assert!(log.push(ck.completed[2].0, &ck.completed[2].1).unwrap());
+        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
+
+        // An intact log resumes as it is.
+        let (_, resumed) = CheckpointLog::resume(&path, fp, total, 1, unreachable).unwrap();
+        assert_eq!(resumed, ck.completed);
+
+        // A writer that died in its first append leaves no whole frame.
+        for torn in [&whole[..0], &whole[..10], &whole[..40]] {
+            std::fs::write(&path, torn).unwrap();
+            assert_eq!(Checkpoint::load_after_crash(&path).unwrap(), None);
+            let (_, resumed) = CheckpointLog::resume(&path, fp, total, 1, unreachable).unwrap();
+            assert!(resumed.is_empty());
+            assert_eq!(Checkpoint::load(&path).unwrap().completed, []);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Damage a crash cannot leave goes to `on_damage` while the damaged
+    /// frames are still on disk, and is compacted only if it agrees; a file
+    /// that is not this version's checkpoint, or a log of another sweep, is
+    /// refused without a call. A refused file keeps its bytes.
+    #[test]
+    fn resume_hands_other_damage_to_on_damage_and_refuses_foreign_files() {
+        let dir = scratch("damage");
+        let path = dir.join("sweep.ckpt");
+        let ck = sample_checkpoint();
+        let (fp, total) = (ck.fingerprint, ck.total_trials);
+        let whole = write_log(&path, &ck);
+        let frame0 = Checkpoint {
+            completed: ck.completed[..1].to_vec(),
+            ..ck.clone()
+        }
+        .encode();
+
+        // A bit flip in the last frame, and the first frame's length field
+        // raised so that it runs past the end of the file: both whole frames
+        // that were damaged, not torn ones.
+        let mut flipped = whole.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let mut raised = whole.clone();
+        raised[16] ^= 1;
+        for (damaged, kept) in [(flipped, &ck.completed[..2]), (raised, &[][..])] {
+            std::fs::write(&path, &damaged).unwrap();
+            assert!(Checkpoint::load_after_crash(&path).is_err());
+            let err = CheckpointLog::resume(&path, fp, total, 1, Err).unwrap_err();
+            assert!(matches!(err, CheckpointError::Frame(_)), "{err:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), damaged);
+            let mut seen = None;
+            let (_, resumed) = CheckpointLog::resume(&path, fp, total, 1, |e| {
+                assert_eq!(std::fs::read(&path).unwrap(), damaged);
+                seen = Some(e);
+                Ok::<(), CheckpointError>(())
+            })
+            .unwrap();
+            assert!(seen.is_some());
+            assert_eq!(resumed, kept);
+            assert_eq!(Checkpoint::load(&path).unwrap().completed, kept);
+        }
+
+        let mut newer = frame0.clone();
+        newer[8] = 2; // version 2
+        let mut foreign_frame = whole.clone();
+        foreign_frame.extend(
+            Checkpoint {
+                fingerprint: fp ^ 1,
+                ..ck.clone()
+            }
+            .encode(),
+        );
+        for foreign in [
+            b"junk".to_vec(),
+            [b"DSTLLEAS".as_slice(), &frame0[8..]].concat(),
+            newer,
+            foreign_frame,
+        ] {
+            std::fs::write(&path, &foreign).unwrap();
+            assert!(CheckpointLog::resume(&path, fp, total, 1, unreachable).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), foreign);
+        }
+        std::fs::write(&path, &whole[..whole.len() - 1]).unwrap();
+        let err = CheckpointLog::resume(&path, fp ^ 1, total, 1, unreachable).unwrap_err();
+        assert!(matches!(err, CheckpointError::ConfigMismatch { .. }));
+        assert_eq!(std::fs::read(&path).unwrap().len(), whole.len() - 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

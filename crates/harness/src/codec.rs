@@ -226,12 +226,25 @@ impl<'a> Reader<'a> {
 /// Not cryptographic — it guards against storage corruption and accidental
 /// config mixups, not adversaries with write access to the checkpoint file.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// [`fnv1a64`] of every prefix of `bytes`, shortest (empty) first, in one
+/// pass.
+pub(crate) fn fnv1a64_prefixes(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let hashes = bytes.iter().scan(FNV_OFFSET, |hash, &b| {
+        *hash = (*hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        Some(*hash)
+    });
+    std::iter::once(FNV_OFFSET).chain(hashes)
 }
 
 #[cfg(test)]
@@ -295,6 +308,9 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
+        let bytes = b"prefix hashes";
+        let every: Vec<u64> = (0..=bytes.len()).map(|j| fnv1a64(&bytes[..j])).collect();
+        assert_eq!(fnv1a64_prefixes(bytes).collect::<Vec<_>>(), every);
     }
 
     #[test]

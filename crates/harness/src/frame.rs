@@ -13,9 +13,11 @@
 //! primitives, and get back bytes or one typed [`FrameError`]. Decoding
 //! verifies magic, version, length and checksum before the payload reader
 //! sees a byte, and afterwards checks that it consumed the whole payload.
-//! Checkpoint and lease-queue files hold exactly one frame
-//! ([`decode_one`]); a store file is a frame sequence whose intact prefix
-//! survives a torn tail ([`decode_seq`]).
+//! A lease-queue file holds exactly one frame ([`decode_one`]). Checkpoint
+//! and store files are frame sequences ([`decode_seq`]) whose intact
+//! prefix survives a torn tail; a checkpoint grows by [`append`]ing one
+//! frame per write, and [`is_torn`] tells the torn last frame a crash
+//! mid-append leaves from other damage.
 //!
 //! ## Atomic writes
 //!
@@ -31,7 +33,7 @@
 //! corruption, never a silent partial file) and the caller retries its
 //! read–merge–write cycle.
 
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{fnv1a64, fnv1a64_prefixes, CodecError, Reader, Writer};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -110,7 +112,7 @@ pub enum FrameError {
 }
 
 impl FrameError {
-    fn io(path: &Path, error: &io::Error) -> Self {
+    pub(crate) fn io(path: &Path, error: &io::Error) -> Self {
         FrameError::Io {
             path: path.to_path_buf(),
             kind: error.kind(),
@@ -287,6 +289,33 @@ pub fn decode_seq<T>(
     (frames, None)
 }
 
+/// Whether the bytes from `at` to the end are a torn frame of this format:
+/// the start of a frame that a writer killed mid-[`append`] left behind.
+/// As much of the magic and version as is there must match, and the frame
+/// must end past the last byte. A whole frame whose length field is
+/// damaged is not torn, and is told apart because some prefix of the bytes
+/// after its header matches its checksum.
+pub fn is_torn(magic: [u8; 8], version: u32, bytes: &[u8], at: usize) -> bool {
+    let rest = bytes.get(at..).unwrap_or(&[]);
+    let opening = [&magic[..], &version.to_le_bytes()].concat();
+    if rest
+        .iter()
+        .zip(&opening)
+        .any(|(byte, expected)| byte != expected)
+    {
+        return false;
+    }
+    let Some(header) = rest.get(..HEADER_LEN) else {
+        return true; // cut inside the header
+    };
+    let mut fields = Reader::new(header.get(opening.len()..).unwrap_or(&[]));
+    let (Ok(len), Ok(stored)) = (fields.u64(), fields.u64()) else {
+        return false;
+    };
+    let body = rest.get(HEADER_LEN..).unwrap_or(&[]);
+    len > body.len() as u64 && fnv1a64_prefixes(body).all(|hash| hash != stored)
+}
+
 /// The scratch sibling this process writes before renaming over `path`.
 fn tmp_path(path: &Path) -> PathBuf {
     let mut s = path.as_os_str().to_owned();
@@ -308,6 +337,24 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FrameError> {
     file.sync_all().map_err(err)?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| FrameError::io(path, &e))
+}
+
+/// Appends `bytes` (whole frames) to the log at `path`, creating it if it
+/// is missing, then fsyncs. A process killed mid-append can leave a torn
+/// last frame behind, which [`decode_seq`] reports as damage after the
+/// intact prefix.
+///
+/// # Errors
+/// [`FrameError::Io`] naming `path` (open, write or fsync failures).
+pub fn append(path: &Path, bytes: &[u8]) -> Result<(), FrameError> {
+    let err = |e| FrameError::io(path, &e);
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(err)?;
+    file.write_all(bytes).map_err(err)?;
+    file.sync_all().map_err(err)
 }
 
 /// Removes orphaned scratch files next to `path`: every sibling whose name
@@ -499,6 +546,50 @@ mod tests {
         assert_eq!(load(&target).unwrap(), b"world");
         let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(leftovers.len(), 1, "only the target may remain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every cut of a frame appended behind a whole one is torn. A whole
+    /// frame is not, nor is one whose length field was raised, nor the cut
+    /// start of another format's or another version's frame.
+    #[test]
+    fn only_a_cut_frame_is_torn() {
+        for (i, format) in FORMATS.into_iter().enumerate() {
+            let (magic, version) = format;
+            let first = frame(format, b"first frame");
+            let log = [first.clone(), frame(format, b"the frame in flight")].concat();
+            for cut in first.len()..log.len() {
+                assert!(is_torn(magic, version, &log[..cut], first.len()), "{cut}");
+            }
+            assert!(!is_torn(magic, version, &log, first.len()));
+            for at in [0, first.len()] {
+                let mut raised = log.clone();
+                raised[at + 16] ^= 1; // payload length + 2^32
+                assert!(!is_torn(magic, version, &raised, at), "{at}");
+            }
+            let other_magic = frame(FORMATS[(i + 1) % FORMATS.len()], b"x");
+            let other_version = frame((magic, version + 1), b"x");
+            for (foreign, cut) in [(&other_magic, 5), (&other_version, 10)] {
+                assert!(!is_torn(magic, version, &foreign[..cut], 0));
+                assert!(!is_torn(magic, version, foreign, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn append_creates_then_extends_the_log() {
+        let dir = scratch_dir("append");
+        let target = dir.join("log.bin");
+        let format = FORMATS[0];
+        let (magic, version) = format;
+        append(&target, &frame(format, b"one")).unwrap();
+        append(&target, &frame(format, b"two")).unwrap();
+        let bytes = load(&target).unwrap();
+        assert_eq!(
+            decode_seq(magic, version, &bytes, rest),
+            (vec![b"one".to_vec(), b"two".to_vec()], None)
+        );
+        assert!(append(&dir.join("missing").join("log.bin"), b"x").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

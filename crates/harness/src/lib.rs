@@ -12,8 +12,9 @@
 //! - [`frame`] — the one on-disk envelope (`magic | version | len |
 //!   fnv1a64 | payload`) of every harness file, its stale-scratch-sweeping
 //!   load and tmp/fsync/rename write, and its typed [`FrameError`].
-//! - [`checkpoint`] — the sweep snapshot ([`Checkpoint`]) and its payload
-//!   schema.
+//! - [`checkpoint`] — the sweep checkpoint ([`Checkpoint`]), an
+//!   append-only log of frames: its payload schema, strict and salvage
+//!   decodes, and the writer that appends one frame per cadence.
 //! - [`store`] — the append-only experiment-results store
 //!   ([`ExperimentStore`]): perf measurements keyed by
 //!   `(bench id, commit, timestamp)` with set-union merge, plus the

@@ -2,9 +2,10 @@
 //!
 //! Composes the other three modules: trials run under
 //! [`supervise`](crate::supervisor::supervise) (panic isolation + retries +
-//! watchdog), completed results accumulate into an ordered map, a
-//! [`Checkpoint`] is written atomically after every `checkpoint_every` new
-//! completions, and exhausted failures become [`QuarantineRecord`] lines.
+//! watchdog), completed results accumulate into an ordered map (or stream
+//! into a fold), every `checkpoint_every` new completions are appended to
+//! the checkpoint log as one frame, and exhausted failures become
+//! [`QuarantineRecord`] lines.
 //!
 //! ## Why resume preserves determinism
 //!
@@ -16,9 +17,8 @@
 //! an uninterrupted run follows, and `tests/sweep_resume.rs` property-tests
 //! it across thread counts.
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::codec::fnv1a64;
-use crate::frame::FrameError;
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
 use distill_sim::{ResultFold, SimResult};
@@ -56,14 +56,18 @@ pub struct SweepConfig {
     pub trials: u64,
     /// Worker threads (clamped to `1..=trials`).
     pub threads: usize,
-    /// Checkpoint file; `None` disables checkpointing.
+    /// Checkpoint log file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
-    /// Write a checkpoint after every this many new completions (clamped to
-    /// at least 1). A final checkpoint is always written when new results
-    /// exist, so the cadence only bounds *loss*, not completeness.
+    /// Append the new results to the checkpoint log after every this many
+    /// new completions (clamped to at least 1). A final frame is always
+    /// appended when unsaved results exist, so the cadence only bounds
+    /// *loss*, not completeness.
     pub checkpoint_every: u64,
-    /// Load the checkpoint (if the file exists) and skip completed trials.
-    /// A corrupt or mismatched checkpoint is an error, not a silent restart.
+    /// Load the checkpoint log (if the file exists), skip its trials, and
+    /// append to it. A torn last frame — what a crash mid-append leaves —
+    /// is cut off before the first append; any other damage, or a log from
+    /// another sweep, is an error, not a silent restart, and leaves the
+    /// file as it was. Without `resume`, any existing file is removed.
     pub resume: bool,
     /// Quarantine JSONL file for exhausted failures; `None` keeps records
     /// in the report only.
@@ -71,17 +75,18 @@ pub struct SweepConfig {
     /// Per-trial supervision policy.
     pub policy: SupervisorPolicy,
     /// Test hook simulating a crash: stop the sweep after this many *new*
-    /// completions — write the checkpoint, abandon the rest, and mark the
-    /// report aborted. `None` runs to completion.
+    /// completions — append the unsaved results, abandon the rest, and mark
+    /// the report aborted. `None` runs to completion.
     pub stop_after: Option<u64>,
     /// Keep every completed [`SimResult`] in [`SweepReport::results`]
     /// (the historical behavior). Setting this to `false` turns on
     /// *streaming* mode: results are handed to the
     /// [`ResultFold`] passed to [`run_sweep_with`] in ascending trial order
-    /// and then dropped, so sweep memory is O(1) in the trial count.
-    /// Streaming is incompatible with checkpointing (a checkpoint must
-    /// re-encode every completed result) — see
-    /// [`SweepError::StreamingWithCheckpoint`].
+    /// and then dropped, so sweep memory is O(1) in the trial count. A
+    /// streaming sweep checkpoints like a retained one: the log holds each
+    /// result, encoded, only until its frame is appended. Resuming is the
+    /// exception: it decodes the whole log at once, so it costs memory in
+    /// proportion to the trials already in the log.
     pub retain_results: bool,
 }
 
@@ -119,7 +124,7 @@ pub struct SweepReport {
     pub quarantined: Vec<QuarantineRecord>,
     /// Trials skipped because the checkpoint already held them.
     pub resumed: u64,
-    /// Checkpoints written this run.
+    /// Checkpoint frames appended this run.
     pub checkpoints_written: u64,
     /// True when `stop_after` cut the sweep short.
     pub aborted: bool,
@@ -136,10 +141,6 @@ pub enum SweepError {
     Quarantine(String),
     /// `resume` was requested without a checkpoint path.
     ResumeWithoutCheckpoint,
-    /// Streaming mode (`retain_results = false`) was combined with a
-    /// checkpoint path — a checkpoint needs every completed result, which
-    /// streaming deliberately does not keep.
-    StreamingWithCheckpoint,
 }
 
 impl fmt::Display for SweepError {
@@ -149,9 +150,6 @@ impl fmt::Display for SweepError {
             SweepError::Quarantine(msg) => write!(f, "quarantine append failed: {msg}"),
             SweepError::ResumeWithoutCheckpoint => {
                 f.write_str("--resume requires a checkpoint path")
-            }
-            SweepError::StreamingWithCheckpoint => {
-                f.write_str("streaming mode cannot write checkpoints (results are not retained)")
             }
         }
     }
@@ -190,13 +188,13 @@ pub fn run_sweep<S: TrialSpec>(
 /// runs over the final result set (results are *also* returned in the
 /// report); with `retain_results = false` each result is folded as soon as
 /// trial order allows and then dropped, holding only the out-of-order
-/// reorder window in memory — O(1) in the trial count. Quarantined trials
-/// are never folded (they have no result); in streaming mode they simply
-/// close their gap in the trial order.
+/// reorder window in memory — O(1) in the trial count, once the trials a
+/// resume loaded from the log have been folded. Quarantined trials are
+/// never folded (they have no result); in streaming mode they simply close
+/// their gap in the trial order.
 ///
 /// # Errors
-/// As [`run_sweep`], plus [`SweepError::StreamingWithCheckpoint`] when
-/// streaming is combined with a checkpoint path.
+/// As [`run_sweep`].
 pub fn run_sweep_with<S: TrialSpec>(
     spec: Arc<S>,
     config: &SweepConfig,
@@ -207,54 +205,51 @@ pub fn run_sweep_with<S: TrialSpec>(
         return Err(SweepError::ResumeWithoutCheckpoint);
     }
     let streaming = !config.retain_results;
-    if streaming && config.checkpoint.is_some() {
-        return Err(SweepError::StreamingWithCheckpoint);
-    }
+    let (trials, every) = (config.trials, config.checkpoint_every);
 
-    // Resume: load prior progress. A missing file is a fresh start; a
-    // corrupt or mismatched file is a hard error.
-    let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
-    if config.resume {
-        if let Some(path) = &config.checkpoint {
-            match Checkpoint::load(path) {
-                Ok(ck) => {
-                    ck.validate_for(fingerprint, config.trials)?;
-                    completed.extend(ck.completed);
-                }
-                Err(CheckpointError::Frame(FrameError::Io {
-                    kind: std::io::ErrorKind::NotFound,
-                    ..
-                })) => {}
-                Err(e) => return Err(e.into()),
-            }
+    // Resume continues the log: a missing file is a fresh start, a torn
+    // last frame (a crash mid-append) is cut off, and any other damage or a
+    // log from another sweep is a hard error.
+    let (mut log, resumed) = match &config.checkpoint {
+        None => (None, Vec::new()),
+        Some(path) if config.resume => {
+            let (log, resumed) = CheckpointLog::resume(path, fingerprint, trials, every, |e| {
+                Err(SweepError::from(e))
+            })?;
+            (Some(log), resumed)
         }
-    }
-    let resumed = completed.len() as u64;
-
-    // Quarantined trials are deliberately absent from checkpoints, so a
-    // resumed sweep retries them — a crash-then-resume gets a fresh retry
-    // budget, which is the desired behavior for transient faults.
-    let pending: Vec<u64> = (0..config.trials)
-        .filter(|t| !completed.contains_key(t))
-        .collect();
-
+        Some(path) => (
+            Some(CheckpointLog::create(path, fingerprint, trials, every)?),
+            Vec::new(),
+        ),
+    };
     let mut report = SweepReport {
         results: Vec::new(),
         completed: 0,
         quarantined: Vec::new(),
-        resumed,
+        resumed: resumed.len() as u64,
         checkpoints_written: 0,
         aborted: false,
         fingerprint,
     };
 
-    // Streaming reorder window: completed results wait here until every
-    // earlier trial has been folded (quarantined trials fill their slot
-    // with `None` so the window can advance past them). The window holds
-    // only the scheduling skew between workers, not the sweep.
-    let mut stream_buf: BTreeMap<u64, Option<SimResult>> = BTreeMap::new();
-    let mut stream_next: u64 = 0;
-    let mut streamed: u64 = 0;
+    // Every result by trial, resumed ones included. Retained mode keeps
+    // them all; streaming mode folds and drops each one as soon as every
+    // earlier trial has been folded, so the map holds only the scheduling
+    // skew between workers. Quarantined trials hold `None` so the fold can
+    // pass them.
+    let mut results: BTreeMap<u64, Option<SimResult>> = resumed
+        .into_iter()
+        .map(|(trial, result)| (trial, Some(result)))
+        .collect();
+    // Quarantined trials are deliberately absent from checkpoints, so a
+    // resumed sweep retries them — a crash-then-resume gets a fresh retry
+    // budget, which is the desired behavior for transient faults.
+    let pending: Vec<u64> = (0..trials).filter(|t| !results.contains_key(t)).collect();
+    let mut next_fold: u64 = 0;
+    if streaming {
+        report.completed += fold_ready(&mut results, &mut next_fold, &mut fold);
+    }
 
     if !pending.is_empty() {
         let pending = Arc::new(pending);
@@ -286,33 +281,17 @@ pub fn run_sweep_with<S: TrialSpec>(
         }
         drop(tx); // coordinator's recv ends when the last worker exits
 
-        let every = config.checkpoint_every.max(1);
         let mut new_done = 0u64;
-        let mut unsaved = 0u64;
-        let write_checkpoint =
-            |completed: &BTreeMap<u64, SimResult>, written: &mut u64| -> Result<(), SweepError> {
-                if let Some(path) = &config.checkpoint {
-                    checkpoint::write_completed(path, fingerprint, config.trials, completed)?;
-                    *written += 1;
-                }
-                Ok(())
-            };
 
         let coordinate = (|| -> Result<(), SweepError> {
             while let Ok((trial, out)) = rx.recv() {
                 match out.result {
                     Ok(result) => {
-                        if streaming {
-                            stream_buf.insert(trial, Some(result));
-                        } else {
-                            completed.insert(trial, result);
+                        if let Some(log) = &mut log {
+                            report.checkpoints_written += u64::from(log.push(trial, &result)?);
                         }
+                        results.insert(trial, Some(result));
                         new_done += 1;
-                        unsaved += 1;
-                        if unsaved >= every {
-                            write_checkpoint(&completed, &mut report.checkpoints_written)?;
-                            unsaved = 0;
-                        }
                     }
                     Err(failure) => {
                         let record = QuarantineRecord {
@@ -328,36 +307,20 @@ pub fn run_sweep_with<S: TrialSpec>(
                         if let Some(path) = &config.quarantine {
                             record.append_to(path).map_err(SweepError::Quarantine)?;
                         }
-                        if streaming {
-                            stream_buf.insert(trial, None);
-                        }
+                        results.insert(trial, None);
                         report.quarantined.push(record);
                     }
                 }
-                // Advance the streaming window: fold everything contiguous
-                // from the front, so the fold order is ascending by trial
-                // regardless of worker scheduling.
-                while stream_buf
-                    .first_key_value()
-                    .is_some_and(|(t, _)| *t == stream_next)
-                {
-                    if let Some((_, slot)) = stream_buf.pop_first() {
-                        if let Some(result) = slot {
-                            if let Some(f) = fold.as_deref_mut() {
-                                f.fold(stream_next, &result);
-                            }
-                            streamed += 1;
-                        }
-                        stream_next += 1;
-                    }
+                if streaming {
+                    report.completed += fold_ready(&mut results, &mut next_fold, &mut fold);
                 }
                 if config.stop_after.is_some_and(|s| new_done >= s) {
                     report.aborted = true;
                     break;
                 }
             }
-            if unsaved > 0 || (report.aborted && config.checkpoint.is_some()) {
-                write_checkpoint(&completed, &mut report.checkpoints_written)?;
+            if let Some(log) = &mut log {
+                report.checkpoints_written += u64::from(log.append()?);
             }
             Ok(())
         })();
@@ -373,20 +336,42 @@ pub fn run_sweep_with<S: TrialSpec>(
         coordinate?;
     }
 
-    if streaming {
-        report.completed = streamed;
-    } else {
+    if !streaming {
         // Retained mode: the fold runs over the final set (resumed trials
         // included), which is already in ascending order.
+        report.results = results
+            .into_iter()
+            .filter_map(|(trial, result)| Some((trial, result?)))
+            .collect();
         if let Some(f) = fold {
-            for (trial, result) in &completed {
+            for (trial, result) in &report.results {
                 f.fold(*trial, result);
             }
         }
-        report.completed = completed.len() as u64;
-        report.results = completed.into_iter().collect();
+        report.completed = report.results.len() as u64;
     }
     Ok(report)
+}
+
+/// Folds and drops, in trial order, every result at the front of `results`
+/// that no earlier trial is still missing for; returns how many results
+/// (not quarantined gaps) it folded.
+fn fold_ready(
+    results: &mut BTreeMap<u64, Option<SimResult>>,
+    next: &mut u64,
+    fold: &mut Option<&mut dyn ResultFold>,
+) -> u64 {
+    let mut folded = 0;
+    while let Some(entry) = results.first_entry().filter(|e| *e.key() == *next) {
+        if let Some(result) = entry.remove() {
+            if let Some(f) = fold {
+                f.fold(*next, &result);
+            }
+            folded += 1;
+        }
+        *next += 1;
+    }
+    folded
 }
 
 #[cfg(test)]
@@ -629,6 +614,37 @@ mod tests {
         std::fs::remove_file(&ckpt).ok();
     }
 
+    /// `resume` pointed at a file that is not this build's checkpoint (the
+    /// lease queue, a version-2 checkpoint), or at a log damaged in a way a
+    /// crash mid-append cannot leave, fails and leaves the file's bytes
+    /// unchanged.
+    #[test]
+    fn resume_refuses_foreign_or_corrupt_files_and_leaves_them_unchanged() {
+        let ckpt = tmp("foreign.ckpt");
+        let spec = Arc::new(small_spec());
+        let mut config = SweepConfig::new(4);
+        config.policy = quick_policy();
+        config.checkpoint = Some(ckpt.clone());
+        config.checkpoint_every = 1;
+        let report = run_sweep(Arc::clone(&spec), &config).unwrap();
+        let log = std::fs::read(&ckpt).unwrap();
+        let queue = crate::lease::LeaseQueue::new(report.fingerprint, 4, 2, 3)
+            .unwrap()
+            .encode();
+        let mut newer = log.clone();
+        newer[8] = 2; // version 2
+        let mut flipped = log.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        config.resume = true;
+        for bytes in [queue, newer, flipped] {
+            std::fs::write(&ckpt, &bytes).unwrap();
+            let err = run_sweep(Arc::clone(&spec), &config).unwrap_err();
+            assert!(matches!(err, SweepError::Checkpoint(_)), "{err:?}");
+            assert_eq!(std::fs::read(&ckpt).unwrap(), bytes);
+        }
+        std::fs::remove_file(&ckpt).ok();
+    }
+
     #[test]
     fn resume_without_checkpoint_path_is_an_error() {
         let spec = Arc::new(small_spec());
@@ -693,16 +709,39 @@ mod tests {
         assert_eq!(report.quarantined.len(), 2);
     }
 
+    /// A streaming sweep checkpoints like a retained one: stopped and then
+    /// resumed, its fold sees the same trials, in the same order, with the
+    /// same result bytes as an uninterrupted streaming sweep.
     #[test]
-    fn streaming_with_checkpoint_is_an_error() {
+    fn streaming_sweep_stopped_and_resumed_folds_like_an_uninterrupted_one() {
+        let ckpt = tmp("stream-resume.ckpt");
+        std::fs::remove_file(&ckpt).ok();
         let spec = Arc::new(small_spec());
-        let mut config = SweepConfig::new(2);
+        let mut config = SweepConfig::new(10);
+        config.policy = quick_policy();
+        config.threads = 3;
         config.retain_results = false;
-        config.checkpoint = Some(tmp("stream-ckpt.ckpt"));
-        assert_eq!(
-            run_sweep(spec, &config).unwrap_err(),
-            SweepError::StreamingWithCheckpoint
-        );
+        let mut whole: Vec<(u64, SimResult)> = Vec::new();
+        let mut fold = |trial: u64, result: &SimResult| whole.push((trial, result.clone()));
+        run_sweep_with(Arc::clone(&spec), &config, Some(&mut fold)).unwrap();
+
+        config.checkpoint = Some(ckpt.clone());
+        config.checkpoint_every = 2;
+        config.stop_after = Some(5);
+        let partial = run_sweep_with(Arc::clone(&spec), &config, None).unwrap();
+        assert!(partial.aborted);
+        assert_eq!(partial.checkpoints_written, 3);
+
+        config.stop_after = None;
+        config.resume = true;
+        let mut resumed: Vec<(u64, SimResult)> = Vec::new();
+        let mut fold = |trial: u64, result: &SimResult| resumed.push((trial, result.clone()));
+        let report = run_sweep_with(Arc::clone(&spec), &config, Some(&mut fold)).unwrap();
+        assert_eq!(report.resumed, 5);
+        assert_eq!(report.completed, 10);
+        assert!(report.results.is_empty(), "streaming retains nothing");
+        assert_eq!(encode_results(&resumed), encode_results(&whole));
+        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! One sweep, many processes. Each worker loops: claim a chunk from the
 //! on-disk queue (reclaiming expired leases), run its trials under
-//! [`supervise`](crate::supervisor::supervise), checkpoint *its own*
-//! results to `<queue>.worker<id>.ckpt`, heartbeat-renew the lease while
-//! working, and mark the chunk done once its results are durably
-//! checkpointed. Kill -9 a worker at any instant and its current lease
+//! [`supervise`](crate::supervisor::supervise), append *its own* results
+//! to the checkpoint log `<queue>.worker<id>.ckpt`, heartbeat-renew the
+//! lease while working, and mark the chunk done once its results are
+//! durably appended. Kill -9 a worker at any instant and its current lease
 //! simply expires; any live worker reclaims the chunk and re-runs it. The
 //! union of worker checkpoints (see [`crate::merge`]) is bit-identical to
 //! an uninterrupted single-process sweep because trials are pure functions
@@ -36,14 +36,13 @@
 //! supervisor itself can be killed and restarted freely — a fresh
 //! supervisor run picks up exactly where the files say.
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::frame::FrameError;
 use crate::lease::{LeaseError, LeaseOutcome, LeaseQueue};
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
 use crate::sweep::{fingerprint_of, TrialSpec};
-use distill_sim::SimResult;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -130,9 +129,9 @@ pub struct WorkerConfig {
     pub max_claims: u32,
     /// Lease time-to-live; a worker silent this long is presumed dead.
     pub lease_ttl_ms: u64,
-    /// Write this worker's checkpoint after every this many new
-    /// completions (clamped to at least 1); always written before a chunk
-    /// is marked done.
+    /// Append this worker's new results to its checkpoint log after every
+    /// this many completions (clamped to at least 1); always appended
+    /// before a chunk is marked done.
     pub checkpoint_every: u64,
     /// Per-trial supervision policy (in-process retries).
     pub policy: SupervisorPolicy,
@@ -212,15 +211,17 @@ pub struct WorkerReport {
     pub leases_lost: u64,
     /// Trials newly run to completion.
     pub trials_run: u64,
-    /// Trials skipped because this worker's checkpoint already held them.
+    /// Trials skipped because this worker had already finished them.
     pub trials_skipped: u64,
     /// Trials that exhausted the in-process retry budget this run.
     pub quarantined: Vec<QuarantineRecord>,
     /// Times the shared queue was rebuilt from scratch after corruption of
     /// the queue or of this worker's own checkpoint.
     pub queue_rebuilt: u64,
-    /// True when this worker's own checkpoint was corrupt and discarded
-    /// (which also resets the queue, so the lost trials run again).
+    /// True when this worker's own checkpoint log was damaged and cut back
+    /// to its intact frames (which also resets the queue, so the lost
+    /// trials run again). A torn last frame, which a kill mid-append
+    /// leaves, is cut off without either.
     pub checkpoint_rebuilt: bool,
     /// True when the worker exited because the queue was fully done (as
     /// opposed to a test hook stopping it early).
@@ -424,23 +425,17 @@ pub fn run_worker<S: TrialSpec>(
         finished: false,
     };
 
-    // This worker's own prior progress. A checkpoint from a different
-    // sweep, or one that exists but cannot be read, is a hard error. A
-    // corrupt one is discarded; its trials are in no other file while the
+    // This worker's own prior progress: only the indices are kept. A log
+    // from a different sweep, or one that exists but cannot be read, is a
+    // hard error. A torn last frame (a kill mid-append) held no trial of a
+    // chunk marked done, and is just cut off. Any other damage keeps the
+    // intact frames, but the lost trials are in no other file while the
     // queue may already mark their chunks done, so the queue is reset under
-    // the lock and they run again.
-    let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
-    match Checkpoint::load(&ckpt_path) {
-        Ok(ck) => {
-            ck.validate_for(fingerprint, config.trials)?;
-            completed.extend(ck.completed);
-        }
-        Err(CheckpointError::Frame(FrameError::Io {
-            kind: io::ErrorKind::NotFound,
-            ..
-        })) => {}
-        Err(e @ CheckpointError::Frame(FrameError::Io { .. })) => return Err(e.into()),
-        Err(_) => {
+    // the lock — before the damaged frames are compacted away — and they
+    // run again.
+    let every = config.checkpoint_every;
+    let (mut log, resumed) =
+        CheckpointLog::resume(&ckpt_path, fingerprint, id.trials, every, |_| {
             report.checkpoint_rebuilt = true;
             let fresh = LeaseQueue::new(fingerprint, id.trials, id.chunk_size, id.max_claims)?;
             update_queue(
@@ -451,11 +446,9 @@ pub fn run_worker<S: TrialSpec>(
                 |q| *q = fresh,
             )?;
             report.queue_rebuilt += 1;
-        }
-    }
-
-    let every = config.checkpoint_every.max(1);
-    let mut unsaved = 0u64;
+            Ok::<(), WorkerError>(())
+        })?;
+    let mut finished: BTreeSet<u64> = resumed.into_iter().map(|(trial, _)| trial).collect();
 
     loop {
         if config
@@ -500,7 +493,7 @@ pub fn run_worker<S: TrialSpec>(
         let mut chunk_quarantined = 0u64;
         let mut lost = false;
         for trial in range {
-            if completed.contains_key(&trial) {
+            if finished.contains(&trial) {
                 report.trials_skipped += 1;
                 continue;
             }
@@ -537,18 +530,9 @@ pub fn run_worker<S: TrialSpec>(
             let out = supervise(&config.policy, move || spec_for_trial.run_trial(trial));
             match out.result {
                 Ok(result) => {
-                    completed.insert(trial, result);
+                    log.push(trial, &result)?;
+                    finished.insert(trial);
                     report.trials_run += 1;
-                    unsaved += 1;
-                    if unsaved >= every {
-                        checkpoint::write_completed(
-                            &ckpt_path,
-                            fingerprint,
-                            config.trials,
-                            &completed,
-                        )?;
-                        unsaved = 0;
-                    }
                 }
                 Err(failure) => {
                     let record = QuarantineRecord {
@@ -573,12 +557,9 @@ pub fn run_worker<S: TrialSpec>(
             continue;
         }
         // Durability before visibility: the chunk's results must be in the
-        // checkpoint before the queue says done, so a crash between the
-        // two re-runs the chunk instead of losing it.
-        if unsaved > 0 {
-            checkpoint::write_completed(&ckpt_path, fingerprint, config.trials, &completed)?;
-            unsaved = 0;
-        }
+        // log before the queue says done, so a crash between the two
+        // re-runs the chunk instead of losing it.
+        log.append()?;
         if chunk_quarantined > 0 {
             // A chunk with quarantined trials: release it for another
             // claim (fresh cross-process retry budget) while budget
@@ -613,9 +594,7 @@ pub fn run_worker<S: TrialSpec>(
             report.chunks_completed += 1;
         }
     }
-    if unsaved > 0 {
-        checkpoint::write_completed(&ckpt_path, fingerprint, config.trials, &completed)?;
-    }
+    log.append()?;
     Ok(report)
 }
 
@@ -723,8 +702,10 @@ pub fn supervise_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::merge::merge_checkpoints;
     use crate::sweep::{run_sweep, SweepConfig};
+    use distill_sim::SimResult;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A cheap, perfectly deterministic spec: no engine, just index math —
@@ -1033,7 +1014,7 @@ mod tests {
         let handle = {
             let queue = queue.clone();
             let clock = Arc::clone(&clock);
-            std::thread::spawn(move || acquire_lock(&queue, &clock).map(|l| drop(l)))
+            std::thread::spawn(move || acquire_lock(&queue, &clock).map(drop))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!handle.is_finished(), "must wait for the live lock");
@@ -1137,6 +1118,70 @@ mod tests {
         assert!(report.finished);
         let merged = merge_checkpoints(&[Checkpoint::load(&path).unwrap()]).unwrap();
         assert_eq!(merged.encode(), reference_results(17, 8).encode());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A kill -9 mid-append leaves a torn last frame, whose trials belong
+    /// to a chunk the queue does not mark done. The restarted worker keeps
+    /// every trial in front of it, cuts the torn frame off without resetting
+    /// the queue, and the sweep still merges bit-identically.
+    #[test]
+    fn torn_last_frame_resumes_without_losing_a_trial() {
+        let dir = scratch("torn");
+        let queue = dir.join("sweep.queue");
+        let (_, clock) = test_clock(0);
+        let mut cfg = config(queue.clone(), 6, 12, Arc::clone(&clock));
+        cfg.checkpoint_every = 2;
+        cfg.stop_after_chunks = Some(2);
+        let first = run_worker(Arc::new(SynthSpec { tag: 23 }), &cfg).unwrap();
+        assert_eq!(first.trials_run, 8);
+        // Half of the frame a killed worker was appending for trial 8.
+        let path = worker_checkpoint_path(&queue, 6);
+        let torn = Checkpoint {
+            completed: vec![(8, SynthSpec { tag: 23 }.run_trial(8))],
+            ..reference_results(23, 12)
+        }
+        .encode();
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        std::io::Write::write_all(&mut log, &torn[..torn.len() / 2]).unwrap();
+        drop(log);
+        assert!(Checkpoint::load(&path).is_err());
+
+        cfg.stop_after_chunks = None;
+        let report = run_worker(Arc::new(SynthSpec { tag: 23 }), &cfg).unwrap();
+        assert!(!report.checkpoint_rebuilt);
+        assert_eq!(report.queue_rebuilt, 0);
+        assert!(report.finished);
+        assert_eq!(
+            report.trials_skipped, 0,
+            "done chunks are not claimed again"
+        );
+        assert_eq!(report.trials_run, 4);
+        let merged = merge_checkpoints(&[Checkpoint::load(&path).unwrap()]).unwrap();
+        assert_eq!(merged.encode(), reference_results(23, 12).encode());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker appends one frame per cadence, never the whole result set
+    /// again: its log is the one-frame encoding of all its trials plus one
+    /// 52-byte frame head (28-byte header, then fingerprint, trial count
+    /// and entry count) for every further frame — O(T) bytes for T trials.
+    #[test]
+    fn log_bytes_grow_by_one_frame_head_per_cadence() {
+        let dir = scratch("bytes");
+        let queue = dir.join("sweep.queue");
+        let (_, clock) = test_clock(0);
+        let (trials, every) = (24, 2);
+        let mut cfg = config(queue.clone(), 7, trials, clock);
+        cfg.checkpoint_every = every;
+        run_worker(Arc::new(SynthSpec { tag: 29 }), &cfg).unwrap();
+        let one_frame = reference_results(29, trials).encode().len() as u64;
+        let frames = trials / every;
+        let log = std::fs::metadata(worker_checkpoint_path(&queue, 7)).unwrap();
+        assert_eq!(log.len(), one_frame + (frames - 1) * 52);
         std::fs::remove_dir_all(&dir).ok();
     }
 

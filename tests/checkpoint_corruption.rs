@@ -1,7 +1,8 @@
 //! Checkpoint files must never be trusted: truncated, bit-flipped,
 //! wrong-version, and wrong-fingerprint inputs all have to produce a clean
 //! typed [`CheckpointError`] — never a panic, never a silently-wrong
-//! checkpoint. Property-tested over generated checkpoints and corruptions.
+//! checkpoint. Property-tested over generated checkpoints and corruptions,
+//! both as one frame and split into an appended log of frames.
 
 use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_harness::checkpoint::encode_sim_result;
@@ -170,6 +171,28 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
         })
 }
 
+/// Splits `ck` into a log of `frames` frames: entry `i` goes to frame
+/// `assign[i] % frames`, so frames may be empty and may hold any subset in
+/// any frame order.
+fn split(ck: &Checkpoint, frames: usize, assign: &[u8]) -> Vec<Checkpoint> {
+    let mut parts: Vec<Checkpoint> = (0..frames)
+        .map(|_| Checkpoint {
+            completed: Vec::new(),
+            ..ck.clone()
+        })
+        .collect();
+    for (i, entry) in ck.completed.iter().enumerate() {
+        let j = usize::from(assign.get(i).copied().unwrap_or(0)) % frames;
+        parts[j].completed.push(entry.clone());
+    }
+    parts
+}
+
+/// The appended log of `parts`, one frame each.
+fn log_of(parts: &[Checkpoint]) -> Vec<u8> {
+    parts.iter().flat_map(Checkpoint::encode).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -236,6 +259,99 @@ proptest! {
         );
         prop_assert!(count_mismatch);
         prop_assert!(reloaded.validate_for(ck.fingerprint, ck.total_trials).is_ok());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any split of a checkpoint into appended frames, in any frame order,
+    /// decodes to the same checkpoint: its one-frame encoding is the
+    /// unsplit bytes.
+    #[test]
+    fn any_split_into_appended_frames_decodes_to_the_one_frame_checkpoint(
+        ck in arb_checkpoint(),
+        frames in 1usize..5,
+        assign in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let log = log_of(&split(&ck, frames, &assign));
+        let decoded = Checkpoint::decode(&log).expect("an intact log must decode");
+        prop_assert_eq!(decoded.encode(), ck.encode());
+        let (salvaged, damage) = Checkpoint::decode_salvage(&log);
+        prop_assert!(damage.is_none());
+        prop_assert_eq!(salvaged.map(|ck| ck.encode()), Some(ck.encode()));
+    }
+
+    /// A frame from another sweep — another fingerprint or trial count — or
+    /// a trial appended twice is a typed error naming the disagreement.
+    #[test]
+    fn disagreeing_or_repeated_frames_are_typed_errors(
+        ck in arb_checkpoint(),
+        other in any::<u64>(),
+        at in any::<usize>(),
+    ) {
+        let first = ck.encode();
+        let mut foreign = ck.clone();
+        foreign.fingerprint = if other == ck.fingerprint { other ^ 1 } else { other };
+        prop_assert_eq!(
+            Checkpoint::decode(&[first.clone(), foreign.encode()].concat()),
+            Err(CheckpointError::ConfigMismatch {
+                stored: foreign.fingerprint,
+                expected: ck.fingerprint,
+            })
+        );
+        let mut resized = ck.clone();
+        resized.total_trials += 1;
+        prop_assert_eq!(
+            Checkpoint::decode(&[first.clone(), resized.encode()].concat()),
+            Err(CheckpointError::TrialCountMismatch {
+                stored: resized.total_trials,
+                expected: ck.total_trials,
+            })
+        );
+        prop_assume!(!ck.completed.is_empty());
+        let repeated = ck.completed[at % ck.completed.len()].clone();
+        let again = Checkpoint {
+            completed: vec![repeated.clone()],
+            ..ck.clone()
+        };
+        prop_assert_eq!(
+            Checkpoint::decode(&[first, again.encode()].concat()),
+            Err(CheckpointError::OutOfOrder { trial: repeated.0 })
+        );
+    }
+
+    /// Cutting a log inside frame k fails the strict decode, and the
+    /// salvage decode returns exactly the union of frames 0..k, naming the
+    /// torn frame's offset.
+    #[test]
+    fn cut_inside_frame_k_salvages_exactly_the_frames_before_it(
+        ck in arb_checkpoint(),
+        frames in 1usize..5,
+        assign in proptest::collection::vec(any::<u8>(), 0..4),
+        pick in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let parts = split(&ck, frames, &assign);
+        let k = pick % frames;
+        let start = log_of(&parts[..k]).len();
+        let len = parts[k].encode().len();
+        let end = start + 1 + cut % (len - 1);
+        let log = log_of(&parts);
+        prop_assert!(Checkpoint::decode(&log[..end]).is_err());
+
+        let (salvaged, damage) = Checkpoint::decode_salvage(&log[..end]);
+        let torn_at = match damage {
+            Some(CheckpointError::Frame(FrameError::TooShort { at, .. }))
+            | Some(CheckpointError::Frame(FrameError::Truncated { at, .. })) => Some(at),
+            _ => None,
+        };
+        prop_assert_eq!(torn_at, Some(start));
+        let mut before: Vec<(u64, SimResult)> =
+            parts[..k].iter().flat_map(|p| p.completed.clone()).collect();
+        before.sort_by_key(|&(trial, _)| trial);
+        let expected = (k > 0).then(|| Checkpoint { completed: before, ..ck.clone() }.encode());
+        prop_assert_eq!(salvaged.map(|ck| ck.encode()), expected);
     }
 }
 

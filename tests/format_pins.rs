@@ -1,6 +1,7 @@
 //! The on-disk bytes of the three harness formats are pinned: the committed
-//! experiment store re-encodes to itself, and a fixed checkpoint and a fixed
-//! lease queue encode to recorded FNV-1a digests. Any change to the shared
+//! experiment store re-encodes to itself, and a fixed checkpoint, the same
+//! checkpoint appended as a two-frame log, and a fixed lease queue encode to
+//! recorded FNV-1a digests. Any change to the shared
 //! frame or to a payload schema that moves a byte fails here, so a format
 //! change has to bump its version instead of silently rewriting old files.
 //! The formats share one envelope, so each decoder must also refuse the
@@ -97,9 +98,8 @@ fn committed_history_store_re_encodes_to_its_own_bytes() {
     assert_eq!(store.encode(), bytes);
 }
 
-#[test]
-fn fixed_checkpoint_bytes_are_pinned() {
-    let ck = Checkpoint {
+fn fixed_checkpoint() -> Checkpoint {
+    Checkpoint {
         fingerprint: 0xFEED_FACE_CAFE_BEEF,
         total_trials: 8,
         completed: vec![
@@ -107,13 +107,41 @@ fn fixed_checkpoint_bytes_are_pinned() {
             (2, fixed_result(2)),
             (5, fixed_result(5)),
         ],
-    };
+    }
+}
+
+#[test]
+fn fixed_checkpoint_bytes_are_pinned() {
+    let ck = fixed_checkpoint();
     let bytes = ck.encode();
     assert_eq!(
         (bytes.len(), fnv1a64(&bytes)),
         (1_144, 0x5301_5b85_42ef_e31f),
         "checkpoint bytes moved"
     );
+}
+
+/// The fixed checkpoint's trials appended as two frames, 2 + 1: one more
+/// 52-byte frame head than the one-frame file, and the same checkpoint.
+#[test]
+fn fixed_two_frame_checkpoint_log_is_pinned() {
+    let ck = fixed_checkpoint();
+    let (head, tail) = ck.completed.split_at(2);
+    let frame = |completed: &[(u64, SimResult)]| {
+        Checkpoint {
+            completed: completed.to_vec(),
+            ..ck.clone()
+        }
+        .encode()
+    };
+    let log = [frame(head), frame(tail)].concat();
+    assert_eq!(
+        (log.len(), fnv1a64(&log)),
+        (1_196, 0x16f8_6c3a_538b_c090),
+        "checkpoint log bytes moved"
+    );
+    // NaN results defeat `PartialEq`; the re-encoding compares bits.
+    assert_eq!(Checkpoint::decode(&log).unwrap().encode(), ck.encode());
 }
 
 #[test]

@@ -3,12 +3,15 @@
 //! The acceptance bar from the crash-safety design: a sweep stopped after k
 //! of N trials and resumed from its checkpoint must produce a result set
 //! bit-identical to an uninterrupted run, regardless of thread count on
-//! either side of the interruption — and quarantined trials must never take
-//! the rest of the sweep down with them.
+//! either side of the interruption — also when the interruption tore the
+//! checkpoint log's last frame — and quarantined trials must never take the
+//! rest of the sweep down with them.
 
 use distill::prelude::*;
 use distill_harness::checkpoint::encode_sim_result;
-use distill_harness::{run_sweep, SupervisorPolicy, SweepConfig, TrialFailure, TrialSpec, Writer};
+use distill_harness::{
+    run_sweep, Checkpoint, SupervisorPolicy, SweepConfig, TrialFailure, TrialSpec, Writer,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,6 +136,68 @@ proptest! {
         prop_assert!(resumed.resumed >= k);
         prop_assert_eq!(resumed.results.len() as u64, trials);
         prop_assert_eq!(digest(&resumed.results), digest(&fresh.results));
+
+        std::fs::remove_file(&ckpt).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// As above, but the interruption also tears the checkpoint log's last
+    /// frame — what a kill -9 mid-append leaves. Resume keeps the intact
+    /// frames, reruns the torn one's trial, and still matches a fresh run
+    /// bit for bit, across thread counts.
+    #[test]
+    fn torn_last_frame_resumes_bit_identically_across_thread_counts(
+        seed in 0u64..1_000,
+        k in 1u64..7,
+        first_threads_ix in 0usize..3,
+        resume_threads_ix in 0usize..3,
+        torn in 1u64..52,
+    ) {
+        const THREADS: [usize; 3] = [1, 2, 8];
+        let trials = 8u64;
+        let ckpt = tmp(&format!("torn-{seed}-{k}-{first_threads_ix}-{resume_threads_ix}.ckpt"));
+        std::fs::remove_file(&ckpt).ok();
+
+        let mut fresh_cfg = SweepConfig::new(trials);
+        fresh_cfg.policy = quick_policy();
+        fresh_cfg.threads = THREADS[resume_threads_ix];
+        let fresh = run_sweep(spec(seed), &fresh_cfg).expect("fresh sweep");
+
+        // One trial per frame, so the log holds k frames.
+        let mut interrupted = SweepConfig::new(trials);
+        interrupted.policy = quick_policy();
+        interrupted.threads = THREADS[first_threads_ix];
+        interrupted.checkpoint = Some(ckpt.clone());
+        interrupted.checkpoint_every = 1;
+        interrupted.stop_after = Some(k);
+        let partial = run_sweep(spec(seed), &interrupted).expect("interrupted sweep");
+        prop_assert_eq!(partial.checkpoints_written, k);
+
+        // Every frame is longer than 52 bytes, so the cut stays inside the
+        // last one.
+        let len = std::fs::metadata(&ckpt).expect("log written").len();
+        std::fs::File::options()
+            .write(true)
+            .open(&ckpt)
+            .and_then(|f| f.set_len(len - torn))
+            .expect("tear the last frame");
+        prop_assert!(Checkpoint::load(&ckpt).is_err());
+
+        let mut resumed_cfg = SweepConfig::new(trials);
+        resumed_cfg.policy = quick_policy();
+        resumed_cfg.threads = THREADS[resume_threads_ix];
+        resumed_cfg.checkpoint = Some(ckpt.clone());
+        resumed_cfg.resume = true;
+        let resumed = run_sweep(spec(seed), &resumed_cfg).expect("resumed sweep");
+        prop_assert_eq!(resumed.resumed, k - 1);
+        prop_assert_eq!(digest(&resumed.results), digest(&fresh.results));
+        // The resumed log was compacted, then appended to: it decodes
+        // strictly to the full result set.
+        let log = Checkpoint::load(&ckpt).expect("repaired log");
+        prop_assert_eq!(digest(&log.completed), digest(&fresh.results));
 
         std::fs::remove_file(&ckpt).ok();
     }
