@@ -213,7 +213,8 @@ struct ActiveWindow {
 /// * each player's **current votes** (at most `f` in local-testing mode, at
 ///   most one — the best-value-so-far object — in best-value mode);
 /// * per-object **current vote counts**, plus the sorted set of voted
-///   objects (Figure 1's `S`) kept up to date on every count transition;
+///   objects (Figure 1's `S`), settled once at the end of every ingest call
+///   from the objects whose count crossed zero during it;
 /// * the chronological stream of **vote events**, from which the
 ///   per-iteration tallies `ℓ_t(i)` of Figure 1 are answered via
 ///   [`window_votes_for`](VoteTracker::window_votes_for) /
@@ -245,9 +246,16 @@ pub struct VoteTracker {
     cursor: usize,
     votes_by_player: VoteArena,
     votes_for_object: Vec<u32>,
-    /// Objects with at least one current vote, ascending — maintained on
-    /// every 0→1 / 1→0 transition of `votes_for_object`.
+    /// Objects with at least one current vote, ascending — settled from
+    /// `crossed` at the end of every public ingest call.
     voted_objects: Vec<ObjectId>,
+    /// Objects whose `votes_for_object` count crossed zero (0→1, or 1→0
+    /// under best-value revocation) in the ingest call under way, in
+    /// crossing order and possibly repeated. Empty between calls.
+    crossed: Vec<ObjectId>,
+    /// The settle step's merge output, swapped into `voted_objects`; kept
+    /// only for its capacity. Empty between calls.
+    merged: Vec<ObjectId>,
     events: Vec<VoteEvent>,
     /// Best-value mode only: per-player set of objects that have already
     /// produced a vote event (caps Byzantine event inflation at one event per
@@ -282,6 +290,8 @@ impl VoteTracker {
             ),
             votes_for_object: vec![0; n_objects as usize],
             voted_objects: Vec::new(),
+            crossed: Vec::new(),
+            merged: Vec::new(),
             events: Vec::new(),
             evented: if needs_evented {
                 vec![BTreeSet::new(); n_players as usize]
@@ -307,6 +317,8 @@ impl VoteTracker {
             *count = 0;
         }
         self.voted_objects.clear();
+        self.crossed.clear();
+        self.merged.clear();
         self.events.clear();
         for set in &mut self.evented {
             set.clear();
@@ -358,7 +370,9 @@ impl VoteTracker {
             "tracker/board object universe mismatch"
         );
         let new_posts = board.posts_since(Seq(self.cursor as u64));
-        self.consume(new_posts, new_posts.len())
+        let consumed = self.consume(new_posts, new_posts.len());
+        self.settle_voted_objects();
+        consumed
     }
 
     /// Like [`ingest`](VoteTracker::ingest), but only consumes posts stamped
@@ -388,7 +402,9 @@ impl VoteTracker {
         );
         let new_posts = board.posts_since(Seq(self.cursor as u64));
         let upto = new_posts.partition_point(|p| p.round < before);
-        self.consume(new_posts, upto)
+        let consumed = self.consume(new_posts, upto);
+        self.settle_voted_objects();
+        consumed
     }
 
     /// Consumes all posts appended to the segmented `log` since the last
@@ -431,11 +447,13 @@ impl VoteTracker {
             }
             consumed += self.consume(slice, slice.len());
         }
+        self.settle_voted_objects();
         consumed
     }
 
     /// Dispatches the first `upto` of `new_posts` into the vote state and
-    /// advances the cursor past them.
+    /// advances the cursor past them. The voted-object set is left for the
+    /// caller's [`settle_voted_objects`](VoteTracker::settle_voted_objects).
     fn consume(&mut self, new_posts: &[crate::post::Post], upto: usize) -> usize {
         for post in &new_posts[..upto] {
             match self.policy.mode {
@@ -544,27 +562,13 @@ impl VoteTracker {
         );
         self.votes_for_object[post.object.index()] += 1;
         if self.votes_for_object[post.object.index()] == 1 {
-            Self::note_first_vote(&mut self.voted_objects, post.object);
+            self.crossed.push(post.object);
         }
         self.events.push(VoteEvent {
             round: post.round,
             player: post.author,
             object: post.object,
         });
-    }
-
-    /// Inserts `object` into the sorted voted-objects set (count went 0→1).
-    fn note_first_vote(voted: &mut Vec<ObjectId>, object: ObjectId) {
-        if let Err(pos) = voted.binary_search(&object) {
-            voted.insert(pos, object);
-        }
-    }
-
-    /// Removes `object` from the sorted voted-objects set (count went 1→0).
-    fn note_last_vote_gone(voted: &mut Vec<ObjectId>, object: ObjectId) {
-        if let Ok(pos) = voted.binary_search(&object) {
-            voted.remove(pos);
-        }
     }
 
     fn ingest_best_value(&mut self, post: &crate::post::Post) {
@@ -592,7 +596,7 @@ impl VoteTracker {
         if let Some(old) = current {
             self.votes_for_object[old.object.index()] -= 1;
             if self.votes_for_object[old.object.index()] == 0 {
-                Self::note_last_vote_gone(&mut self.voted_objects, old.object);
+                self.crossed.push(old.object);
             }
         }
         self.votes_by_player.set_single(
@@ -605,7 +609,7 @@ impl VoteTracker {
         );
         self.votes_for_object[post.object.index()] += 1;
         if self.votes_for_object[post.object.index()] == 1 {
-            Self::note_first_vote(&mut self.voted_objects, post.object);
+            self.crossed.push(post.object);
         }
         // One event per (player, object) pair, ever.
         if self.evented[player].insert(post.object) {
@@ -615,6 +619,54 @@ impl VoteTracker {
                 object: post.object,
             });
         }
+    }
+
+    /// Folds the ingest call's zero crossings into `voted_objects`: sorts and
+    /// dedups `crossed`, then merges it with the old set in one ascending
+    /// pass that keeps an object iff its count is non-zero. An object in
+    /// neither list held no vote before the call and never crossed zero, so
+    /// it holds none now. O(p log p + |S|) for p crossings, where inserting
+    /// each first vote into the sorted set would cost O(|S|) apiece; no
+    /// allocation once both buffers reach their working size.
+    // lint: hot
+    fn settle_voted_objects(&mut self) {
+        if self.crossed.is_empty() {
+            return;
+        }
+        self.crossed.sort_unstable();
+        self.crossed.dedup();
+        let (old, crossed) = (&self.voted_objects, &self.crossed);
+        let merged = &mut self.merged;
+        merged.reserve(old.len() + crossed.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let next = match (old.get(i), crossed.get(j)) {
+                (Some(&a), Some(&b)) if a == b => {
+                    i += 1;
+                    j += 1;
+                    a
+                }
+                (Some(&a), Some(&b)) if a < b => {
+                    i += 1;
+                    a
+                }
+                (Some(&a), None) => {
+                    i += 1;
+                    a
+                }
+                (_, Some(&b)) => {
+                    j += 1;
+                    b
+                }
+                (None, None) => break,
+            };
+            if self.votes_for_object[next.index()] > 0 {
+                merged.push(next);
+            }
+        }
+        std::mem::swap(&mut self.voted_objects, &mut self.merged);
+        self.merged.clear();
+        self.crossed.clear();
     }
 
     /// The first (oldest) current vote of `player`, if any.
@@ -637,29 +689,34 @@ impl VoteTracker {
 
     /// Objects that currently hold at least one vote, ascending by id.
     ///
-    /// This is the set `S` of Figure 1 Step 1.2, maintained incrementally on
-    /// vote-count transitions and handed out as a **borrow** — O(1), no
-    /// allocation, independent of `m`. Callers that need ownership can
+    /// This is the set `S` of Figure 1 Step 1.2, settled at the end of every
+    /// ingest call and handed out as a **borrow** — O(1), no allocation,
+    /// independent of `m`. Callers that need ownership can
     /// `.to_vec()` explicitly.
     pub fn objects_with_votes(&self) -> &[ObjectId] {
-        debug_assert_eq!(
+        // Compared lazily, so debug builds keep the read allocation-free.
+        debug_assert!(
+            self.voted_objects.iter().copied().eq(self.voted_by_scan()),
+            "settled voted set diverged from the count scan: {:?} vs {:?}",
             self.voted_objects,
-            self.objects_with_votes_scan(),
-            "incrementally-maintained voted set diverged from the count scan"
+            self.objects_with_votes_scan()
         );
         &self.voted_objects
     }
 
     /// [`objects_with_votes`](VoteTracker::objects_with_votes) recomputed by
-    /// scanning all `m` per-object counts (the incremental path's oracle).
+    /// scanning all `m` per-object counts (the settled set's oracle).
     pub fn objects_with_votes_scan(&self) -> Vec<ObjectId> {
+        self.voted_by_scan().collect()
+    }
+
+    fn voted_by_scan(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.votes_for_object
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             // lint: allow(cast) — index ranges over the tracker's m: u32 objects
             .map(|(i, _)| ObjectId(i as u32))
-            .collect()
     }
 
     /// Total number of vote events recorded so far.
@@ -1342,5 +1399,49 @@ mod tests {
         .unwrap();
         t.ingest(&b);
         assert_eq!(t.objects_with_votes(), vec![ObjectId(2)]);
+    }
+
+    #[test]
+    fn settle_sees_round_trips_inside_one_ingest_and_nothing_after_reset() {
+        let mut b = board(3, 5);
+        let mut t = VoteTracker::new(3, 5, VotePolicy::best_value());
+        b.append(
+            Round(0),
+            PlayerId(0),
+            ObjectId(1),
+            0.1,
+            ReportKind::Negative,
+        )
+        .unwrap();
+        t.ingest(&b);
+        assert_eq!(t.objects_with_votes(), [ObjectId(1)]);
+        // One ingest call: object 0 goes 0→1→0 (player 1 votes it, then
+        // moves on) and object 1 goes 1→0→1 (player 0 moves off it, then
+        // player 2 votes it).
+        for (p, o, v) in [(1, 0, 0.2), (0, 2, 0.5), (1, 3, 0.6), (2, 1, 0.3)] {
+            b.append(Round(1), PlayerId(p), ObjectId(o), v, ReportKind::Negative)
+                .unwrap();
+        }
+        t.ingest(&b);
+        assert_eq!(
+            t.objects_with_votes(),
+            [ObjectId(1), ObjectId(2), ObjectId(3)]
+        );
+        assert_eq!(t.objects_with_votes(), t.objects_with_votes_scan());
+        assert_eq!(t.voters(), 3);
+        // After a reset, a fresh ingest shows only its own vote.
+        t.reset();
+        b.reset();
+        b.append(
+            Round(0),
+            PlayerId(2),
+            ObjectId(4),
+            0.1,
+            ReportKind::Negative,
+        )
+        .unwrap();
+        t.ingest(&b);
+        assert_eq!(t.objects_with_votes(), [ObjectId(4)]);
+        assert_eq!(t.voters(), 1);
     }
 }

@@ -7,7 +7,9 @@
 //! posts, votes, satisfactions, or window events occur — every round exercises
 //! exactly the steady-state path. The gate asserts that path performs **zero
 //! heap acquisitions per round** (PR 3 tentpole; `cargo bench` reports the
-//! same number under `alloc/steady_state_round`).
+//! same number under `alloc/steady_state_round`). Since no vote lands in that
+//! shape, a tracker-level gate below also drives a voted set that changes on
+//! every ingest.
 
 use distill::prelude::*;
 
@@ -136,5 +138,46 @@ fn steady_state_round_is_allocation_free_at_mega_scale() {
             0,
             "measured mega-scale round {round} allocated: {delta:?}"
         );
+    }
+}
+
+/// The voted-object set's settle step reuses its buffers: a best-value
+/// tracker in which every Byzantine author alternates between its own two
+/// objects at rising values, so each ingest revokes every voted object and
+/// votes another one in. After warm-up, ingesting a round and reading
+/// `objects_with_votes()` performs zero heap acquisitions.
+#[test]
+fn changing_voted_set_ingest_is_allocation_free() {
+    const AUTHORS: u32 = 64;
+    let rounds = WARMUP_ROUNDS + MEASURED_ROUNDS;
+    let m = 2 * AUTHORS;
+    let mut board = Billboard::with_capacity(AUTHORS, m, (AUTHORS * rounds) as usize);
+    let mut tracker = VoteTracker::new(AUTHORS, m, VotePolicy::best_value());
+    for round in 0..rounds {
+        let side = round % 2;
+        for author in 0..AUTHORS {
+            board
+                .append(
+                    Round(u64::from(round)),
+                    PlayerId(author),
+                    ObjectId(2 * author + side),
+                    f64::from(round),
+                    ReportKind::Negative,
+                )
+                .expect("valid post");
+        }
+        let (delta, voted) = alloc_count::measure(|| {
+            tracker.ingest(&board);
+            tracker.objects_with_votes().first().copied()
+        });
+        assert_eq!(voted, Some(ObjectId(side)), "round {round}");
+        assert_eq!(tracker.objects_with_votes().len(), AUTHORS as usize);
+        if round >= WARMUP_ROUNDS {
+            assert_eq!(
+                delta.acquisitions(),
+                0,
+                "measured ingest {round} allocated: {delta:?}"
+            );
+        }
     }
 }

@@ -6,6 +6,9 @@ use proptest::prelude::*;
 
 const N_PLAYERS: u32 = 8;
 const N_OBJECTS: u32 = 12;
+/// A wider universe, so that one ingest call can carry dozens of first votes.
+const WIDE_PLAYERS: u32 = 64;
+const WIDE_OBJECTS: u32 = 512;
 
 /// An arbitrary post: (round-increment, author, object, value, positive?).
 fn arb_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
@@ -21,8 +24,39 @@ fn arb_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
     )
 }
 
+/// Arbitrary posts over the wide universe, in the shape of [`arb_posts`].
+fn arb_wide_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
+    prop::collection::vec(
+        (
+            0u64..2,
+            0u32..WIDE_PLAYERS,
+            0u32..WIDE_OBJECTS,
+            0.0f64..2.0,
+            any::<bool>(),
+        ),
+        0..400,
+    )
+}
+
+/// One of the reader policies: single vote, `f` votes, or best value.
+fn arb_policy() -> impl Strategy<Value = VotePolicy> {
+    (0usize..3, 1usize..4).prop_map(|(kind, f)| match kind {
+        0 => VotePolicy::single_vote(),
+        1 => VotePolicy::multi_vote(f),
+        _ => VotePolicy::best_value(),
+    })
+}
+
 fn build_board(posts: &[(u64, u32, u32, f64, bool)]) -> Billboard {
-    let mut board = Billboard::new(N_PLAYERS, N_OBJECTS);
+    build_board_in(N_PLAYERS, N_OBJECTS, posts)
+}
+
+fn build_board_in(
+    n_players: u32,
+    n_objects: u32,
+    posts: &[(u64, u32, u32, f64, bool)],
+) -> Billboard {
+    let mut board = Billboard::new(n_players, n_objects);
     let mut round = 0u64;
     for &(dr, author, object, value, positive) in posts {
         round += dr;
@@ -170,14 +204,50 @@ proptest! {
         }
     }
 
-    /// The incrementally-maintained voted-object set matches the count scan
-    /// under the vote-revoking best-value policy.
+    /// The voted-object set settled by each ingest call matches the count
+    /// scan under the vote-revoking best-value policy and the single- and
+    /// `f`-vote ones, in the dense universe (counts often fall from 2+ to 1
+    /// and from 1 to 0) and in the wide one (one call carries many first
+    /// votes). The log is fed through `ingest_until` at arbitrary round cuts
+    /// and the rest by `ingest`; after every call `voters()` also matches a
+    /// scan of the per-player votes, and the split ingest ends with the
+    /// events and voted set of a one-call ingest.
     #[test]
-    fn voted_set_matches_scan_under_best_value(posts in arb_posts()) {
-        let board = build_board(&posts);
-        let mut tracker = VoteTracker::new(N_PLAYERS, N_OBJECTS, VotePolicy::best_value());
-        tracker.ingest(&board);
-        prop_assert_eq!(tracker.objects_with_votes(), tracker.objects_with_votes_scan());
+    fn voted_set_matches_scan_under_best_value(
+        dense in arb_posts(),
+        wide in arb_wide_posts(),
+        f in 1usize..4,
+        cuts in prop::collection::vec(0u64..200, 0..8),
+    ) {
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        for (n_players, n_objects, posts) in
+            [(N_PLAYERS, N_OBJECTS, &dense), (WIDE_PLAYERS, WIDE_OBJECTS, &wide)]
+        {
+            let board = build_board_in(n_players, n_objects, posts);
+            for policy in [
+                VotePolicy::best_value(),
+                VotePolicy::single_vote(),
+                VotePolicy::multi_vote(f),
+            ] {
+                let mut split = VoteTracker::new(n_players, n_objects, policy);
+                for before in cuts.iter().copied().map(Some).chain([None]) {
+                    match before {
+                        Some(before) => split.ingest_until(&board, Round(before)),
+                        None => split.ingest(&board),
+                    };
+                    prop_assert_eq!(split.objects_with_votes(), split.objects_with_votes_scan());
+                    let voters = (0..n_players)
+                        .filter(|&p| !split.votes_of(PlayerId(p)).is_empty())
+                        .count();
+                    prop_assert_eq!(split.voters(), voters);
+                }
+                let mut oneshot = VoteTracker::new(n_players, n_objects, policy);
+                oneshot.ingest(&board);
+                prop_assert_eq!(split.events(), oneshot.events());
+                prop_assert_eq!(split.objects_with_votes(), oneshot.objects_with_votes());
+            }
+        }
     }
 
     /// Batch ingest is bit-identical to one-at-a-time appends: splitting
@@ -205,12 +275,13 @@ proptest! {
 
     /// Segment-log ingestion is bit-identical to flat-board ingestion: the
     /// same posts pushed as arbitrary segments produce the same tracker
-    /// state as `ingest` over the flat board.
+    /// state as `ingest` over the flat board, under every policy (so also
+    /// when best-value revocations cross zero in different slices).
     #[test]
     fn ingest_segments_matches_flat_ingest(
         posts in arb_posts(),
         cuts in proptest::collection::vec(1usize..9, 0..12),
-        f in 1usize..4,
+        policy in arb_policy(),
     ) {
         use distill::billboard::SegmentLog;
         let board = build_board(&posts);
@@ -225,9 +296,9 @@ proptest! {
             log.push_segment(all[at..end].to_vec().into()).expect("segment");
             at = end;
         }
-        let mut flat = VoteTracker::new(N_PLAYERS, N_OBJECTS, VotePolicy::multi_vote(f));
+        let mut flat = VoteTracker::new(N_PLAYERS, N_OBJECTS, policy);
         flat.ingest(&board);
-        let mut seg = VoteTracker::new(N_PLAYERS, N_OBJECTS, VotePolicy::multi_vote(f));
+        let mut seg = VoteTracker::new(N_PLAYERS, N_OBJECTS, policy);
         seg.ingest_segments(&log);
         prop_assert_eq!(seg.events(), flat.events());
         prop_assert_eq!(seg.objects_with_votes(), flat.objects_with_votes());
