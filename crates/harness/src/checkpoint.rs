@@ -4,9 +4,20 @@
 //! Each frame's payload is `fingerprint u64 | total_trials u64 | count u64
 //! | count × (trial u64, SimResult)` with trials strictly ascending, and
 //! holds the trials finished since the frame before it. The checkpoint is
-//! the union of the frames, sorted by trial; a one-frame file is a
-//! one-frame log, so [`Checkpoint::encode`] writes the same bytes it always
-//! has. Decoding is total: truncation, bit flips, version skew, and config
+//! the union of the frames, sorted by trial, and [`Checkpoint::encode`]
+//! writes it as a one-frame log.
+//!
+//! Version 2 writes each honest player's [`PlayerOutcome`] row as one flags
+//! byte followed by its fields in struct order: `probes` as a varint, the
+//! raw bits of `cost_paid` unless flag bit 2 says they equal `probes as
+//! f64`, `satisfied_round` as a varint if bit 0 is set, `advice_probes`
+//! and `explore_probes` as varints, and `crash_round` as a varint if bit 1
+//! is set. Bits 3–7 are zero. A typical E1 row (satisfied, cost equal to
+//! its probes, every count below 128) takes 5 bytes rather than version
+//! 1's 42. Version 1 files are refused with
+//! [`FrameError::UnsupportedVersion`]; no older reader is kept.
+//!
+//! Decoding is total: truncation, bit flips, version skew, and config
 //! mismatches all yield a typed [`CheckpointError`] (property-tested in
 //! `tests/checkpoint_corruption.rs`), never a panic and never a silently
 //! wrong result — each frame's checksum is verified before any of its
@@ -42,7 +53,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
 /// Current checkpoint format version. Bump on any layout change; old
 /// versions are rejected with [`FrameError::UnsupportedVersion`] rather
 /// than misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The damage an empty checkpoint file reports: its first frame is missing.
 const EMPTY: FrameError = FrameError::TooShort { at: 0, len: 0 };
@@ -483,43 +494,92 @@ impl CheckpointLog {
 // SimResult codec.
 // ---------------------------------------------------------------------------
 
-fn put_opt_u64(w: &mut Writer, v: Option<u64>) {
-    match v {
-        None => w.put_u8(0),
-        Some(x) => {
-            w.put_u8(1);
-            w.put_u64(x);
-        }
+/// Player-row flag: `satisfied_round` is present.
+const SATISFIED: u8 = 1;
+/// Player-row flag: `crash_round` is present.
+const CRASHED: u8 = 1 << 1;
+/// Player-row flag: `cost_paid` is `probes as f64`, bit for bit, and is not
+/// written.
+const COST_IS_PROBES: u8 = 1 << 2;
+
+/// Writes one player row: flags, then the fields in struct order, each
+/// optional one only when its flag is set (see the module docs).
+fn put_player(w: &mut Writer, p: &PlayerOutcome) {
+    let cost_is_probes = p.cost_paid.to_bits() == (p.probes as f64).to_bits();
+    let flags = (u8::from(p.satisfied_round.is_some()) * SATISFIED)
+        | (u8::from(p.crash_round.is_some()) * CRASHED)
+        | (u8::from(cost_is_probes) * COST_IS_PROBES);
+    w.put_u8(flags);
+    w.put_varint(p.probes);
+    if !cost_is_probes {
+        w.put_f64(p.cost_paid);
+    }
+    if let Some(Round(round)) = p.satisfied_round {
+        w.put_varint(round);
+    }
+    w.put_varint(p.advice_probes);
+    w.put_varint(p.explore_probes);
+    if let Some(Round(round)) = p.crash_round {
+        w.put_varint(round);
     }
 }
 
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
+/// Reads a row written by [`put_player`], accepting only the encoding it
+/// writes.
+fn read_player(r: &mut Reader<'_>) -> Result<PlayerOutcome, CodecError> {
     let at = r.position();
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        tag => Err(CodecError::BadTag {
+    let flags = r.u8()?;
+    if flags & !(SATISFIED | CRASHED | COST_IS_PROBES) != 0 {
+        return Err(CodecError::BadTag {
             at,
-            tag,
-            what: "option",
-        }),
+            tag: flags,
+            what: "player flags",
+        });
     }
+    let probes = r.varint()?;
+    let probes_cost = probes as f64;
+    let cost_paid = if flags & COST_IS_PROBES != 0 {
+        probes_cost
+    } else {
+        let at = r.position();
+        let cost = r.f64()?;
+        if cost.to_bits() == probes_cost.to_bits() {
+            return Err(CodecError::NonCanonical {
+                at,
+                what: "cost_paid",
+            });
+        }
+        cost
+    };
+    let satisfied_round = (flags & SATISFIED != 0)
+        .then(|| r.varint().map(Round))
+        .transpose()?;
+    let advice_probes = r.varint()?;
+    let explore_probes = r.varint()?;
+    let crash_round = (flags & CRASHED != 0)
+        .then(|| r.varint().map(Round))
+        .transpose()?;
+    Ok(PlayerOutcome {
+        probes,
+        cost_paid,
+        satisfied_round,
+        advice_probes,
+        explore_probes,
+        crash_round,
+    })
 }
 
 /// Encodes one [`SimResult`] field-for-field (every field, including the
 /// optional trace — the determinism oracles compare full results, so the
-/// checkpoint must preserve everything `PartialEq` sees).
+/// checkpoint must preserve everything `PartialEq` sees, and every `f64`
+/// bit for bit). Each player row is a flags byte and varints, as the
+/// module docs lay out; every other field is fixed-width.
 pub fn encode_sim_result(w: &mut Writer, r: &SimResult) {
     w.put_u64(r.rounds);
     w.put_bool(r.all_satisfied);
     w.put_u64(r.players.len() as u64);
     for p in &r.players {
-        w.put_u64(p.probes);
-        w.put_f64(p.cost_paid);
-        put_opt_u64(w, p.satisfied_round.map(|r| r.0));
-        w.put_u64(p.advice_probes);
-        w.put_u64(p.explore_probes);
-        put_opt_u64(w, p.crash_round.map(|r| r.0));
+        put_player(w, p);
     }
     w.put_u64(r.satisfied_per_round.len() as u64);
     for &s in &r.satisfied_per_round {
@@ -620,30 +680,19 @@ fn encode_trace_event(w: &mut Writer, e: &TraceEvent) {
     }
 }
 
-/// Decodes one [`SimResult`].
+/// Decodes one [`SimResult`] written by [`encode_sim_result`].
 ///
 /// # Errors
-/// [`CodecError`] on any malformed byte; total over arbitrary input.
+/// [`CodecError`] on any malformed byte, including a player row that is
+/// not in its canonical encoding; total over arbitrary input.
 pub fn decode_sim_result(r: &mut Reader<'_>) -> Result<SimResult, CodecError> {
     let rounds = r.u64()?;
     let all_satisfied = r.bool()?;
-    let n_players = r.seq_len(8 + 8 + 1 + 8 + 8 + 1)?;
+    // A row is at least its flags byte and three one-byte varints.
+    let n_players = r.seq_len(4)?;
     let mut players = Vec::with_capacity(n_players);
     for _ in 0..n_players {
-        let probes = r.u64()?;
-        let cost_paid = r.f64()?;
-        let satisfied_round = get_opt_u64(r)?.map(Round);
-        let advice_probes = r.u64()?;
-        let explore_probes = r.u64()?;
-        let crash_round = get_opt_u64(r)?.map(Round);
-        players.push(PlayerOutcome {
-            probes,
-            cost_paid,
-            satisfied_round,
-            advice_probes,
-            explore_probes,
-            crash_round,
-        });
+        players.push(read_player(r)?);
     }
     let n_rounds = r.seq_len(4)?;
     let mut satisfied_per_round = Vec::with_capacity(n_rounds);
@@ -880,6 +929,46 @@ mod tests {
         assert!(decoded.completed[0].1.players[0].cost_paid.is_nan());
     }
 
+    /// A player row decodes only from the bytes its encoder writes: unknown
+    /// flag bits, and raw cost bits that flag bit 2 stands for, are typed
+    /// errors.
+    #[test]
+    fn non_canonical_player_rows_are_typed_errors() {
+        // probes 3, advice 1, explore 2; raw cost bits when given.
+        let row = |flags: u8, cost: Option<f64>| {
+            let mut w = Writer::new();
+            w.put_u8(flags);
+            w.put_varint(3);
+            if let Some(cost) = cost {
+                w.put_f64(cost);
+            }
+            w.put_varint(1);
+            w.put_varint(2);
+            w.into_bytes()
+        };
+        let read = |bytes: &[u8]| read_player(&mut Reader::new(bytes));
+        assert_eq!(read(&row(COST_IS_PROBES, None)).unwrap().cost_paid, 3.0);
+        assert_eq!(read(&row(0, Some(3.5))).unwrap().cost_paid, 3.5);
+        for bit in 3..8 {
+            let flags = COST_IS_PROBES | 1 << bit;
+            assert_eq!(
+                read(&row(flags, None)),
+                Err(CodecError::BadTag {
+                    at: 0,
+                    tag: flags,
+                    what: "player flags",
+                })
+            );
+        }
+        assert_eq!(
+            read(&row(0, Some(3.0))),
+            Err(CodecError::NonCanonical {
+                at: 2,
+                what: "cost_paid",
+            })
+        );
+    }
+
     #[test]
     fn semantic_corruption_is_typed() {
         // Out-of-order and out-of-range trials are rebuilt with a correct
@@ -1077,7 +1166,7 @@ mod tests {
         }
 
         let mut newer = frame0.clone();
-        newer[8] = 2; // version 2
+        newer[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
         let mut foreign_frame = whole.clone();
         foreign_frame.extend(
             Checkpoint {

@@ -5,8 +5,9 @@
 //! versioned* layout that survives compiler and dependency upgrades: every
 //! multi-byte integer is little-endian, every `f64` travels as its raw IEEE
 //! bit pattern (so NaN payloads round-trip bit-identically), and every
-//! sequence is length-prefixed. Decoding is total: any byte sequence either
-//! decodes or yields a typed [`CodecError`], never a panic.
+//! sequence is length-prefixed. Small counts may instead travel as
+//! canonical unsigned LEB128 varints. Decoding is total: any byte sequence
+//! either decodes or yields a typed [`CodecError`], never a panic.
 
 use std::fmt;
 
@@ -42,6 +43,21 @@ pub enum CodecError {
         /// Byte offset of the string body.
         at: usize,
     },
+    /// A varint ran past the 10 bytes a `u64` needs, or its 10th byte held
+    /// bits above bit 63.
+    VarintOverflow {
+        /// Byte offset of the varint.
+        at: usize,
+    },
+    /// A field was not in its one canonical encoding (a zero-padded
+    /// varint, or raw bits a shorter form covers), so re-encoding would
+    /// not reproduce the bytes read.
+    NonCanonical {
+        /// Byte offset of the field.
+        at: usize,
+        /// What the field is.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -60,6 +76,12 @@ impl fmt::Display for CodecError {
                 write!(f, "length prefix {len} at byte {at} exceeds the payload")
             }
             CodecError::BadUtf8 { at } => write!(f, "invalid UTF-8 in string at byte {at}"),
+            CodecError::VarintOverflow { at } => {
+                write!(f, "varint at byte {at} does not fit in 64 bits")
+            }
+            CodecError::NonCanonical { at, what } => {
+                write!(f, "non-canonical {what} at byte {at}")
+            }
         }
     }
 }
@@ -101,6 +123,19 @@ impl Writer {
     /// Appends an `f64` as its raw IEEE-754 bit pattern (NaN-preserving).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends `v` as a canonical unsigned LEB128 varint: seven bits per
+    /// byte, least significant group first, the high bit set on every byte
+    /// but the last. Values below 128 take one byte, and `u64::MAX` ten.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            let [low, ..] = v.to_le_bytes();
+            self.buf.push(low | 0x80);
+            v >>= 7;
+        }
+        let [low, ..] = v.to_le_bytes();
+        self.buf.push(low);
     }
 
     /// Appends a bool as a `0`/`1` tag byte.
@@ -182,6 +217,38 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a varint written by [`Writer::put_varint`]. Only the canonical
+    /// encoding is accepted: a zero-padded varint is
+    /// [`CodecError::NonCanonical`], and one that does not fit in a `u64` is
+    /// [`CodecError::VarintOverflow`].
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let at = self.pos;
+        if let Some(&byte) = self.buf.get(at) {
+            if byte < 0x80 {
+                self.pos = at + 1;
+                return Ok(u64::from(byte));
+            }
+        }
+        let mut v = 0u64;
+        for (i, &byte) in self.buf[at..].iter().take(MAX_VARINT_LEN).enumerate() {
+            if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                return Err(CodecError::VarintOverflow { at });
+            }
+            v |= u64::from(byte & 0x7F) << (7 * i);
+            if byte < 0x80 {
+                // A zero last byte after others is padding (the fast path
+                // took every one-byte varint).
+                if byte == 0 {
+                    return Err(CodecError::NonCanonical { at, what: "varint" });
+                }
+                self.pos = at + i + 1;
+                return Ok(v);
+            }
+        }
+        // Every byte left had its continuation bit set.
+        Err(CodecError::UnexpectedEof { at, needed: 1 })
+    }
+
     /// Reads a `0`/`1` tag byte as a bool; other values are a [`CodecError::BadTag`].
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         let at = self.pos;
@@ -220,6 +287,9 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8 { at })
     }
 }
+
+/// The longest canonical varint: ten groups of seven bits cover 64.
+const MAX_VARINT_LEN: usize = 10;
 
 /// FNV-1a 64-bit hash: the checkpoint checksum and config fingerprint.
 ///
@@ -293,6 +363,73 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_canonically_at_every_length() {
+        for (v, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            ((1 << 63) - 1, 9),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            w.put_u8(0xAA);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), len + 1, "{v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.position(), len);
+        }
+    }
+
+    #[test]
+    fn varint_cut_short_is_eof() {
+        let mut w = Writer::new();
+        w.put_varint(u64::MAX);
+        let bytes = w.into_bytes();
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert_eq!(
+                r.varint(),
+                Err(CodecError::UnexpectedEof { at: 0, needed: 1 })
+            );
+            assert_eq!(r.position(), 0);
+        }
+    }
+
+    #[test]
+    fn varint_past_64_bits_overflows() {
+        let nine = [0xFF; 9];
+        for tenth in [[0x02].as_slice(), &[0x7F], &[0x80, 0x00], &[0x81, 0x01]] {
+            let bytes = [&[7][..], &nine, tenth].concat();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.u8().unwrap(), 7);
+            assert_eq!(r.varint(), Err(CodecError::VarintOverflow { at: 1 }));
+        }
+    }
+
+    #[test]
+    fn zero_padded_varint_is_non_canonical() {
+        for bytes in [
+            [0x80, 0x00].as_slice(),
+            &[0xFF, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+        ] {
+            let mut r = Reader::new(bytes);
+            assert_eq!(
+                r.varint(),
+                Err(CodecError::NonCanonical {
+                    at: 0,
+                    what: "varint"
+                })
+            );
+        }
+    }
+
+    #[test]
     fn bad_utf8_is_typed() {
         let mut w = Writer::new();
         w.put_u64(2);
@@ -327,6 +464,11 @@ mod tests {
                 len: 1 << 50,
             },
             CodecError::BadUtf8 { at: 1 },
+            CodecError::VarintOverflow { at: 4 },
+            CodecError::NonCanonical {
+                at: 2,
+                what: "varint",
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -615,9 +615,9 @@ mod tests {
     }
 
     /// `resume` pointed at a file that is not this build's checkpoint (the
-    /// lease queue, a version-2 checkpoint), or at a log damaged in a way a
-    /// crash mid-append cannot leave, fails and leaves the file's bytes
-    /// unchanged.
+    /// lease queue, a checkpoint of a newer version), or at a log damaged in
+    /// a way a crash mid-append cannot leave, fails and leaves the file's
+    /// bytes unchanged.
     #[test]
     fn resume_refuses_foreign_or_corrupt_files_and_leaves_them_unchanged() {
         let ckpt = tmp("foreign.ckpt");
@@ -632,7 +632,7 @@ mod tests {
             .unwrap()
             .encode();
         let mut newer = log.clone();
-        newer[8] = 2; // version 2
+        newer[8..12].copy_from_slice(&(crate::CHECKPOINT_VERSION + 1).to_le_bytes());
         let mut flipped = log.clone();
         *flipped.last_mut().unwrap() ^= 1;
         config.resume = true;

@@ -2,18 +2,34 @@
 //! wrong-version, and wrong-fingerprint inputs all have to produce a clean
 //! typed [`CheckpointError`] — never a panic, never a silently-wrong
 //! checkpoint. Property-tested over generated checkpoints and corruptions,
-//! both as one frame and split into an appended log of frames.
+//! both as one frame and split into an appended log of frames. Beneath the
+//! frame checksums, the result decoder accepts only canonical bytes.
 
 use distill_billboard::{ObjectId, PlayerId, Round};
-use distill_harness::checkpoint::encode_sim_result;
-use distill_harness::{Checkpoint, CheckpointError, FrameError, Writer, CHECKPOINT_VERSION};
+use distill_harness::checkpoint::{decode_sim_result, encode_sim_result};
+use distill_harness::{
+    Checkpoint, CheckpointError, FrameError, Reader, Writer, CHECKPOINT_VERSION,
+};
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
 use proptest::prelude::*;
+
+/// A `u64` that is small (0..300, as most counts in a real sweep are), on a
+/// varint length boundary, or anything, each about a third of the time.
+fn arb_count() -> impl Strategy<Value = u64> {
+    const EDGES: [u64; 5] = [127, 128, (1 << 63) - 1, 1 << 63, u64::MAX];
+    (0u8..3, 0u64..300, 0usize..EDGES.len(), any::<u64>()).prop_map(|(kind, small, edge, v)| {
+        match kind {
+            0 => small,
+            1 => EDGES[edge],
+            _ => v,
+        }
+    })
+}
 
 /// `Some(v)` with probability ~1/2 (the vendored stub has no
 /// `proptest::option::of`).
 fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
-    (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v))
+    (any::<bool>(), arb_count()).prop_map(|(some, v)| some.then_some(v))
 }
 
 /// An `f64` that is NaN about one draw in four, exercising the
@@ -22,25 +38,35 @@ fn arb_f64_with_nan() -> impl Strategy<Value = f64> {
     (0u8..4, any::<f64>()).prop_map(|(k, v)| if k == 0 { f64::NAN } else { v * 100.0 - 50.0 })
 }
 
+/// A player row. Half the rows pay exactly their probe count (the cost the
+/// row's flags byte stands in for), probe counts above 2^53 included; the
+/// rest pay NaN, -0.0 with no probes (which is not `0 as f64` bit for bit),
+/// or a random cost.
 fn arb_player() -> impl Strategy<Value = PlayerOutcome> {
     (
-        any::<u64>(),
-        arb_f64_with_nan(),
+        arb_count(),
+        (0u8..6, any::<f64>()),
         arb_opt_u64(),
-        any::<u64>(),
-        any::<u64>(),
+        arb_count(),
+        arb_count(),
         arb_opt_u64(),
     )
-        .prop_map(
-            |(probes, cost_paid, sat, advice, explore, crash)| PlayerOutcome {
+        .prop_map(|(probes, (cost_kind, v), sat, advice, explore, crash)| {
+            let (probes, cost_paid) = match cost_kind {
+                0..=2 => (probes, probes as f64),
+                3 => (probes, f64::NAN),
+                4 => (0, -0.0),
+                _ => (probes, v * 100.0 - 50.0),
+            };
+            PlayerOutcome {
                 probes,
                 cost_paid,
                 satisfied_round: sat.map(Round),
                 advice_probes: advice,
                 explore_probes: explore,
                 crash_round: crash.map(Round),
-            },
-        )
+            }
+        })
 }
 
 /// One of the seven trace-event variants, selected by tag (the vendored
@@ -352,6 +378,44 @@ proptest! {
         before.sort_by_key(|&(trial, _)| trial);
         let expected = (k > 0).then(|| Checkpoint { completed: before, ..ck.clone() }.encode());
         prop_assert_eq!(salvaged.map(|ck| ck.encode()), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The result decoder, which a frame's checksum otherwise shields from
+    /// damage, is total and canonical: it never panics, and whenever it
+    /// accepts a result, re-encoding that result gives exactly the bytes
+    /// it consumed. It reads arbitrary bytes, and an encoded result with
+    /// arbitrary bytes behind it and one to five of its bytes overwritten,
+    /// mostly with bytes that end, continue or pad a varint or set a flag
+    /// bit. Damage that sparse rarely lands on a varint's last byte, hence
+    /// the larger case count.
+    #[test]
+    fn result_decoder_accepts_only_canonical_bytes(
+        result in arb_sim_result(),
+        edits in proptest::collection::vec((any::<usize>(), 0usize..8, any::<u8>()), 1..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..16),
+        raw in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut w = Writer::new();
+        encode_sim_result(&mut w, &result);
+        let mut edited = w.into_bytes();
+        const BYTES: [u8; 7] = [0x00, 0x01, 0x04, 0x08, 0x7F, 0x80, 0xFF];
+        for (at, pick, byte) in edits {
+            let at = at % edited.len();
+            edited[at] = BYTES.get(pick).copied().unwrap_or(byte);
+        }
+        edited.extend(tail);
+        for bytes in [edited, raw] {
+            let mut r = Reader::new(&bytes);
+            if let Ok(decoded) = decode_sim_result(&mut r) {
+                let mut w = Writer::new();
+                encode_sim_result(&mut w, &decoded);
+                prop_assert_eq!(w.into_bytes(), bytes[..r.position()].to_vec());
+            }
+        }
     }
 }
 

@@ -4,15 +4,18 @@
 //! recorded FNV-1a digests. Any change to the shared
 //! frame or to a payload schema that moves a byte fails here, so a format
 //! change has to bump its version instead of silently rewriting old files.
+//! The same checkpoint as checkpoint format version 1 wrote it is kept in
+//! `tests/fixtures/checkpoint_v1.bin`, and must be refused, never misread.
 //! The formats share one envelope, so each decoder must also refuse the
 //! other two formats' files by their magic.
 
 use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_harness::{
-    fnv1a64, Checkpoint, CheckpointError, ExperimentStore, FrameError, LeaseError, LeaseQueue,
-    StoreError,
+    fnv1a64, run_sweep, Checkpoint, CheckpointError, ExperimentStore, FrameError, LeaseError,
+    LeaseQueue, StoreError, SweepConfig, SweepError, TrialSpec,
 };
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
+use std::sync::Arc;
 
 /// A result touching every field of the `SimResult` codec, NaN included.
 fn fixed_result(seed: u64) -> SimResult {
@@ -116,9 +119,76 @@ fn fixed_checkpoint_bytes_are_pinned() {
     let bytes = ck.encode();
     assert_eq!(
         (bytes.len(), fnv1a64(&bytes)),
-        (1_144, 0x5301_5b85_42ef_e31f),
+        (970, 0xbd2e_1d6a_4038_5a4f),
         "checkpoint bytes moved"
     );
+}
+
+/// `fixed_checkpoint()` as version 1 encoded it: 42 fixed-width bytes per
+/// player row.
+const CHECKPOINT_V1: &[u8] = include_bytes!("fixtures/checkpoint_v1.bin");
+
+/// A version-1 file is refused by its version, before its payload is read.
+#[test]
+fn version_1_checkpoint_is_refused() {
+    assert_eq!(
+        (CHECKPOINT_V1.len(), fnv1a64(CHECKPOINT_V1)),
+        (1_144, 0x5301_5b85_42ef_e31f),
+        "the version-1 fixture moved"
+    );
+    assert_eq!(
+        Checkpoint::decode(CHECKPOINT_V1),
+        Err(CheckpointError::Frame(FrameError::UnsupportedVersion {
+            at: 0,
+            found: 1,
+            supported: 2,
+        }))
+    );
+}
+
+/// Replays `fixed_result`; never reached when resuming is refused.
+struct FixedSpec;
+
+impl TrialSpec for FixedSpec {
+    fn run_trial(&self, trial: u64) -> SimResult {
+        fixed_result(trial)
+    }
+
+    fn seed(&self, trial: u64) -> u64 {
+        trial
+    }
+
+    fn describe(&self) -> String {
+        "format-pins fixed results".into()
+    }
+}
+
+/// A sweep resuming from a version-1 checkpoint fails and leaves the file
+/// as it was.
+#[test]
+fn sweep_resuming_from_a_version_1_checkpoint_fails_and_keeps_its_bytes() {
+    let path = std::env::temp_dir().join(format!(
+        "distill-format-pins-{}-v1.ckpt",
+        std::process::id()
+    ));
+    std::fs::write(&path, CHECKPOINT_V1).unwrap();
+    let mut config = SweepConfig::new(8);
+    config.checkpoint = Some(path.clone());
+    config.resume = true;
+    let err = run_sweep(Arc::new(FixedSpec), &config).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SweepError::Checkpoint(CheckpointError::Frame(FrameError::UnsupportedVersion {
+                at: 0,
+                found: 1,
+                ..
+            }))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), CHECKPOINT_V1);
+    std::fs::remove_file(&path).ok();
 }
 
 /// The fixed checkpoint's trials appended as two frames, 2 + 1: one more
@@ -135,9 +205,10 @@ fn fixed_two_frame_checkpoint_log_is_pinned() {
         .encode()
     };
     let log = [frame(head), frame(tail)].concat();
+    assert_eq!(log.len(), ck.encode().len() + 52);
     assert_eq!(
         (log.len(), fnv1a64(&log)),
-        (1_196, 0x16f8_6c3a_538b_c090),
+        (1_022, 0x9a27_b5e7_8556_a3c6),
         "checkpoint log bytes moved"
     );
     // NaN results defeat `PartialEq`; the re-encoding compares bits.
