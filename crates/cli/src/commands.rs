@@ -7,6 +7,7 @@ use distill_adversary::{
 };
 use distill_analysis::{bounds, fmt_f, lemma9, Summary, Table};
 use distill_core::{Balance, Distill, DistillParams, GuessAlpha, RandomProbing, ThreePhase};
+use distill_harness::TrialSpec;
 use distill_sim::{
     player_count, run_trials_scoped, run_trials_threaded, Adversary, Cohort, Engine, FaultPlan,
     NullAdversary, SimConfig, StopRule, World,
@@ -252,7 +253,9 @@ fn make_adversary(name: &str) -> Result<Box<dyn Adversary>, CliError> {
     })
 }
 
-const RUN_FLAGS: &[&str] = &[
+/// The simulation-spec flags that `run`, `sweep`, `sweep-worker` and
+/// `sweep-supervise` all take; [`parse_sweep_spec`] reads every one.
+const SPEC_FLAGS: &[&str] = &[
     "n",
     "m",
     "honest",
@@ -271,86 +274,81 @@ const RUN_FLAGS: &[&str] = &[
     "recovery-rate",
 ];
 
-/// `distill run` — simulate one configuration.
-pub fn run(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(RUN_FLAGS)?;
-    // Accept the full u64 range on the command line, then funnel through the
-    // one sanctioned id-space check so an oversize population fails with the
-    // typed message instead of a parse error (or a silent truncation).
-    let n: u32 = player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))?;
-    let m: u32 = args.get_or("m", n)?;
-    let default_honest = ((f64::from(n)) * 0.9).round() as u32;
-    let honest: u32 = args.get_or("honest", default_honest)?;
-    let goods: u32 = args.get_or("goods", 1)?;
-    let trials: usize = args.get_or("trials", 10)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let f: usize = args.get_or("f", 1)?;
-    let error_rate: f64 = args.get_or("error-rate", 0.0)?;
-    let max_rounds: u64 = args.get_or("max-rounds", 1_000_000)?;
-    let faults = FaultPlan::none()
-        .with_drop_rate(args.get_or("drop-rate", 0.0)?)
-        .with_view_lag(args.get_or("view-lag", 0)?)
-        .with_crash_rate(args.get_or("crash-rate", 0.0)?)
-        .with_crash_window(args.get_or("crash-window", 64)?)
-        .with_recovery_rate(args.get_or("recovery-rate", 0.0)?);
-    faults
-        .validate()
-        .map_err(|msg| err(format!("fault plan: {msg}")))?;
-    let algorithm = args.str_or("algorithm", "distill");
-    let adversary_name = args.str_or("adversary", "uniform-bad");
-    if honest == 0 || honest > n {
-        return Err(err(format!("--honest {honest} must be in 1..={n}")));
-    }
-    if goods == 0 || goods > m {
-        return Err(err(format!("--goods {goods} must be in 1..={m}")));
-    }
-    let alpha = f64::from(honest) / f64::from(n);
-    // Validate names and parameters once, up front, so trial workers can't
-    // hit a construction failure mid-run.
-    make_cohort(&algorithm, n, m, alpha, f64::from(goods) / f64::from(m))?;
-    make_adversary(&adversary_name)?;
+/// Rejects any flag outside [`SPEC_FLAGS`] and the command's own `extra`.
+fn ensure_spec_flags(args: &Args, extra: &[&str]) -> Result<(), CliError> {
+    let allowed: Vec<&str> = SPEC_FLAGS.iter().chain(extra).copied().collect();
+    Ok(args.ensure_known(&allowed)?)
+}
 
-    // Per-trial worlds are built up front so each worker can keep one engine
-    // arena alive for its whole share of the trials (`Engine::reset_with_world`
-    // swaps the world in without reallocating the board/tracker buffers).
-    let worlds: Vec<World> = (0..trials as u64)
-        .map(|t| {
-            World::binary(m, goods, seed.wrapping_add(1_000_003).wrapping_add(t))
-                .expect("validated world parameters")
-        })
-        .collect();
-    let results = run_trials_scoped(
-        trials,
-        num_threads(),
+/// `--n` (default 256) through the one sanctioned id-space check, so an
+/// oversize population fails with the typed message instead of a parse
+/// error (or a silent truncation).
+fn parse_n(args: &Args) -> Result<u32, CliError> {
+    player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))
+}
+
+/// `--trials`, refusing zero: a command that ran no trial has nothing to
+/// report.
+fn parse_trials<T: std::str::FromStr + From<u8> + PartialEq>(
+    args: &Args,
+    default: T,
+) -> Result<T, CliError> {
+    let trials = args.get_or("trials", default)?;
+    if trials == T::from(0) {
+        return Err(err("--trials must be at least 1"));
+    }
+    Ok(trials)
+}
+
+/// `run`'s trials of `spec` on `threads` workers. Each worker keeps one
+/// engine arena for its whole share (`Engine::reset_with_world` swaps each
+/// trial's world in without reallocating the board and tracker), built from
+/// the same `SweepSpec` parts as `SweepSpec::run_trial`, so trial `t` here
+/// equals trial `t` of a sweep.
+fn run_spec_trials(spec: &SweepSpec, trials: u64, threads: usize) -> Vec<distill_sim::SimResult> {
+    // The worlds outlive every worker's engine, which borrows them.
+    let worlds: Vec<World> = (0..trials).map(|t| spec.world(t)).collect();
+    run_trials_scoped(
+        worlds.len(),
+        threads,
         || None,
         |slot: &mut Option<Engine<'_>>, t| {
             let world = &worlds[t as usize];
-            let cohort =
-                make_cohort(&algorithm, n, m, alpha, world.beta()).expect("validated algorithm");
-            let adversary = make_adversary(&adversary_name).expect("validated adversary");
-            let trial_seed = seed.wrapping_add(t);
+            let (cohort, adversary) = spec.players(world);
             let engine = match slot {
                 Some(engine) => {
                     engine
-                        .reset_with_world(trial_seed, world, cohort, adversary)
+                        .reset_with_world(spec.seed(t), world, cohort, adversary)
                         .expect("validated configuration");
                     engine
                 }
-                None => {
-                    let config = SimConfig::new(n, honest, trial_seed)
-                        .with_policy(distill_billboard::VotePolicy::multi_vote(f))
-                        .with_honest_error_rate(error_rate)
-                        .with_faults(faults)
-                        .with_stop(StopRule::all_satisfied(max_rounds));
-                    slot.insert(
-                        Engine::new(config, world, cohort, adversary)
-                            .expect("validated configuration"),
-                    )
-                }
+                None => slot.insert(
+                    Engine::new(spec.config(t), world, cohort, adversary)
+                        .expect("validated configuration"),
+                ),
             };
             engine.run_mut().expect("engine run on validated inputs")
         },
-    );
+    )
+}
+
+/// `distill run` — simulate one configuration.
+pub fn run(args: &Args) -> Result<String, CliError> {
+    ensure_spec_flags(args, &[])?;
+    let (spec, trials) = parse_sweep_spec(args)?;
+    let results = run_spec_trials(&spec, trials, num_threads());
+    let SweepSpec {
+        n,
+        m,
+        honest,
+        goods,
+        f,
+        faults,
+        ref algorithm,
+        adversary: ref adversary_name,
+        ..
+    } = spec;
+    let alpha = f64::from(honest) / f64::from(n);
 
     let costs: Vec<f64> = results.iter().map(|r| r.mean_probes()).collect();
     let rounds: Vec<f64> = results.iter().map(|r| r.rounds as f64).collect();
@@ -440,25 +438,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// (documented in EXPERIMENTS.md P5).
 const STREAM_EPSILON: f64 = 0.005;
 
+/// `sweep`'s flags beyond [`SPEC_FLAGS`]: the crash-safety surface.
 const SWEEP_FLAGS: &[&str] = &[
-    // everything `run` takes…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
-    // …plus the crash-safety surface
     "checkpoint",
     "checkpoint-every",
     "trial-timeout",
@@ -471,25 +452,9 @@ const SWEEP_FLAGS: &[&str] = &[
     "stream",
 ];
 
+/// `sweep-worker`'s flags beyond [`SPEC_FLAGS`] (the spec must match the
+/// supervisor's exactly — it is hashed into the queue fingerprint).
 const SWEEP_WORKER_FLAGS: &[&str] = &[
-    // the simulation spec (must match the supervisor's exactly — it is
-    // hashed into the queue fingerprint)…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
     "inject-panic",
     // …plus the fabric surface
     "queue",
@@ -506,24 +471,9 @@ const SWEEP_WORKER_FLAGS: &[&str] = &[
     "fail-after-trials",
 ];
 
+/// `sweep-supervise`'s flags beyond [`SPEC_FLAGS`] (the spec is forwarded
+/// verbatim to every worker).
 const SWEEP_SUPERVISE_FLAGS: &[&str] = &[
-    // the simulation spec (forwarded verbatim to every worker)…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
     "inject-panic",
     // …worker passthrough…
     "queue",
@@ -562,30 +512,49 @@ struct SweepSpec {
     inject_panic: Option<u64>,
 }
 
-impl distill_harness::TrialSpec for SweepSpec {
+/// The parts of one trial, shared by `SweepSpec::run_trial` and `run`'s
+/// engine arenas so that both build trial `t` the same way.
+impl SweepSpec {
+    /// Trial `trial`'s world.
+    fn world(&self, trial: u64) -> World {
+        World::binary(
+            self.m,
+            self.goods,
+            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
+        )
+        .expect("validated world")
+    }
+
+    /// Fresh protocol state for one trial in `world`: the honest cohort and
+    /// the adversary.
+    fn players(&self, world: &World) -> (Box<dyn Cohort>, Box<dyn Adversary>) {
+        let alpha = f64::from(self.honest) / f64::from(self.n);
+        (
+            make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
+                .expect("validated algorithm"),
+            make_adversary(&self.adversary).expect("validated adversary"),
+        )
+    }
+
+    /// Trial `trial`'s engine config.
+    fn config(&self, trial: u64) -> SimConfig {
+        SimConfig::new(self.n, self.honest, self.seed(trial))
+            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
+            .with_honest_error_rate(self.error_rate)
+            .with_faults(self.faults)
+            .with_stop(StopRule::all_satisfied(self.max_rounds))
+    }
+}
+
+impl TrialSpec for SweepSpec {
     fn run_trial(&self, trial: u64) -> distill_sim::SimResult {
         assert!(
             self.inject_panic != Some(trial),
             "injected panic at trial {trial} (--inject-panic)"
         );
-        // Same seed derivations as `run`, so a sweep of N trials reproduces
-        // `run --trials N` exactly.
-        let world = World::binary(
-            self.m,
-            self.goods,
-            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
-        )
-        .expect("validated world");
-        let alpha = f64::from(self.honest) / f64::from(self.n);
-        let cohort = make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
-            .expect("validated algorithm");
-        let adversary = make_adversary(&self.adversary).expect("validated adversary");
-        let config = SimConfig::new(self.n, self.honest, self.seed(trial))
-            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
-            .with_honest_error_rate(self.error_rate)
-            .with_faults(self.faults)
-            .with_stop(StopRule::all_satisfied(self.max_rounds));
-        Engine::new(config, &world, cohort, adversary)
+        let world = self.world(trial);
+        let (cohort, adversary) = self.players(&world);
+        Engine::new(self.config(trial), &world, cohort, adversary)
             .expect("validated configuration")
             .run()
             .expect("engine run on validated inputs")
@@ -617,17 +586,18 @@ impl distill_harness::TrialSpec for SweepSpec {
     }
 }
 
-/// Parses the simulation-spec surface shared by `sweep`, `sweep-worker`,
-/// and `sweep-supervise` into a fully-validated [`SweepSpec`] plus the
-/// trial count. Everything that changes trial results flows through here,
-/// so all three entry points agree on the fingerprint by construction.
+/// Parses the simulation-spec surface ([`SPEC_FLAGS`]) shared by `run`,
+/// `sweep`, `sweep-worker`, and `sweep-supervise` into a fully-validated
+/// [`SweepSpec`] plus the trial count. Everything that changes trial
+/// results flows through here, so all four entry points agree on the
+/// fingerprint by construction.
 fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
-    let n: u32 = player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))?;
+    let n = parse_n(args)?;
     let m: u32 = args.get_or("m", n)?;
     let default_honest = ((f64::from(n)) * 0.9).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: u64 = args.get_or("trials", 10)?;
+    let trials: u64 = parse_trials(args, 10)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let f: usize = args.get_or("f", 1)?;
     let error_rate: f64 = args.get_or("error-rate", 0.0)?;
@@ -648,9 +618,6 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     }
     if goods == 0 || goods > m {
         return Err(err(format!("--goods {goods} must be in 1..={m}")));
-    }
-    if trials == 0 {
-        return Err(err("--trials must be at least 1"));
     }
     let alpha = f64::from(honest) / f64::from(n);
     // Validate names and parameters once, up front, so trial workers can't
@@ -681,12 +648,26 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     ))
 }
 
+/// The `--out` digest file: one line per completed trial with the FNV-1a
+/// hash of its encoded `SimResult`, so CI can diff a resumed or fabric
+/// sweep against an uninterrupted reference byte-for-byte.
+fn digest_lines(results: &[(u64, distill_sim::SimResult)]) -> String {
+    let mut text = String::new();
+    for (trial, result) in results {
+        let mut w = distill_harness::Writer::new();
+        distill_harness::checkpoint::encode_sim_result(&mut w, result);
+        let digest = distill_harness::fnv1a64(&w.into_bytes());
+        text.push_str(&format!("trial {trial} {digest:016x}\n"));
+    }
+    text
+}
+
 /// `distill sweep` — the crash-safe supervised variant of `run`:
 /// checkpoint/resume, per-trial panic isolation with quarantine, retries,
 /// and watchdog timeouts. `--stream` trades the retained per-trial results
 /// for O(1)-memory streaming aggregation.
 pub fn sweep(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_FLAGS)?;
+    ensure_spec_flags(args, SWEEP_FLAGS)?;
     let (spec, trials) = parse_sweep_spec(args)?;
     let n = spec.n;
     let m = spec.m;
@@ -762,18 +743,9 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         distill_harness::run_sweep(spec, &config).map_err(|e| err(e.to_string()))?
     };
 
-    // Canonical per-trial digest file: one line per completed trial with the
-    // FNV-1a hash of its encoded `SimResult`, so CI can diff a resumed sweep
-    // against an uninterrupted reference byte-for-byte.
     if let Some(path) = &out_path {
-        let mut text = String::new();
-        for (trial, result) in &report.results {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            let digest = distill_harness::fnv1a64(&w.into_bytes());
-            text.push_str(&format!("trial {trial} {digest:016x}\n"));
-        }
-        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        std::fs::write(path, digest_lines(&report.results))
+            .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
 
     let mut table = Table::new(
@@ -934,7 +906,7 @@ fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
 /// reclaimed and re-run, and the set-union merge deduplicates bit-exact
 /// duplicates).
 pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_WORKER_FLAGS)?;
+    ensure_spec_flags(args, SWEEP_WORKER_FLAGS)?;
     let (spec, trials) = parse_sweep_spec(args)?;
     let queue = args
         .flags
@@ -1031,7 +1003,7 @@ pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
 /// All state lives in files: kill -9 this supervisor (or any worker) and a
 /// fresh invocation resumes exactly where the fabric left off.
 pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_SUPERVISE_FLAGS)?;
+    ensure_spec_flags(args, SWEEP_SUPERVISE_FLAGS)?;
     let (spec, trials) = parse_sweep_spec(args)?;
     let queue = args
         .flags
@@ -1146,14 +1118,8 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let merged = distill_harness::merge_checkpoints(&parts).map_err(|e| err(e.to_string()))?;
 
     if let Some(path) = &out_path {
-        let mut text = String::new();
-        for (trial, result) in &merged.completed {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            let digest = distill_harness::fnv1a64(&w.into_bytes());
-            text.push_str(&format!("trial {trial} {digest:016x}\n"));
-        }
-        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        std::fs::write(path, digest_lines(&merged.completed))
+            .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
     if let Some(path) = &merged_path {
         merged
@@ -1215,11 +1181,11 @@ const GAUNTLET_FLAGS: &[&str] = &["n", "honest", "goods", "trials", "seed", "alg
 /// `distill gauntlet` — one algorithm against every strategy.
 pub fn run_gauntlet(args: &Args) -> Result<String, CliError> {
     args.ensure_known(GAUNTLET_FLAGS)?;
-    let n: u32 = args.get_or("n", 256)?;
+    let n = parse_n(args)?;
     let default_honest = ((f64::from(n)) * 0.75).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: usize = args.get_or("trials", 5)?;
+    let trials: usize = parse_trials(args, 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let algorithm = args.str_or("algorithm", "distill");
     if honest == 0 || honest > n {
@@ -1358,9 +1324,9 @@ pub fn run_async(args: &Args) -> Result<String, CliError> {
     };
     use distill_sim::PlayerId;
     args.ensure_known(ASYNC_FLAGS)?;
-    let n: u32 = args.get_or("n", 256)?;
+    let n = parse_n(args)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: u64 = args.get_or("trials", 5)?;
+    let trials: u64 = parse_trials(args, 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let schedule_name = args.str_or("schedule", "round-robin");
     match schedule_name.as_str() {
@@ -2222,17 +2188,8 @@ mod tests {
             .collect();
         let merged = distill_harness::merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 6);
-        let mut digests = String::new();
-        for (trial, result) in &merged.completed {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            digests.push_str(&format!(
-                "trial {trial} {:016x}\n",
-                distill_harness::fnv1a64(&w.into_bytes())
-            ));
-        }
         assert_eq!(
-            digests,
+            digest_lines(&merged.completed),
             std::fs::read_to_string(&out_ref).unwrap(),
             "fabric merge must be bit-identical to the single-process sweep"
         );
@@ -2431,13 +2388,71 @@ mod tests {
     #[test]
     fn oversize_population_reports_the_id_space_limit() {
         let over = (u64::from(u32::MAX) + 1).to_string();
-        for cmd in ["run", "sweep"] {
+        for cmd in ["run", "sweep", "gauntlet", "async"] {
             let e = dispatch(&parse(&[cmd, "--n", &over])).unwrap_err();
             assert!(
                 format!("{e}").contains("u32 id space"),
                 "{cmd}: expected the id-space error, got: {e}"
             );
         }
+    }
+
+    #[test]
+    fn zero_trials_are_refused_by_every_command() {
+        for cmd in [
+            "run",
+            "sweep",
+            "sweep-worker",
+            "sweep-supervise",
+            "gauntlet",
+            "async",
+        ] {
+            let e = dispatch(&parse(&[cmd, "--n", "16", "--trials", "0"])).unwrap_err();
+            assert!(
+                format!("{e}").contains("--trials must be at least 1"),
+                "{cmd}: expected the zero-trials error, got: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_trials_equal_the_sweep_of_the_same_spec() {
+        // A faulted spec, so the arena reuse covers the churn plane too.
+        let (spec, trials) = parse_sweep_spec(&parse(&[
+            "sweep",
+            "--n",
+            "24",
+            "--honest",
+            "20",
+            "--goods",
+            "2",
+            "--trials",
+            "6",
+            "--seed",
+            "31",
+            "--f",
+            "2",
+            "--drop-rate",
+            "0.2",
+            "--view-lag",
+            "1",
+            "--crash-rate",
+            "0.3",
+            "--crash-window",
+            "8",
+            "--recovery-rate",
+            "0.2",
+        ]))
+        .unwrap();
+        // Two workers over six trials: at least one reuses its arena.
+        let run: Vec<_> = (0..).zip(run_spec_trials(&spec, trials, 2)).collect();
+        let config = distill_harness::SweepConfig {
+            threads: 2,
+            ..distill_harness::SweepConfig::new(trials)
+        };
+        let sweep = distill_harness::run_sweep(std::sync::Arc::new(spec), &config).unwrap();
+        assert_eq!(run.len(), 6);
+        assert_eq!(digest_lines(&run), digest_lines(&sweep.results));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::adversary::{Adversary, AdversaryCtx, InfoModel};
 use crate::cohort::PhaseInfo;
 use crate::config::ServicePlan;
 use crate::error::SimError;
-use crate::faults::{FaultCounters, FaultPlan};
+use crate::faults::{Churn, ChurnEvent, FaultCounters, FaultPlan};
 use crate::rng::{stream_rng, Stream};
 use crate::world::World;
 use distill_billboard::{
@@ -354,17 +354,8 @@ pub struct AsyncEngine<'w> {
     max_steps: u64,
     faults: FaultPlan,
     faults_rng: SmallRng,
-    /// Predetermined crash events `(step, player)`, sorted ascending; the
-    /// cursor marks the first event that has not fired yet. Each event fires
-    /// exactly once, so a recovered player does not crash again and churn
-    /// costs O(crashed + due) per step instead of an O(n) schedule rescan.
-    crash_events: Vec<(u64, u32)>,
-    crash_cursor: usize,
-    crashed: BitSet,
-    /// Currently-crashed players, ascending — the recovery-coin draw order.
-    crashed_list: Vec<u32>,
-    /// Reused output buffer for rebuilding `crashed_list` during churn.
-    churn_scratch: Vec<u32>,
+    /// The crash schedule (in steps) and the currently crashed players.
+    churn: Churn,
     fault_counters: FaultCounters,
     /// Stale-read tracker, fed via `ingest_until` at the lag cutoff; present
     /// only when the plan sets `view_lag > 0`.
@@ -445,11 +436,7 @@ impl<'w> AsyncEngine<'w> {
             max_steps,
             faults: FaultPlan::default(),
             faults_rng: stream_rng(seed, Stream::Faults),
-            crash_events: Vec::new(),
-            crash_cursor: 0,
-            crashed: BitSet::new(n_honest as usize),
-            crashed_list: Vec::new(),
-            churn_scratch: Vec::new(),
+            churn: Churn::new(n_honest),
             fault_counters: FaultCounters::default(),
             lagged_tracker: None,
             service: None,
@@ -472,20 +459,7 @@ impl<'w> AsyncEngine<'w> {
         plan.validate()
             .map_err(|msg| SimError::InvalidConfig(format!("fault plan: {msg}")))?;
         self.faults = plan;
-        self.crash_events.clear();
-        self.crash_cursor = 0;
-        if plan.crash_rate > 0.0 {
-            // One coin per player in ascending order (plus a step draw for
-            // crashers) — the same draw sequence as the per-slot schedule this
-            // event list replaces.
-            for p in 0..self.n_honest {
-                if self.faults_rng.gen::<f64>() < plan.crash_rate {
-                    let at = self.faults_rng.gen_range(0..plan.crash_window);
-                    self.crash_events.push((at, p));
-                }
-            }
-            self.crash_events.sort_unstable();
-        }
+        self.churn.start(&plan, &mut self.faults_rng, self.n_honest);
         self.lagged_tracker = (plan.view_lag > 0)
             .then(|| VoteTracker::new(self.n, self.world.m(), VotePolicy::single_vote()));
         Ok(self)
@@ -698,57 +672,23 @@ impl<'w> AsyncEngine<'w> {
         })
     }
 
-    /// Crash/recovery bookkeeping for the step that is about to execute.
-    ///
-    /// As in the synchronous engine, the currently-crashed players (recovery
-    /// coins, ascending — the exact coin draw order of the old flag-array
-    /// walk) are merged with the due crash events in player order, so the
-    /// counter sequence is bit-identical at O(crashed + due) per step.
+    /// Crash/recovery bookkeeping for the step that is about to execute:
+    /// the shared churn plane decides, and this engine only keeps its
+    /// schedulable `active` list in step with it.
     // lint: hot
     fn process_churn(&mut self) {
-        let recovery = self.faults.recovery_rate;
-        let start = self.crash_cursor;
-        let mut end = start;
-        while end < self.crash_events.len() && self.crash_events[end].0 <= self.step {
-            end += 1;
-        }
-        self.crash_cursor = end;
-        if end - start > 1 {
-            // A multi-step due batch (first churn call only) needs the
-            // player order restored; single-step batches already have it.
-            self.crash_events[start..end].sort_unstable_by_key(|&(_, p)| p);
-        }
-        if end == start && self.crashed_list.is_empty() {
-            return;
-        }
-        let mut next_list = std::mem::take(&mut self.churn_scratch);
-        next_list.clear();
-        let mut ci = 0;
-        let mut di = start;
-        loop {
-            let next_crashed = self.crashed_list.get(ci).copied();
-            let next_due = (di < end).then(|| self.crash_events[di].1);
-            let crash_now = match (next_crashed, next_due) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(c), Some(d)) => d < c,
-            };
-            if crash_now {
-                let p = self.crash_events[di].1;
-                di += 1;
-                self.crashed.insert(p as usize);
-                self.fault_counters.crashes += 1;
-                if let Ok(pos) = self.active.binary_search(&PlayerId(p)) {
-                    self.active.remove(pos);
+        self.churn.advance(
+            self.step,
+            &self.faults,
+            &mut self.faults_rng,
+            &mut self.fault_counters,
+            |event| match event {
+                ChurnEvent::Crashed(p) => {
+                    if let Ok(pos) = self.active.binary_search(&PlayerId(p)) {
+                        self.active.remove(pos);
+                    }
                 }
-                next_list.push(p);
-            } else {
-                let p = self.crashed_list[ci];
-                ci += 1;
-                if recovery > 0.0 && self.faults_rng.gen::<f64>() < recovery {
-                    self.crashed.remove(p as usize);
-                    self.fault_counters.recoveries += 1;
+                ChurnEvent::Recovered(p) => {
                     // Rejoin with pre-crash votes intact: the billboard kept
                     // every post, so only schedulability changes.
                     if !self.satisfied.contains(p as usize) {
@@ -757,20 +697,17 @@ impl<'w> AsyncEngine<'w> {
                             self.active.insert(pos, player);
                         }
                     }
-                } else {
-                    next_list.push(p);
                 }
-            }
-        }
-        std::mem::swap(&mut self.crashed_list, &mut next_list);
-        self.churn_scratch = next_list;
+            },
+        );
     }
 
     /// `true` while some crashed player could still rejoin and probe.
     fn awaiting_recovery(&self) -> bool {
         self.faults.recovery_rate > 0.0
             && self
-                .crashed_list
+                .churn
+                .crashed()
                 .iter()
                 .any(|&p| !self.satisfied.contains(p as usize))
     }
@@ -779,7 +716,7 @@ impl<'w> AsyncEngine<'w> {
     /// rescan of the satisfaction flags.
     fn active_scan(&self) -> Vec<PlayerId> {
         (0..self.n_honest)
-            .filter(|&p| !self.satisfied.contains(p as usize) && !self.crashed.contains(p as usize))
+            .filter(|&p| !self.satisfied.contains(p as usize) && !self.churn.is_crashed(p))
             .map(PlayerId)
             .collect()
     }
@@ -877,9 +814,7 @@ impl<'w> AsyncEngine<'w> {
             };
             // Drop faults suppress the *post*, never the probe: testing is
             // local, so the player still learns the object's goodness.
-            let dropped =
-                self.faults.drop_rate > 0.0 && self.faults_rng.gen::<f64>() < self.faults.drop_rate;
-            if dropped {
+            if self.faults.drops_post(&mut self.faults_rng) {
                 self.fault_counters.posts_dropped += 1;
             } else {
                 self.submit_post(round, player, object, self.world.value(object), kind)?;
@@ -910,11 +845,7 @@ impl<'w> AsyncEngine<'w> {
             };
             let mut appended = false;
             for post in posts {
-                if post.author.0 >= self.n_honest
-                    && post.author.0 < self.n
-                    && post.object.0 < self.world.m()
-                    && post.value.is_finite()
-                {
+                if post.is_admissible(self.n_honest, self.n, self.world.m()) {
                     appended |=
                         self.submit_post(round, post.author, post.object, post.value, post.kind)?;
                 }

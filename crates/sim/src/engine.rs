@@ -4,7 +4,7 @@ use crate::adversary::{Adversary, AdversaryCtx, InfoModel};
 use crate::cohort::{Cohort, Directive};
 use crate::config::{SimConfig, StopRule};
 use crate::error::SimError;
-use crate::faults::{FaultCounters, FaultPlan};
+use crate::faults::{Churn, ChurnEvent, FaultCounters};
 use crate::metrics::{FinalEval, PlayerOutcome, SimResult};
 use crate::object_model::ObjectModel;
 use crate::rng::{stream_rng, Stream};
@@ -43,11 +43,11 @@ struct HonestProbe {
 ///    the honest round-`r` posts; otherwise it sees only rounds `< r`;
 /// 4. all round-`r` posts are appended and ingested.
 ///
-/// When the config carries a non-noop [`FaultPlan`], the engine additionally
-/// processes crash/recovery churn at each round start, serves honest reads
-/// from a lagged view, and may drop honest posts — all driven by the
-/// dedicated [`Stream::Faults`] RNG, so the no-fault path is bit-identical
-/// to an engine without the fault layer.
+/// When the config carries a non-noop [`FaultPlan`](crate::FaultPlan), the
+/// engine additionally processes crash/recovery churn at each round start,
+/// serves honest reads from a lagged view, and may drop honest posts — all
+/// decided by `sim::faults` from the dedicated [`Stream::Faults`] RNG, so
+/// the no-fault path is bit-identical to an engine without the fault layer.
 pub struct Engine<'w> {
     config: SimConfig,
     world: &'w World,
@@ -86,18 +86,8 @@ pub struct Engine<'w> {
     /// Fault-injection coins (dedicated stream; never touched by the
     /// no-fault path).
     faults_rng: SmallRng,
-    /// Predetermined crash events `(round, player)`, sorted ascending; the
-    /// cursor marks the first event that has not fired yet. Each event fires
-    /// exactly once, so churn costs O(crashed + due) per round instead of an
-    /// O(n) schedule rescan.
-    crash_events: Vec<(u64, u32)>,
-    crash_cursor: usize,
-    /// Whether each honest player is currently crashed (bitmap plane).
-    crashed: BitSet,
-    /// Currently-crashed players, ascending — the recovery-coin draw order.
-    crashed_list: Vec<u32>,
-    /// Reused per-round output buffer for rebuilding `crashed_list`.
-    churn_scratch: Vec<u32>,
+    /// The crash schedule and the currently crashed players.
+    churn: Churn,
     /// Crashed players that are not satisfied — with recovery disabled these
     /// are terminal, and the all-satisfied stop rule treats them as such.
     n_crashed_unsatisfied: u32,
@@ -119,7 +109,10 @@ impl std::fmt::Debug for Engine<'_> {
 }
 
 impl<'w> Engine<'w> {
-    /// Builds an engine for one execution.
+    /// Builds an engine for one execution: allocates the arena (board,
+    /// tracker, per-player planes) for `config` and `world`, then starts the
+    /// execution exactly as [`reset_with_world`](Engine::reset_with_world)
+    /// does on a reused arena.
     ///
     /// # Errors
     ///
@@ -135,6 +128,60 @@ impl<'w> Engine<'w> {
         adversary: Box<dyn Adversary>,
     ) -> Result<Self, SimError> {
         config.validate()?;
+        let m = world.m();
+        Self::check_world(&config, world, m)?;
+        let n = config.n_players;
+        let n_honest = config.n_honest as usize;
+        let best_probe = if world.model().has_local_testing() {
+            Vec::new()
+        } else {
+            vec![None; n_honest]
+        };
+        let seed = config.seed;
+        let mut engine = Engine {
+            world,
+            cohort,
+            adversary,
+            board: Billboard::new(n, m),
+            tracker: VoteTracker::new(n, m, config.policy),
+            satisfied: BitSet::new(n_honest),
+            n_satisfied: 0,
+            active_players: Vec::new(),
+            outcomes: vec![PlayerOutcome::new(); n_honest],
+            best_probe,
+            player_rngs: Vec::with_capacity(n_honest),
+            adv_rng: stream_rng(seed, Stream::Adversary),
+            dishonest: config.dishonest_players(),
+            satisfied_per_round: Vec::new(),
+            forged_rejected: 0,
+            trace: None,
+            round: Round(0),
+            rounds_executed: 0,
+            probe_buf: Vec::with_capacity(n_honest),
+            open_window_start: None,
+            faults_rng: stream_rng(seed, Stream::Faults),
+            churn: Churn::new(config.n_honest),
+            n_crashed_unsatisfied: 0,
+            fault_counters: FaultCounters::default(),
+            lagged_tracker: (config.faults.view_lag > 0)
+                .then(|| VoteTracker::new(n, m, config.policy)),
+            config,
+        };
+        engine.start(seed)?;
+        Ok(engine)
+    }
+
+    /// Checks `world` against `config` for an arena built for `m` objects:
+    /// the universe size, the object model against the vote mode (a top-β
+    /// world also needs a fixed horizon), and the pre-satisfied votes (an
+    /// honest author, and a good object inside the universe).
+    fn check_world(config: &SimConfig, world: &World, m: u32) -> Result<(), SimError> {
+        if world.m() != m {
+            return Err(SimError::InvalidConfig(format!(
+                "world has {} objects, engine arena was built for {m}",
+                world.m()
+            )));
+        }
         match (world.model(), config.policy.mode) {
             (ObjectModel::LocalTesting { .. }, VoteMode::LocalTesting) => {}
             (ObjectModel::TopBeta { .. }, VoteMode::BestValue) => {
@@ -159,7 +206,7 @@ impl<'w> Engine<'w> {
                     config.n_honest
                 )));
             }
-            if o.0 >= world.m() {
+            if o.0 >= m {
                 return Err(SimError::InvalidConfig(format!(
                     "pre-satisfied vote {o} out of range"
                 )));
@@ -171,116 +218,53 @@ impl<'w> Engine<'w> {
                 )));
             }
         }
-
-        let n = config.n_players;
-        let m = world.m();
-        let mut board = Billboard::new(n, m);
-        let mut tracker = VoteTracker::new(n, m, config.policy);
-        let n_honest = config.n_honest as usize;
-        let mut satisfied = BitSet::new(n_honest);
-        let mut outcomes = vec![PlayerOutcome::new(); n_honest];
-        let mut round = Round(0);
-
-        if !config.pre_satisfied.is_empty() {
-            for &(p, o) in &config.pre_satisfied {
-                board.append(Round(0), p, o, world.value(o), ReportKind::Positive)?;
-                satisfied.insert(p.index());
-                outcomes[p.index()].satisfied_round = Some(Round(0));
-            }
-            tracker.ingest(&board);
-            round = Round(1);
-        }
-
-        let player_rngs = (0..config.n_honest)
-            .map(|p| stream_rng(config.seed, Stream::Player(p)))
-            .collect();
-        let adv_rng = stream_rng(config.seed, Stream::Adversary);
-        let mut faults_rng = stream_rng(config.seed, Stream::Faults);
-        let mut crash_events = Vec::new();
-        Self::draw_crash_schedule(
-            &config.faults,
-            &mut faults_rng,
-            &mut crash_events,
-            config.n_honest,
-        );
-        let lagged_tracker =
-            (config.faults.view_lag > 0).then(|| VoteTracker::new(n, m, config.policy));
-        let dishonest = config.dishonest_players();
-        let trace = config.record_trace.then(Vec::new);
-        // lint: allow(cast) — count_ones over an n_honest-bit set, and
-        // n_honest is u32 by the id-space contract
-        let n_satisfied = satisfied.count_ones() as u32;
-        let active_players: Vec<u32> = (0..config.n_honest)
-            .filter(|&p| !satisfied.contains(p as usize))
-            .collect();
-        let curve_capacity = if config.record_satisfaction_curve {
-            Self::curve_capacity(&config.stop)
-        } else {
-            0
-        };
-        let best_probe = if world.model().has_local_testing() {
-            Vec::new()
-        } else {
-            vec![None; n_honest]
-        };
-
-        Ok(Engine {
-            config,
-            world,
-            cohort,
-            adversary,
-            board,
-            tracker,
-            satisfied,
-            n_satisfied,
-            active_players,
-            outcomes,
-            best_probe,
-            player_rngs,
-            adv_rng,
-            dishonest,
-            satisfied_per_round: Vec::with_capacity(curve_capacity),
-            forged_rejected: 0,
-            trace,
-            round,
-            rounds_executed: 0,
-            probe_buf: Vec::with_capacity(n_honest),
-            open_window_start: None,
-            faults_rng,
-            crash_events,
-            crash_cursor: 0,
-            crashed: BitSet::new(n_honest),
-            crashed_list: Vec::new(),
-            churn_scratch: Vec::new(),
-            n_crashed_unsatisfied: 0,
-            fault_counters: FaultCounters::default(),
-            lagged_tracker,
-        })
+        Ok(())
     }
 
-    /// Fills `out` with the predetermined crash events, one per player that
-    /// will ever crash, sorted by `(round, player)`. Coins are drawn in
-    /// ascending player order (the deterministic draw sequence: one coin per
-    /// player, plus a round draw only for crashers). `crash_rate` is the
-    /// probability of ever crashing; the crash round is uniform over
-    /// `[0, crash_window)`, which is what makes the effective honest fraction
-    /// α′ = α·(1 − crash_rate) once the window has passed.
-    fn draw_crash_schedule(
-        plan: &FaultPlan,
-        rng: &mut SmallRng,
-        out: &mut Vec<(u64, u32)>,
-        n_honest: u32,
-    ) {
-        out.clear();
-        if plan.crash_rate <= 0.0 {
-            return;
-        }
-        for p in 0..n_honest {
-            if rng.gen::<f64>() < plan.crash_rate {
-                out.push((rng.gen_range(0..plan.crash_window), p));
+    /// Starts an execution with `seed` on a clean arena: derives the RNG
+    /// streams, draws the crash schedule, seeds the pre-satisfied votes,
+    /// builds the active list and zeroes the run's counters.
+    fn start(&mut self, seed: u64) -> Result<(), SimError> {
+        let n_honest = self.config.n_honest;
+        self.config.seed = seed;
+        self.player_rngs.clear();
+        self.player_rngs
+            .extend((0..n_honest).map(|p| stream_rng(seed, Stream::Player(p))));
+        self.adv_rng = stream_rng(seed, Stream::Adversary);
+        self.faults_rng = stream_rng(seed, Stream::Faults);
+        self.churn
+            .start(&self.config.faults, &mut self.faults_rng, n_honest);
+        self.round = Round(0);
+        if !self.config.pre_satisfied.is_empty() {
+            for &(p, o) in &self.config.pre_satisfied {
+                self.board
+                    .append(Round(0), p, o, self.world.value(o), ReportKind::Positive)?;
+                self.satisfied.insert(p.index());
+                self.outcomes[p.index()].satisfied_round = Some(Round(0));
             }
+            self.tracker.ingest(&self.board);
+            self.round = Round(1);
         }
-        out.sort_unstable();
+        // lint: allow(cast) — count_ones over an n_honest-bit set, and
+        // n_honest is u32 by the id-space contract
+        self.n_satisfied = self.satisfied.count_ones() as u32;
+        let satisfied = &self.satisfied;
+        self.active_players.clear();
+        self.active_players
+            .extend((0..n_honest).filter(|&p| !satisfied.contains(p as usize)));
+        self.satisfied_per_round.clear();
+        if self.config.record_satisfaction_curve {
+            self.satisfied_per_round
+                .reserve(Self::curve_capacity(&self.config.stop));
+        }
+        self.n_crashed_unsatisfied = 0;
+        self.fault_counters = FaultCounters::default();
+        self.forged_rejected = 0;
+        self.trace = self.config.record_trace.then(Vec::new);
+        self.rounds_executed = 0;
+        self.probe_buf.clear();
+        self.open_window_start = None;
+        Ok(())
     }
 
     /// Capacity reserved up front for the per-round satisfaction curve, so a
@@ -394,6 +378,10 @@ impl<'w> Engine<'w> {
     /// [`reset`](Engine::reset), additionally swapping in a different world
     /// of the same universe size (per-trial worlds in a multi-trial sweep).
     ///
+    /// The world is checked against the config by the same function
+    /// [`new`](Engine::new) uses; the arena is then cleared in place and the
+    /// execution started by the same function as `new`'s.
+    ///
     /// # Errors
     /// Returns [`SimError::InvalidConfig`] if the new world's size or object
     /// model is incompatible with the engine's config, or if a pre-satisfied
@@ -405,37 +393,15 @@ impl<'w> Engine<'w> {
         cohort: Box<dyn Cohort>,
         adversary: Box<dyn Adversary>,
     ) -> Result<(), SimError> {
-        if world.m() != self.world.m() {
-            return Err(SimError::InvalidConfig(format!(
-                "reset world has {} objects, engine arena was built for {}",
-                world.m(),
-                self.world.m()
-            )));
-        }
-        match (world.model(), self.config.policy.mode) {
-            (ObjectModel::LocalTesting { .. }, VoteMode::LocalTesting) => {}
-            (ObjectModel::TopBeta { .. }, VoteMode::BestValue) => {}
-            (model, mode) => {
-                return Err(SimError::InvalidConfig(format!(
-                    "object model {model} is incompatible with vote mode {mode:?}"
-                )));
-            }
-        }
-        for &(p, o) in &self.config.pre_satisfied {
-            if !world.is_good(o) {
-                return Err(SimError::InvalidConfig(format!(
-                    "pre-satisfied player {p} holds vote for bad object {o}; honest votes are \
-                     truthful"
-                )));
-            }
-        }
-
-        self.config.seed = seed;
+        Self::check_world(&self.config, world, self.world.m())?;
         self.world = world;
         self.cohort = cohort;
         self.adversary = adversary;
         self.board.reset();
         self.tracker.reset();
+        if let Some(lt) = self.lagged_tracker.as_mut() {
+            lt.reset();
+        }
         let n_honest = self.config.n_honest as usize;
         self.satisfied.reset(n_honest);
         self.outcomes.clear();
@@ -444,55 +410,7 @@ impl<'w> Engine<'w> {
         if !world.model().has_local_testing() {
             self.best_probe.resize(n_honest, None);
         }
-        self.round = Round(0);
-        if !self.config.pre_satisfied.is_empty() {
-            for &(p, o) in &self.config.pre_satisfied {
-                self.board
-                    .append(Round(0), p, o, world.value(o), ReportKind::Positive)?;
-                self.satisfied.insert(p.index());
-                self.outcomes[p.index()].satisfied_round = Some(Round(0));
-            }
-            self.tracker.ingest(&self.board);
-            self.round = Round(1);
-        }
-        for (p, rng) in (0u32..).zip(self.player_rngs.iter_mut()) {
-            *rng = stream_rng(seed, Stream::Player(p));
-        }
-        self.adv_rng = stream_rng(seed, Stream::Adversary);
-        self.faults_rng = stream_rng(seed, Stream::Faults);
-        Self::draw_crash_schedule(
-            &self.config.faults,
-            &mut self.faults_rng,
-            &mut self.crash_events,
-            self.config.n_honest,
-        );
-        self.crash_cursor = 0;
-        self.crashed.reset(n_honest);
-        self.crashed_list.clear();
-        self.n_crashed_unsatisfied = 0;
-        self.fault_counters = FaultCounters::default();
-        if let Some(lt) = self.lagged_tracker.as_mut() {
-            lt.reset();
-        }
-        // lint: allow(cast) — count_ones over an n_honest-bit set, and
-        // n_honest is u32 by the id-space contract
-        self.n_satisfied = self.satisfied.count_ones() as u32;
-        let satisfied = &self.satisfied;
-        let n_honest_u32 = self.config.n_honest;
-        self.active_players.clear();
-        self.active_players
-            .extend((0..n_honest_u32).filter(|&p| !satisfied.contains(p as usize)));
-        self.satisfied_per_round.clear();
-        if self.config.record_satisfaction_curve {
-            self.satisfied_per_round
-                .reserve(Self::curve_capacity(&self.config.stop));
-        }
-        self.forged_rejected = 0;
-        self.trace = self.config.record_trace.then(Vec::new);
-        self.rounds_executed = 0;
-        self.probe_buf.clear();
-        self.open_window_start = None;
-        Ok(())
+        self.start(seed)
     }
 
     /// Executes a single round. Public for fine-grained tests.
@@ -518,7 +436,43 @@ impl<'w> Engine<'w> {
         // of the round, before anyone probes.
         let churn = self.config.faults.crash_rate > 0.0;
         if churn {
-            self.process_churn(round);
+            self.churn.advance(
+                round.as_u64(),
+                &self.config.faults,
+                &mut self.faults_rng,
+                &mut self.fault_counters,
+                |event| match event {
+                    ChurnEvent::Crashed(p) => {
+                        // Satisfied players can crash too (the machine dies
+                        // either way), but only unsatisfied crashes count
+                        // toward the terminal players of the stop rule.
+                        if !self.satisfied.contains(p as usize) {
+                            self.n_crashed_unsatisfied += 1;
+                        }
+                        let outcome = &mut self.outcomes[p as usize];
+                        if outcome.crash_round.is_none() {
+                            outcome.crash_round = Some(round);
+                        }
+                        if let Some(t) = self.trace.as_mut() {
+                            t.push(TraceEvent::PlayerCrashed {
+                                round,
+                                player: PlayerId(p),
+                            });
+                        }
+                    }
+                    ChurnEvent::Recovered(p) => {
+                        if !self.satisfied.contains(p as usize) {
+                            self.n_crashed_unsatisfied -= 1;
+                        }
+                        if let Some(t) = self.trace.as_mut() {
+                            t.push(TraceEvent::PlayerRecovered {
+                                round,
+                                player: PlayerId(p),
+                            });
+                        }
+                    }
+                },
+            );
         }
 
         // Honest reads may lag behind the billboard: bring the lagged vote
@@ -544,7 +498,7 @@ impl<'w> Engine<'w> {
             let directive = self.cohort.directive(&view);
             for idx in 0..self.active_players.len() {
                 let p = self.active_players[idx];
-                if churn && self.crashed.contains(p as usize) {
+                if churn && self.churn.is_crashed(p) {
                     continue;
                 }
                 let rng = &mut self.player_rngs[p as usize];
@@ -656,55 +610,26 @@ impl<'w> Engine<'w> {
                     good,
                 });
             }
-            if local_testing {
-                let kind = if good {
-                    ReportKind::Positive
-                } else if self.config.honest_error_rate > 0.0
-                    && self.player_rngs[p.index()].gen::<f64>() < self.config.honest_error_rate
-                {
-                    // §4.1: an honest player occasionally submits an
-                    // erroneous (positive) vote for a bad object by mistake.
-                    ReportKind::Positive
-                } else {
-                    ReportKind::Negative
-                };
-                if kind == ReportKind::Positive || self.config.post_negative_reports {
-                    // Fault injection may lose the post in transit; the probe
-                    // (and any satisfaction) already happened locally.
-                    let dropped = self.config.faults.drop_rate > 0.0
-                        && self.faults_rng.gen::<f64>() < self.config.faults.drop_rate;
-                    if dropped {
-                        self.fault_counters.posts_dropped += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.push(TraceEvent::PostDropped {
-                                round,
-                                player: p,
-                                object: probe.object,
-                            });
-                        }
-                    } else {
-                        self.board.append(round, p, probe.object, value, kind)?;
-                    }
-                }
-                if good {
-                    self.satisfied.insert(p.index());
-                    self.n_satisfied += 1;
-                    any_satisfied_this_round = true;
-                    outcome.satisfied_round = Some(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Satisfied {
-                            round,
-                            player: p,
-                            object: probe.object,
-                        });
-                    }
-                }
-            } else {
+            let kind = if !local_testing {
                 // §5.3: no local testing — every probe's true value is
                 // posted; the tracker derives best-value votes from it.
-                let dropped = self.config.faults.drop_rate > 0.0
-                    && self.faults_rng.gen::<f64>() < self.config.faults.drop_rate;
-                if dropped {
+                Some(ReportKind::Negative)
+            } else if good
+                || (self.config.honest_error_rate > 0.0
+                    && self.player_rngs[p.index()].gen::<f64>() < self.config.honest_error_rate)
+            {
+                // §4.1: an honest player occasionally submits an erroneous
+                // (positive) vote for a bad object by mistake.
+                Some(ReportKind::Positive)
+            } else {
+                self.config
+                    .post_negative_reports
+                    .then_some(ReportKind::Negative)
+            };
+            if let Some(kind) = kind {
+                // Fault injection may lose the post in transit; the probe
+                // (and any satisfaction) already happened locally.
+                if self.config.faults.drops_post(&mut self.faults_rng) {
                     self.fault_counters.posts_dropped += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEvent::PostDropped {
@@ -714,8 +639,20 @@ impl<'w> Engine<'w> {
                         });
                     }
                 } else {
-                    self.board
-                        .append(round, p, probe.object, value, ReportKind::Negative)?;
+                    self.board.append(round, p, probe.object, value, kind)?;
+                }
+            }
+            if local_testing && good {
+                self.satisfied.insert(p.index());
+                self.n_satisfied += 1;
+                any_satisfied_this_round = true;
+                self.outcomes[p.index()].satisfied_round = Some(round);
+                if let Some(t) = self.trace.as_mut() {
+                    t.push(TraceEvent::Satisfied {
+                        round,
+                        player: p,
+                        object: probe.object,
+                    });
                 }
             }
         }
@@ -729,11 +666,7 @@ impl<'w> Engine<'w> {
         // 4b: adversary posts, with transport-level author validation.
         let mut accepted = 0u32;
         for post in adv_posts {
-            let authorized = post.author.0 >= self.config.n_honest
-                && post.author.0 < self.config.n_players
-                && post.object.0 < m
-                && post.value.is_finite();
-            if !authorized {
+            if !post.is_admissible(self.config.n_honest, self.config.n_players, m) {
                 self.forged_rejected += 1;
                 continue;
             }
@@ -760,96 +693,6 @@ impl<'w> Engine<'w> {
         self.round = round.next();
         self.rounds_executed += 1;
         Ok(())
-    }
-
-    /// Applies this round's crash and recovery events (only called when the
-    /// fault plan has churn enabled).
-    ///
-    /// Crashes fire when the player's predetermined crash round is reached
-    /// (`<=` so schedules starting before a pre-satisfied run's first round
-    /// still fire); each event fires exactly once, so a recovered player
-    /// never re-crashes. Recovery is a per-round geometric draw. Satisfied
-    /// players can crash too (the machine dies either way) but only
-    /// unsatisfied crashes count toward the terminal-player total the stop
-    /// rule uses.
-    ///
-    /// The old flag-array walk cost O(n) per round; this merge walks only the
-    /// currently-crashed players (recovery coins, ascending — the exact coin
-    /// draw order of the old loop, which drew coins *only* for crashed
-    /// players) interleaved with the due crash events in player order, so the
-    /// trace and counter sequence is bit-identical at O(crashed + due).
-    // lint: hot
-    fn process_churn(&mut self, round: Round) {
-        let recovery = self.config.faults.recovery_rate;
-        let start = self.crash_cursor;
-        let mut end = start;
-        while end < self.crash_events.len() && self.crash_events[end].0 <= round.as_u64() {
-            end += 1;
-        }
-        self.crash_cursor = end;
-        if end - start > 1 {
-            // A batch from a single round is already player-sorted; one that
-            // spans several rounds (possible only on the first churn of a
-            // pre-seeded run, which starts past round 0) needs the player
-            // order restored.
-            self.crash_events[start..end].sort_unstable_by_key(|&(_, p)| p);
-        }
-        if end == start && self.crashed_list.is_empty() {
-            return;
-        }
-        let mut next_list = std::mem::take(&mut self.churn_scratch);
-        next_list.clear();
-        let mut ci = 0;
-        let mut di = start;
-        loop {
-            let next_crashed = self.crashed_list.get(ci).copied();
-            let next_due = (di < end).then(|| self.crash_events[di].1);
-            let crash_now = match (next_crashed, next_due) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(c), Some(d)) => d < c,
-            };
-            if crash_now {
-                let p = self.crash_events[di].1;
-                di += 1;
-                self.crashed.insert(p as usize);
-                if !self.satisfied.contains(p as usize) {
-                    self.n_crashed_unsatisfied += 1;
-                }
-                self.fault_counters.crashes += 1;
-                if self.outcomes[p as usize].crash_round.is_none() {
-                    self.outcomes[p as usize].crash_round = Some(round);
-                }
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::PlayerCrashed {
-                        round,
-                        player: PlayerId(p),
-                    });
-                }
-                next_list.push(p);
-            } else {
-                let p = self.crashed_list[ci];
-                ci += 1;
-                if recovery > 0.0 && self.faults_rng.gen::<f64>() < recovery {
-                    self.crashed.remove(p as usize);
-                    if !self.satisfied.contains(p as usize) {
-                        self.n_crashed_unsatisfied -= 1;
-                    }
-                    self.fault_counters.recoveries += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::PlayerRecovered {
-                            round,
-                            player: PlayerId(p),
-                        });
-                    }
-                } else {
-                    next_list.push(p);
-                }
-            }
-        }
-        std::mem::swap(&mut self.crashed_list, &mut next_list);
-        self.churn_scratch = next_list;
     }
 
     fn advice_probe(
@@ -931,6 +774,7 @@ mod tests {
     use super::*;
     use crate::adversary::{DishonestPost, NullAdversary};
     use crate::cohort::{CandidateSet, PhaseInfo};
+    use crate::faults::FaultPlan;
     use distill_billboard::VotePolicy;
 
     /// Probe uniformly at random every round.

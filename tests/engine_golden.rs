@@ -18,7 +18,7 @@ use distill::sim::async_engine::{
 };
 use distill::sim::{
     Adversary, CandidateSet, Cohort, Directive, FaultPlan, InfoModel, Participation, PhaseInfo,
-    SimConfig, StopRule,
+    ServicePlan, SimConfig, StopRule,
 };
 
 /// FNV-1a over the full `Debug` rendering of a result. `Debug` for these
@@ -207,12 +207,35 @@ fn run_scenario(name: &str) -> u64 {
                 .with_crash_rate(0.3)
                 .with_crash_window(64)
                 .with_recovery_rate(0.1),
+            None,
         )),
+        "async_round_robin_faulted_service" => {
+            // The one fault combination no other pin covers: crash churn,
+            // drops and lagged reads while every post travels through the
+            // batched, delayed service transport.
+            digest(&run_async(
+                Box::new(RoundRobin::default()),
+                Box::new(BalanceStep::new()),
+                912,
+                FaultPlan::none()
+                    .with_drop_rate(0.2)
+                    .with_view_lag(3)
+                    .with_crash_rate(0.3)
+                    .with_crash_window(64)
+                    .with_recovery_rate(0.1),
+                Some(
+                    ServicePlan::new(3)
+                        .with_batch_posts(4)
+                        .with_max_delivery_delay(5),
+                ),
+            ))
+        }
         "async_isolate_plain" => digest(&run_async(
             Box::new(Isolate::new(PlayerId(0))),
             Box::new(BalanceStep::new()),
             910,
             FaultPlan::none(),
+            None,
         )),
         "async_random_faulted" => digest(&run_async(
             Box::new(RandomSchedule),
@@ -222,6 +245,7 @@ fn run_scenario(name: &str) -> u64 {
                 .with_crash_rate(0.5)
                 .with_crash_window(32)
                 .with_recovery_rate(0.25),
+            None,
         )),
         other => panic!("unknown scenario {other}"),
     }
@@ -232,9 +256,10 @@ fn run_async(
     policy: Box<dyn StepPolicy>,
     seed: u64,
     faults: FaultPlan,
+    service: Option<ServicePlan>,
 ) -> distill::sim::async_engine::AsyncResult {
     let world = World::binary(64, 4, 3).expect("world");
-    AsyncEngine::new(
+    let engine = AsyncEngine::new(
         24,
         20,
         seed,
@@ -246,7 +271,11 @@ fn run_async(
     )
     .expect("engine")
     .with_faults(faults)
-    .expect("faults")
+    .expect("faults");
+    match service {
+        Some(plan) => engine.with_service(plan).expect("service"),
+        None => engine,
+    }
     .run()
     .expect("run")
 }
@@ -255,7 +284,10 @@ fn run_async(
 /// three async pins were re-recorded when `AsyncResult` gained the
 /// `service` counters field: the run itself is unchanged — stripping
 /// `, service: None` from the new rendering reproduces the old digests
-/// bit for bit — but `Debug` now prints the extra field.
+/// bit for bit — but `Debug` now prints the extra field. The
+/// `async_round_robin_faulted_service` pin was recorded from the engines
+/// that still kept one copy of the fault layer each, before they came to
+/// share `sim::faults`.
 const PINS: &[(&str, u64)] = &[
     ("plain_distill", 0xc76af13208f9fe6a),
     ("tally_scan_path", 0xc76af13208f9fe6a),
@@ -268,6 +300,7 @@ const PINS: &[(&str, u64)] = &[
     ("strongly_adaptive", 0xbcae30ab42f2088a),
     ("best_value_horizon", 0x0b2f55a720753a71),
     ("async_round_robin_faulted", 0x1de2f618bdfe2335),
+    ("async_round_robin_faulted_service", 0x07cfe72cdd27bae0),
     ("async_isolate_plain", 0xfbcd6a8be9046b3b),
     ("async_random_faulted", 0x3c4ac0f7a5af49e5),
 ];
