@@ -94,7 +94,11 @@ fn filled_checkpoint(trials: u64) -> Checkpoint {
     Checkpoint {
         fingerprint: report.fingerprint,
         total_trials: trials,
-        completed: report.results,
+        completed: report
+            .results
+            .into_iter()
+            .map(|(t, r)| (t, Arc::new(r)))
+            .collect(),
     }
 }
 

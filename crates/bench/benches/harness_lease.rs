@@ -28,6 +28,7 @@ use distill_harness::{
     SweepConfig, TrialSpec, WorkerConfig, Writer,
 };
 use distill_sim::{Engine, NullAdversary, SimConfig, SimResult, StopRule, World};
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -83,13 +84,13 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("distill-bench-{}-{name}", std::process::id()))
 }
 
-/// Byte digest of a result set: the bit-identity oracle shared with
-/// `tests/cluster_fabric.rs`.
-fn digest(results: &[(u64, SimResult)]) -> Vec<u8> {
+/// Byte digest of a result set, owned or as a checkpoint shares it: the
+/// bit-identity oracle shared with `tests/cluster_fabric.rs`.
+fn digest<R: Borrow<SimResult>>(results: &[(u64, R)]) -> Vec<u8> {
     let mut w = Writer::new();
     for (t, r) in results {
         w.put_u64(*t);
-        encode_sim_result(&mut w, r);
+        encode_sim_result(&mut w, r.borrow());
     }
     w.into_bytes()
 }

@@ -651,7 +651,9 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
 /// The `--out` digest file: one line per completed trial with the FNV-1a
 /// hash of its encoded `SimResult`, so CI can diff a resumed or fabric
 /// sweep against an uninterrupted reference byte-for-byte.
-fn digest_lines(results: &[(u64, distill_sim::SimResult)]) -> String {
+fn digest_lines<'a>(
+    results: impl IntoIterator<Item = (u64, &'a distill_sim::SimResult)>,
+) -> String {
     let mut text = String::new();
     for (trial, result) in results {
         let mut w = distill_harness::Writer::new();
@@ -744,7 +746,8 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     };
 
     if let Some(path) = &out_path {
-        std::fs::write(path, digest_lines(&report.results))
+        let results = report.results.iter().map(|(trial, r)| (*trial, r));
+        std::fs::write(path, digest_lines(results))
             .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
 
@@ -1095,20 +1098,24 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     )
     .map_err(|e| err(e.to_string()))?;
 
-    // Set-union merge of every worker checkpoint that exists. Racing or
-    // duplicated workers are fine: duplicated trials must be bit-identical
-    // (determinism), and `merge_checkpoints` hard-errors if they are not.
-    // A worker killed mid-append, and not restarted since, leaves a torn
-    // last frame; it holds no trial of a chunk marked done, so the merge
-    // drops it. Any other damage is an error.
+    // Set-union merge of every worker checkpoint of the queue, whichever
+    // fleet or lone `sweep-worker` wrote it: the queue marks their chunks
+    // done. Racing or duplicated workers are fine: duplicated trials must
+    // be bit-identical (determinism), and `merge_checkpoints` hard-errors
+    // if they are not. A worker killed mid-append, and not restarted
+    // since, leaves a torn last frame; it holds no trial of a chunk marked
+    // done, so the merge drops it. Any other damage is an error.
+    let logs = distill_harness::worker_checkpoint_paths(&queue).map_err(|e| {
+        err(format!(
+            "listing the worker checkpoints of {}: {e}",
+            queue.display()
+        ))
+    })?;
     let mut parts = Vec::new();
-    for id in 0..workers {
-        let path = distill_harness::worker_checkpoint_path(&queue, id);
-        if path.exists() {
-            let part = distill_harness::Checkpoint::load_after_crash(&path)
-                .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?;
-            parts.extend(part);
-        }
+    for (id, path) in logs {
+        let part = distill_harness::Checkpoint::load_after_crash(&path)
+            .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?;
+        parts.extend(part);
     }
     if parts.is_empty() {
         return Err(err(
@@ -1118,7 +1125,8 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let merged = distill_harness::merge_checkpoints(&parts).map_err(|e| err(e.to_string()))?;
 
     if let Some(path) = &out_path {
-        std::fs::write(path, digest_lines(&merged.completed))
+        let results = merged.completed.iter().map(|(trial, r)| (*trial, &**r));
+        std::fs::write(path, digest_lines(results))
             .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
     if let Some(path) = &merged_path {
@@ -2189,7 +2197,7 @@ mod tests {
         let merged = distill_harness::merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 6);
         assert_eq!(
-            digest_lines(&merged.completed),
+            digest_lines(merged.completed.iter().map(|(t, r)| (*t, &**r))),
             std::fs::read_to_string(&out_ref).unwrap(),
             "fabric merge must be bit-identical to the single-process sweep"
         );
@@ -2452,7 +2460,10 @@ mod tests {
         };
         let sweep = distill_harness::run_sweep(std::sync::Arc::new(spec), &config).unwrap();
         assert_eq!(run.len(), 6);
-        assert_eq!(digest_lines(&run), digest_lines(&sweep.results));
+        let digests = |results: &[(u64, distill_sim::SimResult)]| {
+            digest_lines(results.iter().map(|(t, r)| (*t, r)))
+        };
+        assert_eq!(digests(&run), digests(&sweep.results));
     }
 
     #[test]

@@ -160,3 +160,40 @@ fn single_worker_process_drains_the_queue() {
     assert!(out.contains("true"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `sweep-supervise` merges every worker log of its queue, not only those
+/// of its own `--workers` slots: here a lone `sweep-worker --worker-id 5`
+/// drained the queue, so a 2-slot supervisor spawns nothing and must still
+/// find worker 5's log to complete the sweep.
+#[test]
+fn supervisor_merges_logs_of_worker_ids_beyond_its_fleet() {
+    let dir = tmp_dir("foreign-id");
+    let reference = reference_digests(&dir);
+    let queue = dir.join("sweep.queue");
+    let queue_s = queue.display().to_string();
+    let digests = dir.join("cluster.digests");
+    let digests_s = digests.display().to_string();
+
+    let mut args = vec!["sweep-worker", "--queue", &queue_s, "--worker-id", "5"];
+    args.extend_from_slice(SPEC);
+    args.extend_from_slice(&["--chunk", "2"]);
+    let out = run_ok(&args);
+    assert!(out.contains("true"), "worker 5 must drain the queue: {out}");
+
+    let mut args = vec!["sweep-supervise", "--queue", &queue_s];
+    args.extend_from_slice(SPEC);
+    args.extend_from_slice(&[
+        "--workers",
+        "2",
+        "--chunk",
+        "2",
+        "--poll-ms",
+        "10",
+        "--out",
+        &digests_s,
+    ]);
+    let out = run_ok(&args);
+    assert!(out.contains("10/10"), "{out}");
+    assert_eq!(std::fs::read_to_string(&digests).unwrap(), reference);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -17,6 +17,9 @@
 //! 1's 42. Version 1 files are refused with
 //! [`FrameError::UnsupportedVersion`]; no older reader is kept.
 //!
+//! A decoded [`Checkpoint`] holds each result behind one [`Arc`], so the
+//! merge of worker checkpoints shares results rather than copying them.
+//!
 //! Decoding is total: truncation, bit flips, version skew, and config
 //! mismatches all yield a typed [`CheckpointError`] (property-tested in
 //! `tests/checkpoint_corruption.rs`), never a panic and never a silently
@@ -46,6 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// File magic: identifies a distill sweep checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
@@ -143,8 +147,9 @@ pub struct Checkpoint {
     pub fingerprint: u64,
     /// The sweep's total trial count.
     pub total_trials: u64,
-    /// Completed trials, strictly ascending by index.
-    pub completed: Vec<(u64, SimResult)>,
+    /// Completed trials, strictly ascending by index. Each result is
+    /// shared, so a merged checkpoint and its parts hold the same results.
+    pub completed: Vec<(u64, Arc<SimResult>)>,
 }
 
 /// The one frame encoder: `put` writes each entry's result, from a
@@ -174,7 +179,7 @@ fn read_frame(r: &mut Reader<'_>) -> Result<Checkpoint, CodecError> {
     let count = r.seq_len(8)?;
     let mut completed = Vec::with_capacity(count);
     for _ in 0..count {
-        completed.push((r.u64()?, decode_sim_result(r)?));
+        completed.push((r.u64()?, Arc::new(decode_sim_result(r)?)));
     }
     Ok(Checkpoint {
         fingerprint,
@@ -189,7 +194,7 @@ impl Checkpoint {
         let completed = self
             .completed
             .iter()
-            .map(|(trial, result)| (*trial, result));
+            .map(|(trial, result)| (*trial, &**result));
         encode_frame(
             self.fingerprint,
             self.total_trials,
@@ -257,7 +262,7 @@ impl Checkpoint {
         &self,
         fingerprint: u64,
         total_trials: u64,
-        earlier: &BTreeMap<u64, SimResult>,
+        earlier: &BTreeMap<u64, Arc<SimResult>>,
     ) -> Result<(), CheckpointError> {
         self.validate_for(fingerprint, total_trials)?;
         let mut prev: Option<u64> = None;
@@ -427,7 +432,13 @@ impl CheckpointLog {
         if let Some(ck) = &intact {
             ck.validate_for(fingerprint, total_trials)?;
         }
-        let completed = intact.map_or_else(Vec::new, |ck| ck.completed);
+        // Decoding gave each result its only reference, so each moves out
+        // of its `Arc` without a copy.
+        let completed: Vec<(u64, SimResult)> = intact
+            .into_iter()
+            .flat_map(|ck| ck.completed)
+            .filter_map(|(trial, result)| Some((trial, Arc::into_inner(result)?)))
+            .collect();
         match damage {
             None => return Ok((log, completed)),
             Some(e) if is_torn(&bytes, &e) => {}
@@ -904,11 +915,16 @@ mod tests {
             fingerprint: 0xFEED_FACE_CAFE_BEEF,
             total_trials: 8,
             completed: vec![
-                (0, sample_result(0)),
-                (2, sample_result(2)),
-                (5, sample_result(5)),
+                (0, Arc::new(sample_result(0))),
+                (2, Arc::new(sample_result(2))),
+                (5, Arc::new(sample_result(5))),
             ],
         }
+    }
+
+    /// Results a log resumed, as a checkpoint holds them.
+    fn shared(results: Vec<(u64, SimResult)>) -> Vec<(u64, Arc<SimResult>)> {
+        results.into_iter().map(|(t, r)| (t, Arc::new(r))).collect()
     }
 
     #[test]
@@ -921,7 +937,7 @@ mod tests {
     #[test]
     fn nan_costs_round_trip_bit_identically() {
         let mut ck = sample_checkpoint();
-        ck.completed[0].1.players[0].cost_paid = f64::NAN;
+        Arc::make_mut(&mut ck.completed[0].1).players[0].cost_paid = f64::NAN;
         let bytes = ck.encode();
         let decoded = Checkpoint::decode(&bytes).unwrap();
         // NaN != NaN defeats PartialEq; compare at the bit level via re-encode.
@@ -1051,7 +1067,7 @@ mod tests {
         assert!(push(&mut log, 0), "the cadence appends");
         assert!(!push(&mut log, 1));
         assert!(log.append().unwrap());
-        let frame = |completed: Vec<(u64, SimResult)>| {
+        let frame = |completed: Vec<(u64, Arc<SimResult>)>| {
             Checkpoint {
                 completed,
                 ..ck.clone()
@@ -1103,14 +1119,14 @@ mod tests {
         );
 
         let (mut log, resumed) = CheckpointLog::resume(&path, fp, total, 1, unreachable).unwrap();
-        assert_eq!(resumed, kept.completed);
+        assert_eq!(shared(resumed), kept.completed);
         assert_eq!(std::fs::read(&path).unwrap(), kept.encode());
         assert!(log.push(ck.completed[2].0, &ck.completed[2].1).unwrap());
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
 
         // An intact log resumes as it is.
         let (_, resumed) = CheckpointLog::resume(&path, fp, total, 1, unreachable).unwrap();
-        assert_eq!(resumed, ck.completed);
+        assert_eq!(shared(resumed), ck.completed);
 
         // A writer that died in its first append leaves no whole frame.
         for torn in [&whole[..0], &whole[..10], &whole[..40]] {
@@ -1161,7 +1177,7 @@ mod tests {
             })
             .unwrap();
             assert!(seen.is_some());
-            assert_eq!(resumed, kept);
+            assert_eq!(shared(resumed), kept);
             assert_eq!(Checkpoint::load(&path).unwrap().completed, kept);
         }
 

@@ -81,6 +81,6 @@ pub use sweep::{
     fingerprint_of, run_sweep, run_sweep_with, SweepConfig, SweepError, SweepReport, TrialSpec,
 };
 pub use worker::{
-    run_worker, supervise_workers, system_clock, worker_checkpoint_path, ClockFn, FleetConfig,
-    FleetReport, WorkerConfig, WorkerError, WorkerReport,
+    run_worker, supervise_workers, system_clock, worker_checkpoint_path, worker_checkpoint_paths,
+    ClockFn, FleetConfig, FleetReport, WorkerConfig, WorkerError, WorkerReport,
 };

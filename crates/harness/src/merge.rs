@@ -19,12 +19,17 @@
 //! workers whose partial results cover the same trials produce
 //! bit-identical merged files no matter the merge order. That is what the
 //! cluster-crash CI job diffs against a single-process reference sweep.
+//!
+//! The output shares each result with the part it came from: the merge
+//! clones an [`Arc`], never a [`SimResult`], so a merged checkpoint costs
+//! one pointer per trial beside the parts that are still held.
 
 use crate::checkpoint::{encode_sim_result, Checkpoint};
 use crate::codec::Writer;
 use distill_sim::SimResult;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why per-worker checkpoints could not be merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,10 +99,12 @@ fn result_bytes(result: &SimResult) -> Vec<u8> {
 /// Merges per-worker checkpoints by set-union on trial index.
 ///
 /// All inputs must share one fingerprint and trial count. Duplicate trials
-/// are verified bit-identical through the canonical result encoding. The
-/// output checkpoint lists trials strictly ascending, so the merge result
-/// is a pure function of the *set* of completed trials — independent of
-/// input order, worker count, or how the work was interleaved.
+/// are verified bit-identical through the canonical result encoding, unless
+/// both are the same shared result. The output checkpoint lists trials
+/// strictly ascending, so the merge result is a pure function of the *set*
+/// of completed trials — independent of input order, worker count, or how
+/// the work was interleaved. Each output result is the first part's
+/// [`Arc`] for that trial.
 ///
 /// # Errors
 /// [`MergeError::Empty`] with no inputs, the mismatch variants when inputs
@@ -122,12 +129,12 @@ pub fn merge_checkpoints(parts: &[Checkpoint]) -> Result<Checkpoint, MergeError>
         }
     }
     // The union borrows each trial's first occurrence; only a trial seen
-    // again is encoded, and only the merged output is cloned.
-    let mut union: BTreeMap<u64, &SimResult> = BTreeMap::new();
+    // again in another result is encoded.
+    let mut union: BTreeMap<u64, &Arc<SimResult>> = BTreeMap::new();
     for part in parts {
         for (trial, result) in &part.completed {
             let first = *union.entry(*trial).or_insert(result);
-            if !std::ptr::eq(first, result) && result_bytes(first) != result_bytes(result) {
+            if !Arc::ptr_eq(first, result) && result_bytes(first) != result_bytes(result) {
                 return Err(MergeError::Conflict { trial: *trial });
             }
         }
@@ -135,7 +142,7 @@ pub fn merge_checkpoints(parts: &[Checkpoint]) -> Result<Checkpoint, MergeError>
     Ok(Checkpoint {
         fingerprint: first.fingerprint,
         total_trials: first.total_trials,
-        completed: union.into_iter().map(|(t, r)| (t, r.clone())).collect(),
+        completed: union.into_iter().map(|(t, r)| (t, Arc::clone(r))).collect(),
     })
 }
 
@@ -167,7 +174,20 @@ mod tests {
         Checkpoint {
             fingerprint: 0xABCD,
             total_trials: 10,
-            completed: trials.iter().map(|&t| (t, result(t))).collect(),
+            completed: trials.iter().map(|&t| (t, Arc::new(result(t)))).collect(),
+        }
+    }
+
+    /// Asserts that every merged result is the `Arc` of the first part
+    /// holding its trial: the merge shared it rather than copying it.
+    fn assert_shared(merged: &Checkpoint, parts: &[Checkpoint]) {
+        for (trial, result) in &merged.completed {
+            let (_, source) = parts
+                .iter()
+                .flat_map(|p| &p.completed)
+                .find(|(t, _)| t == trial)
+                .unwrap();
+            assert!(Arc::ptr_eq(result, source), "trial {trial} was copied");
         }
     }
 
@@ -176,11 +196,13 @@ mod tests {
         let a = part(&[0, 3, 7]);
         let b = part(&[1, 5]);
         let c = part(&[2, 9]);
-        let merged = merge_checkpoints(&[a.clone(), b.clone(), c.clone()]).unwrap();
+        let parts = [a.clone(), b.clone(), c.clone()];
+        let merged = merge_checkpoints(&parts).unwrap();
         assert_eq!(
             merged.completed.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 5, 7, 9]
         );
+        assert_shared(&merged, &parts);
         // Input order must not matter: byte-identical output either way.
         let reordered = merge_checkpoints(&[c, a, b]).unwrap();
         assert_eq!(merged.encode(), reordered.encode());
@@ -190,28 +212,32 @@ mod tests {
     fn duplicates_with_identical_bits_union_cleanly() {
         let a = part(&[0, 1, 2]);
         let b = part(&[1, 2, 3]); // overlap from a reclaimed lease
-        let merged = merge_checkpoints(&[a, b]).unwrap();
+        let parts = [a, b];
+        let merged = merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 4);
+        assert_shared(&merged, &parts);
     }
 
     #[test]
     fn nan_results_union_bit_identically() {
         let mut a = part(&[0]);
-        a.completed[0].1.notes[0].1 = f64::NAN;
+        Arc::make_mut(&mut a.completed[0].1).notes[0].1 = f64::NAN;
         let mut b = part(&[0, 1]);
-        b.completed[0].1.notes[0].1 = f64::NAN;
+        Arc::make_mut(&mut b.completed[0].1).notes[0].1 = f64::NAN;
         // PartialEq would say NaN != NaN; the canonical-bytes comparison
         // must recognise the results as identical.
-        let merged = merge_checkpoints(&[a, b]).unwrap();
+        let parts = [a, b];
+        let merged = merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 2);
         assert!(merged.completed[0].1.notes[0].1.is_nan());
+        assert_shared(&merged, &parts);
     }
 
     #[test]
     fn conflicting_duplicates_are_refused() {
         let a = part(&[0, 1]);
         let mut b = part(&[1]);
-        b.completed[0].1.rounds = 999; // determinism violation
+        Arc::make_mut(&mut b.completed[0].1).rounds = 999; // determinism violation
         assert_eq!(
             merge_checkpoints(&[a, b]),
             Err(MergeError::Conflict { trial: 1 })
@@ -241,6 +267,7 @@ mod tests {
         let a = part(&[4, 6]);
         let merged = merge_checkpoints(std::slice::from_ref(&a)).unwrap();
         assert_eq!(merged, a);
+        assert_shared(&merged, &[a]);
     }
 
     #[test]

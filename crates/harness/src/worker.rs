@@ -114,6 +114,36 @@ pub fn worker_checkpoint_path(queue: &Path, worker_id: u64) -> PathBuf {
     PathBuf::from(s)
 }
 
+/// Every worker checkpoint log beside `queue`, whatever its worker id:
+/// the files named `<queue>.worker<digits>.ckpt`, with their ids, in
+/// ascending order. A writer's scratch files (`<log>.tmp…`) never match.
+///
+/// # Errors
+/// The I/O error of listing the queue's directory.
+pub fn worker_checkpoint_paths(queue: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let dir = queue
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    let mut prefix = queue.file_name().unwrap_or_default().to_owned();
+    prefix.push(".worker");
+    let mut logs = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let id = path
+            .file_name()
+            .unwrap_or_default()
+            .as_encoded_bytes()
+            .strip_prefix(prefix.as_encoded_bytes())
+            .and_then(|rest| rest.strip_suffix(b".ckpt"))
+            .filter(|digits| digits.iter().all(u8::is_ascii_digit))
+            .and_then(|digits| std::str::from_utf8(digits).ok()?.parse().ok());
+        logs.extend(id.map(|id| (id, path)));
+    }
+    logs.sort_unstable();
+    Ok(logs)
+}
+
 /// Options for one fabric worker.
 #[derive(Clone)]
 pub struct WorkerConfig {
@@ -801,7 +831,11 @@ mod tests {
         Checkpoint {
             fingerprint: report.fingerprint,
             total_trials: trials,
-            completed: report.results,
+            completed: report
+                .results
+                .into_iter()
+                .map(|(t, r)| (t, Arc::new(r)))
+                .collect(),
         }
     }
 
@@ -1138,7 +1172,7 @@ mod tests {
         // Half of the frame a killed worker was appending for trial 8.
         let path = worker_checkpoint_path(&queue, 6);
         let torn = Checkpoint {
-            completed: vec![(8, SynthSpec { tag: 23 }.run_trial(8))],
+            completed: vec![(8, Arc::new(SynthSpec { tag: 23 }.run_trial(8)))],
             ..reference_results(23, 12)
         }
         .encode();
@@ -1224,6 +1258,37 @@ mod tests {
             WorkerError::Lease(LeaseError::Frame(FrameError::Io { .. }))
         ));
         assert_eq!(rebuilds, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The listing finds every id's log, however many workers a fleet had,
+    /// and nothing else: not scratch files, other queues' logs, or names
+    /// without a worker id.
+    #[test]
+    fn worker_checkpoint_paths_lists_every_log_of_the_queue() {
+        let dir = scratch("listing");
+        let queue = dir.join("sweep.queue");
+        assert_eq!(worker_checkpoint_paths(&queue).unwrap(), []);
+        for name in [
+            "sweep.queue.worker0.ckpt",
+            "sweep.queue.worker12.ckpt",
+            "sweep.queue.worker5.ckpt",
+            "sweep.queue.worker5.ckpt.tmp.4242",
+            "sweep.queue.worker3.ckpt.tmp",
+            "sweep.queue.worker+8.ckpt",
+            "sweep.queue.worker.ckpt",
+            "sweep.queue.workerx.ckpt",
+            "other.queue.worker1.ckpt",
+            "sweep.queue",
+        ] {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        let logs = worker_checkpoint_paths(&queue).unwrap();
+        assert_eq!(
+            logs,
+            [0, 5, 12].map(|id| (id, worker_checkpoint_path(&queue, id)))
+        );
+        assert!(worker_checkpoint_paths(&dir.join("missing").join("q")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,9 +9,13 @@
 //! heap acquisitions per round** (PR 3 tentpole; `cargo bench` reports the
 //! same number under `alloc/steady_state_round`). Since no vote lands in that
 //! shape, a tracker-level gate below also drives a voted set that changes on
-//! every ingest.
+//! every ingest. A last gate holds the merge of worker checkpoints to
+//! sharing their results rather than copying them.
 
 use distill::prelude::*;
+use distill::sim::PlayerOutcome;
+use distill_harness::{merge_checkpoints, Checkpoint};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
@@ -180,4 +184,58 @@ fn changing_voted_set_ingest_is_allocation_free() {
             );
         }
     }
+}
+
+/// Two disjoint 8-trial worker checkpoints, even and odd trials, whose
+/// results each hold `players` player rows.
+fn worker_parts(players: usize) -> [Checkpoint; 2] {
+    let row = PlayerOutcome {
+        probes: 3,
+        cost_paid: 3.0,
+        satisfied_round: Some(Round(2)),
+        advice_probes: 1,
+        explore_probes: 2,
+        crash_round: None,
+    };
+    let part = |parity: u64| Checkpoint {
+        fingerprint: 0xF00D,
+        total_trials: 16,
+        completed: (0..8)
+            .map(|i| {
+                let result = SimResult {
+                    rounds: 3,
+                    all_satisfied: true,
+                    players: vec![row; players],
+                    satisfied_per_round: Vec::new(),
+                    posts_total: 0,
+                    forged_rejected: 0,
+                    notes: Vec::new(),
+                    final_eval: None,
+                    faults: FaultCounters::default(),
+                    trace: None,
+                };
+                (2 * i + parity, Arc::new(result))
+            })
+            .collect(),
+    };
+    [part(0), part(1)]
+}
+
+/// The merge shares every result with the part it came from, so what it
+/// allocates (the union's map and the merged list) does not grow with the
+/// results: 16 player rows per result cost the same bytes as 4,096.
+#[test]
+fn checkpoint_merge_allocates_independently_of_result_size() {
+    let merge_bytes = |players: usize| {
+        let parts = worker_parts(players);
+        let (delta, merged) = alloc_count::measure(|| merge_checkpoints(&parts));
+        assert_eq!(merged.expect("merge").completed.len(), 16);
+        delta.bytes
+    };
+    let (small, large) = (merge_bytes(16), merge_bytes(4_096));
+    assert!(
+        small > 0,
+        "the merge allocated nothing: is the counter live?"
+    );
+    assert_eq!(small, large, "the merge copies results");
 }

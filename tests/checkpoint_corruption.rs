@@ -12,6 +12,7 @@ use distill_harness::{
 };
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A `u64` that is small (0..300, as most counts in a real sweep are), on a
 /// varint length boundary, or anything, each about a third of the time.
@@ -183,10 +184,10 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
     )
         .prop_map(|(fingerprint, results, extra)| {
             // Strictly ascending trial indices inside a valid total.
-            let completed: Vec<(u64, SimResult)> = results
+            let completed: Vec<(u64, Arc<SimResult>)> = results
                 .into_iter()
                 .enumerate()
-                .map(|(i, r)| (2 * i as u64, r))
+                .map(|(i, r)| (2 * i as u64, Arc::new(r)))
                 .collect();
             let max_trial = completed.last().map_or(0, |(t, _)| *t);
             Checkpoint {
@@ -373,7 +374,7 @@ proptest! {
             _ => None,
         };
         prop_assert_eq!(torn_at, Some(start));
-        let mut before: Vec<(u64, SimResult)> =
+        let mut before: Vec<(u64, Arc<SimResult>)> =
             parts[..k].iter().flat_map(|p| p.completed.clone()).collect();
         before.sort_by_key(|&(trial, _)| trial);
         let expected = (k > 0).then(|| Checkpoint { completed: before, ..ck.clone() }.encode());
@@ -466,7 +467,7 @@ fn nan_results_survive_a_checkpoint_round_trip() {
     let ck = Checkpoint {
         fingerprint: 1,
         total_trials: 1,
-        completed: vec![(0, result)],
+        completed: vec![(0, Arc::new(result))],
     };
     let decoded = Checkpoint::decode(&ck.encode()).expect("decodes");
     let (_, r) = &decoded.completed[0];

@@ -14,6 +14,7 @@ use distill_harness::{
     SupervisorPolicy, SweepConfig, TrialSpec, WorkerConfig,
 };
 use distill_sim::SimResult;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,12 +100,12 @@ fn reference(trials: u64) -> Vec<(u64, SimResult)> {
     report.results
 }
 
-fn digest_of(results: &[(u64, SimResult)]) -> Vec<(u64, u64)> {
+fn digest_of<R: Borrow<SimResult>>(results: &[(u64, R)]) -> Vec<(u64, u64)> {
     results
         .iter()
         .map(|(t, r)| {
             let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, r);
+            distill_harness::checkpoint::encode_sim_result(&mut w, r.borrow());
             (*t, distill_harness::fnv1a64(&w.into_bytes()))
         })
         .collect()

@@ -1,7 +1,10 @@
-//! The on-disk bytes of the three harness formats are pinned: the committed
-//! experiment store re-encodes to itself, and a fixed checkpoint, the same
-//! checkpoint appended as a two-frame log, and a fixed lease queue encode to
-//! recorded FNV-1a digests. Any change to the shared
+//! The on-disk bytes of the three harness formats are pinned: the
+//! experiment store as first seeded, frozen in
+//! `tests/fixtures/history_store_seed.store`, re-encodes to itself, and a
+//! fixed checkpoint, the same checkpoint appended as a two-frame log, and a
+//! fixed lease queue encode to recorded FNV-1a digests. The committed
+//! store grows with every appended run, so it is only held to re-encoding
+//! to itself and keeping every seed record. Any change to the shared
 //! frame or to a payload schema that moves a byte fails here, so a format
 //! change has to bump its version instead of silently rewriting old files.
 //! The same checkpoint as checkpoint format version 1 wrote it is kept in
@@ -91,14 +94,32 @@ fn fixed_result(seed: u64) -> SimResult {
     }
 }
 
+/// `BENCH_history.store` as first seeded, before any run was appended.
+const HISTORY_STORE_SEED: &[u8] = include_bytes!("fixtures/history_store_seed.store");
+
+#[test]
+fn seed_history_store_re_encodes_to_its_own_bytes() {
+    let bytes = HISTORY_STORE_SEED;
+    assert_eq!(bytes.len(), 5_514);
+    let store = ExperimentStore::decode(bytes).unwrap();
+    assert_eq!(store.len(), 51);
+    assert_eq!(store.encode(), bytes);
+}
+
 #[test]
 fn committed_history_store_re_encodes_to_its_own_bytes() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_history.store");
     let bytes = std::fs::read(path).unwrap();
-    assert_eq!(bytes.len(), 5_514);
     let store = ExperimentStore::decode(&bytes).unwrap();
-    assert_eq!(store.len(), 51);
     assert_eq!(store.encode(), bytes);
+    let seed = ExperimentStore::decode(HISTORY_STORE_SEED).unwrap();
+    for record in seed.records() {
+        assert!(
+            store.records().iter().any(|r| r.cmp_full(record).is_eq()),
+            "seed record {:?} is missing",
+            record.key()
+        );
+    }
 }
 
 fn fixed_checkpoint() -> Checkpoint {
@@ -106,9 +127,9 @@ fn fixed_checkpoint() -> Checkpoint {
         fingerprint: 0xFEED_FACE_CAFE_BEEF,
         total_trials: 8,
         completed: vec![
-            (0, fixed_result(0)),
-            (2, fixed_result(2)),
-            (5, fixed_result(5)),
+            (0, Arc::new(fixed_result(0))),
+            (2, Arc::new(fixed_result(2))),
+            (5, Arc::new(fixed_result(5))),
         ],
     }
 }
@@ -197,7 +218,7 @@ fn sweep_resuming_from_a_version_1_checkpoint_fails_and_keeps_its_bytes() {
 fn fixed_two_frame_checkpoint_log_is_pinned() {
     let ck = fixed_checkpoint();
     let (head, tail) = ck.completed.split_at(2);
-    let frame = |completed: &[(u64, SimResult)]| {
+    let frame = |completed: &[(u64, Arc<SimResult>)]| {
         Checkpoint {
             completed: completed.to_vec(),
             ..ck.clone()

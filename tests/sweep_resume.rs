@@ -13,6 +13,7 @@ use distill_harness::{
     run_sweep, Checkpoint, SupervisorPolicy, SweepConfig, TrialFailure, TrialSpec, Writer,
 };
 use proptest::prelude::*;
+use std::borrow::Borrow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,12 +82,13 @@ fn quick_policy() -> SupervisorPolicy {
     }
 }
 
-/// Byte-level digest of a full result set: the bit-identity oracle.
-fn digest(results: &[(u64, SimResult)]) -> Vec<u8> {
+/// Byte-level digest of a full result set, owned or as a checkpoint
+/// shares it: the bit-identity oracle.
+fn digest<R: Borrow<SimResult>>(results: &[(u64, R)]) -> Vec<u8> {
     let mut w = Writer::new();
     for (t, r) in results {
         w.put_u64(*t);
-        encode_sim_result(&mut w, r);
+        encode_sim_result(&mut w, r.borrow());
     }
     w.into_bytes()
 }
