@@ -8,9 +8,8 @@
 //!   scan at n ∈ {1024, 4096} (the perf-regression gate for the incremental
 //!   tally layer: incremental must stay ≥ 2× the scan's throughput);
 //! * `engine_round/...` — one E1-sized DISTILL round at n ∈ {1024, 4096};
-//! * `trials/...` — multi-trial throughput: fresh engine per trial vs the
-//!   scoped runner's per-worker engine arena (`Engine::reset`), sequential
-//!   and work-stealing threaded;
+//! * `trials/...` — multi-trial throughput on one thread: a fresh engine
+//!   per trial vs one engine arena `reset` across the trials;
 //! * `alloc/...` — steady-state round timing plus the *measured* heap
 //!   acquisitions per round (reported via the stub's `report_value`; the
 //!   tier-1 gate `tests/alloc_steady_state.rs` asserts the count is 0);
@@ -30,10 +29,7 @@ use distill_billboard::{
     Billboard, ObjectId, PlayerId, ReportKind, Round, VotePolicy, VoteTracker, Window,
 };
 use distill_core::{Distill, DistillParams};
-use distill_sim::{
-    run_trials, run_trials_scoped, run_trials_threaded, Engine, NullAdversary, SimConfig, StopRule,
-    World,
-};
+use distill_sim::{Engine, NullAdversary, SimConfig, StopRule, World};
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
@@ -299,51 +295,34 @@ fn bench_trials(c: &mut Criterion) {
         .run()
         .expect("run")
     };
-    let scoped_trials = |threads: usize| {
-        run_trials_scoped(
-            TRIALS,
-            threads,
-            || None,
-            |slot: &mut Option<Engine<'_>>, t| {
-                let engine = match slot {
-                    Some(engine) => {
-                        engine
-                            .reset(
-                                1000 + t,
-                                Box::new(Distill::new(params)),
-                                Box::new(NullAdversary),
-                            )
-                            .expect("reset");
-                        engine
-                    }
-                    None => slot.insert(
-                        Engine::new(
-                            config_with(1000 + t),
-                            &world,
-                            Box::new(Distill::new(params)),
-                            Box::new(NullAdversary),
-                        )
-                        .expect("engine"),
-                    ),
-                };
-                engine.run_mut().expect("run")
-            },
+    let reused_trials = || {
+        let mut engine = Engine::new(
+            config_with(1000),
+            &world,
+            Box::new(Distill::new(params)),
+            Box::new(NullAdversary),
         )
+        .expect("engine");
+        let mut results = vec![engine.run_mut().expect("run")];
+        for t in 1..TRIALS as u64 {
+            engine
+                .reset(
+                    1000 + t,
+                    Box::new(Distill::new(params)),
+                    Box::new(NullAdversary),
+                )
+                .expect("reset");
+            results.push(engine.run_mut().expect("run"));
+        }
+        results
     };
 
     let mut group = c.benchmark_group("trials");
     group.sample_size(10);
     group.bench_function("sequential_fresh_8x_n128", |b| {
-        b.iter(|| run_trials(TRIALS, fresh_trial))
+        b.iter(|| (0..TRIALS as u64).map(fresh_trial).collect::<Vec<_>>())
     });
-    group.bench_function("sequential_reuse_8x_n128", |b| b.iter(|| scoped_trials(1)));
-    group.bench_function("threaded_fresh_t2_8x_n128", |b| {
-        b.iter(|| run_trials_threaded(TRIALS, 2, fresh_trial))
-    });
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    group.bench_function(&format!("threaded_reuse_t{cores}_8x_n128"), |b| {
-        b.iter(|| scoped_trials(cores))
-    });
+    group.bench_function("sequential_reuse_8x_n128", |b| b.iter(reused_trials));
     group.finish();
 }
 

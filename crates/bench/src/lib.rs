@@ -2,8 +2,8 @@
 //!
 //! Every paper claim has a bench target (`benches/exp_*.rs`, `harness =
 //! false`) that prints a paper-vs-measured table; this crate holds the
-//! pieces they share: trial execution, seed discipline, and environment
-//! knobs.
+//! pieces they share: trial execution (through `distill-harness`'s sweep),
+//! seed discipline, and environment knobs.
 //!
 //! Environment variables:
 //!
@@ -14,7 +14,9 @@
 
 #![forbid(unsafe_code)]
 
-use distill_sim::{run_trials_threaded, Adversary, Cohort, SimConfig, SimResult, World};
+use distill_harness::{run_sweep, SupervisorPolicy, SweepConfig, TrialSpec};
+use distill_sim::{Adversary, Cohort, SimConfig, SimResult, World};
+use std::sync::Arc;
 
 /// The per-experiment default trial count, overridable via `DISTILL_TRIALS`.
 pub fn trials(default: usize) -> usize {
@@ -36,13 +38,49 @@ pub fn threads() -> usize {
         })
 }
 
-/// Runs `n_trials` independent simulations in parallel. Each trial `t` gets
-/// its own world (via `world(t)`), cohort, adversary, and a config derived
-/// from `config(t)`; results return in trial order, deterministically.
+/// [`run_experiment`]'s four closures as a sweep's trial spec.
+struct Experiment<W, C, A, F> {
+    world: W,
+    cohort: C,
+    adversary: A,
+    config: F,
+}
+
+impl<W, C, A, F> TrialSpec for Experiment<W, C, A, F>
+where
+    W: Fn(u64) -> World + Send + Sync + 'static,
+    C: Fn(&World, u64) -> Box<dyn Cohort> + Send + Sync + 'static,
+    A: Fn(u64) -> Box<dyn Adversary> + Send + Sync + 'static,
+    F: Fn(u64) -> SimConfig + Send + Sync + 'static,
+{
+    fn run_trial(&self, t: u64) -> SimResult {
+        let w = (self.world)(t);
+        let c = (self.cohort)(&w, t);
+        let a = (self.adversary)(t);
+        distill_sim::Engine::new((self.config)(t), &w, c, a)
+            .expect("experiment setup must be valid")
+            .run()
+            .expect("experiment run must succeed")
+    }
+
+    fn seed(&self, t: u64) -> u64 {
+        (self.config)(t).seed
+    }
+
+    fn describe(&self) -> String {
+        "distill-bench experiment".to_string()
+    }
+}
+
+/// Runs `n_trials` independent simulations in parallel, through the sweep
+/// harness. Each trial `t` gets its own world (via `world(t)`), cohort,
+/// adversary, and a config derived from `config(t)`; results return in
+/// trial order, deterministically.
 ///
 /// # Panics
-/// Panics if any trial's engine construction or execution fails — experiment
-/// setups are programmer-controlled, so a failure is a bug in the harness.
+/// Panics, naming the trial, if any trial's engine construction or
+/// execution fails — experiment setups are programmer-controlled, so a
+/// failure is a bug in the harness. Such a trial is not retried.
 pub fn run_experiment<W, C, A, F>(
     n_trials: usize,
     world: W,
@@ -51,20 +89,33 @@ pub fn run_experiment<W, C, A, F>(
     config: F,
 ) -> Vec<SimResult>
 where
-    W: Fn(u64) -> World + Sync,
-    C: Fn(&World, u64) -> Box<dyn Cohort> + Sync,
-    A: Fn(u64) -> Box<dyn Adversary> + Sync,
-    F: Fn(u64) -> SimConfig + Sync,
+    W: Fn(u64) -> World + Send + Sync + 'static,
+    C: Fn(&World, u64) -> Box<dyn Cohort> + Send + Sync + 'static,
+    A: Fn(u64) -> Box<dyn Adversary> + Send + Sync + 'static,
+    F: Fn(u64) -> SimConfig + Send + Sync + 'static,
 {
-    run_trials_threaded(n_trials, threads(), |t| {
-        let w = world(t);
-        let c = cohort(&w, t);
-        let a = adversary(t);
-        distill_sim::Engine::new(config(t), &w, c, a)
-            .expect("experiment setup must be valid")
-            .run()
-            .expect("experiment run must succeed")
-    })
+    let spec = Experiment {
+        world,
+        cohort,
+        adversary,
+        config,
+    };
+    let config = SweepConfig {
+        threads: threads(),
+        policy: SupervisorPolicy {
+            max_retries: 0,
+            ..SupervisorPolicy::default()
+        },
+        ..SweepConfig::new(n_trials as u64)
+    };
+    let report = run_sweep(Arc::new(spec), &config).expect("a sweep without files cannot fail");
+    if let Some(q) = report.quarantined.first() {
+        panic!(
+            "experiment trial {} (seed {}) {}",
+            q.trial, q.seed, q.failure
+        );
+    }
+    report.results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Mean of a per-trial statistic.
@@ -102,6 +153,28 @@ mod tests {
     fn knobs_parse_defaults() {
         assert!(threads() >= 1);
         assert_eq!(trials(7), 7);
+    }
+
+    #[test]
+    fn a_panicking_trial_panics_run_experiment_naming_it() {
+        let caught = std::panic::catch_unwind(|| {
+            run_experiment(
+                4,
+                |t| World::binary(16, 2, t).unwrap(),
+                |_w, _t| Box::new(RandomProbing::new()) as Box<dyn Cohort>,
+                |t| {
+                    assert!(t != 2, "no adversary for trial {t}");
+                    Box::new(NullAdversary) as Box<dyn Adversary>
+                },
+                |t| SimConfig::new(8, 8, 100 + t),
+            )
+        });
+        let payload = caught.expect_err("trial 2 panics");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            message,
+            "experiment trial 2 (seed 102) panicked: no adversary for trial 2"
+        );
     }
 
     #[test]

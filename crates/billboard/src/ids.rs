@@ -17,7 +17,6 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "p3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlayerId(pub u32);
 
 impl PlayerId {
@@ -65,7 +64,6 @@ impl TryFrom<usize> for PlayerId {
 /// assert_eq!(ObjectId(7).to_string(), "o7");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -107,7 +105,6 @@ impl TryFrom<usize> for ObjectId {
 /// assert_eq!(r + 3, Round(8));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Round(pub u64);
 
 impl Round {
@@ -151,7 +148,6 @@ impl std::ops::Sub<Round> for Round {
 
 /// Position of a post in the append-only log. Strictly increasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seq(pub u64);
 
 impl Seq {

@@ -2,15 +2,12 @@
 //! surface is unit-testable without capturing stdout.
 
 use crate::args::{ArgError, Args};
-use distill_adversary::{
-    gauntlet, AdviceBait, BallotStuffer, Collusive, Flooder, Slander, ThresholdMatcher, UniformBad,
-};
+use distill_adversary::{gauntlet, GauntletEntry};
 use distill_analysis::{bounds, fmt_f, lemma9, Summary, Table};
 use distill_core::{Balance, Distill, DistillParams, GuessAlpha, RandomProbing, ThreePhase};
-use distill_harness::TrialSpec;
+use distill_harness::{json_escape, SupervisorPolicy, SweepConfig, TrialSpec};
 use distill_sim::{
-    player_count, run_trials_scoped, run_trials_threaded, Adversary, Cohort, Engine, FaultPlan,
-    NullAdversary, SimConfig, StopRule, World,
+    player_count, Cohort, Engine, FaultPlan, NullAdversary, SimConfig, SimResult, StopRule, World,
 };
 
 /// A command failure, rendered to the user.
@@ -129,7 +126,8 @@ RUN FLAGS (defaults in parentheses):
     --algorithm <name>   distill | distill-hp | guess-alpha | balance |
                          random | three-phase   (distill)
     --adversary <name>   null | uniform-bad | collusive | threshold-matcher |
-                         slander | ballot-stuffer | advice-bait | flooder  (uniform-bad)
+                         slander | ballot-stuffer | advice-bait | lull |
+                         flooder  (uniform-bad)
     --trials <usize>     independent trials (10)
     --seed <u64>         master seed (0)
     --f <usize>          votes per player (1)
@@ -235,22 +233,12 @@ fn make_cohort(
     })
 }
 
-fn make_adversary(name: &str) -> Result<Box<dyn Adversary>, CliError> {
-    Ok(match name {
-        "null" => Box::new(NullAdversary),
-        "uniform-bad" => Box::new(UniformBad::new()),
-        "collusive" => Box::<Collusive>::default(),
-        "threshold-matcher" => Box::new(ThresholdMatcher::new()),
-        "slander" => Box::new(Slander::new()),
-        "ballot-stuffer" => Box::<BallotStuffer>::default(),
-        "advice-bait" => Box::new(AdviceBait::new()),
-        "flooder" => Box::<Flooder>::default(),
-        other => {
-            return Err(err(format!(
-                "unknown adversary {other:?} (try `distill help`)"
-            )))
-        }
-    })
+/// The [`gauntlet`] entry named `name`: the one registry of adversaries.
+fn find_adversary(name: &str) -> Result<GauntletEntry, CliError> {
+    gauntlet()
+        .into_iter()
+        .find(|entry| entry.name == name)
+        .ok_or_else(|| err(format!("unknown adversary {name:?} (try `distill help`)")))
 }
 
 /// The simulation-spec flags that `run`, `sweep`, `sweep-worker` and
@@ -300,43 +288,40 @@ fn parse_trials<T: std::str::FromStr + From<u8> + PartialEq>(
     Ok(trials)
 }
 
-/// `run`'s trials of `spec` on `threads` workers. Each worker keeps one
-/// engine arena for its whole share (`Engine::reset_with_world` swaps each
-/// trial's world in without reallocating the board and tracker), built from
-/// the same `SweepSpec` parts as `SweepSpec::run_trial`, so trial `t` here
-/// equals trial `t` of a sweep.
-fn run_spec_trials(spec: &SweepSpec, trials: u64, threads: usize) -> Vec<distill_sim::SimResult> {
-    // The worlds outlive every worker's engine, which borrows them.
-    let worlds: Vec<World> = (0..trials).map(|t| spec.world(t)).collect();
-    run_trials_scoped(
-        worlds.len(),
-        threads,
-        || None,
-        |slot: &mut Option<Engine<'_>>, t| {
-            let world = &worlds[t as usize];
-            let (cohort, adversary) = spec.players(world);
-            let engine = match slot {
-                Some(engine) => {
-                    engine
-                        .reset_with_world(spec.seed(t), world, cohort, adversary)
-                        .expect("validated configuration");
-                    engine
-                }
-                None => slot.insert(
-                    Engine::new(spec.config(t), world, cohort, adversary)
-                        .expect("validated configuration"),
-                ),
-            };
-            engine.run_mut().expect("engine run on validated inputs")
+/// Runs trials `0..trials` of `spec` through the sweep, in streaming mode
+/// on every core, and hands each result to `fold` in trial order. The
+/// trials are the program's own, so a failed trial is a bug: it is neither
+/// retried nor skipped, and the command fails naming it.
+fn run_spec<S: TrialSpec>(
+    spec: S,
+    trials: u64,
+    mut fold: impl FnMut(u64, &SimResult),
+) -> Result<(), CliError> {
+    let config = SweepConfig {
+        threads: num_threads(),
+        policy: SupervisorPolicy {
+            max_retries: 0,
+            ..SupervisorPolicy::default()
         },
-    )
+        retain_results: false,
+        ..SweepConfig::new(trials)
+    };
+    let report =
+        distill_harness::run_sweep_with(std::sync::Arc::new(spec), &config, Some(&mut fold))
+            .map_err(|e| err(e.to_string()))?;
+    match report.quarantined.first() {
+        Some(q) => Err(err(format!(
+            "trial {} (seed {}) {}",
+            q.trial, q.seed, q.failure
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// `distill run` — simulate one configuration.
 pub fn run(args: &Args) -> Result<String, CliError> {
     ensure_spec_flags(args, &[])?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let results = run_spec_trials(&spec, trials, num_threads());
     let SweepSpec {
         n,
         m,
@@ -345,24 +330,37 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         f,
         faults,
         ref algorithm,
-        adversary: ref adversary_name,
+        adversary,
         ..
     } = spec;
     let alpha = f64::from(honest) / f64::from(n);
-
-    let costs: Vec<f64> = results.iter().map(|r| r.mean_probes()).collect();
-    let rounds: Vec<f64> = results.iter().map(|r| r.rounds as f64).collect();
-    let done = results.iter().filter(|r| r.all_satisfied).count();
+    let title = format!(
+        "{algorithm} vs {} — n={n} m={m} honest={honest} (alpha={alpha:.3}) \
+         goods={goods} f={f} trials={trials}",
+        adversary.name
+    );
+    // The per-trial numbers the table prints, in trial order; the results
+    // themselves are dropped as they stream past.
+    let (mut costs, mut rounds, mut done) = (Vec::new(), Vec::new(), 0u64);
+    let mut survivor_costs = Vec::new();
+    let mut counters: [Vec<f64>; 3] = Default::default();
+    run_spec(spec, trials, |_, r| {
+        costs.push(r.mean_probes());
+        rounds.push(r.rounds as f64);
+        done += u64::from(r.all_satisfied);
+        survivor_costs.push(r.mean_probes_survivors());
+        let c = &r.faults;
+        for (xs, v) in counters
+            .iter_mut()
+            .zip([c.posts_dropped, c.crashes, c.recoveries])
+        {
+            xs.push(v as f64);
+        }
+    })?;
     let cost = summary_or_blank(&costs);
     let rds = summary_or_blank(&rounds);
 
-    let mut table = Table::new(
-        format!(
-            "{algorithm} vs {adversary_name} — n={n} m={m} honest={honest} (alpha={alpha:.3}) \
-             goods={goods} f={f} trials={trials}"
-        ),
-        &["metric", "mean", "min", "max"],
-    );
+    let mut table = Table::new(title, &["metric", "mean", "min", "max"]);
     table.row_owned(vec![
         "individual cost (probes)".into(),
         fmt_f(cost.mean),
@@ -382,27 +380,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "-".into(),
     ]);
     if !faults.is_noop() {
-        let survivor = summary_or_blank(
-            &results
-                .iter()
-                .map(|r| r.mean_probes_survivors())
-                .collect::<Vec<f64>>(),
-        );
-        table.row_owned(vec![
-            "survivor cost (probes)".into(),
-            fmt_f(survivor.mean),
-            fmt_f(survivor.min),
-            fmt_f(survivor.max),
-        ]);
-        type CounterGet = fn(&distill_sim::FaultCounters) -> u64;
-        let counter_rows: [(&str, CounterGet); 3] = [
-            ("posts dropped", |c| c.posts_dropped),
-            ("crashes", |c| c.crashes),
-            ("recoveries", |c| c.recoveries),
-        ];
-        for (label, get) in counter_rows {
-            let xs: Vec<f64> = results.iter().map(|r| get(&r.faults) as f64).collect();
-            let s = summary_or_blank(&xs);
+        let labels = ["posts dropped", "crashes", "recoveries"];
+        let rows = std::iter::once(("survivor cost (probes)", &survivor_costs))
+            .chain(labels.into_iter().zip(&counters));
+        for (label, xs) in rows {
+            let s = summary_or_blank(xs);
             table.row_owned(vec![
                 label.into(),
                 fmt_f(s.mean),
@@ -494,15 +476,15 @@ const SWEEP_SUPERVISE_FLAGS: &[&str] = &[
     "fail-after-trials",
 ];
 
-/// A fully-validated, owned trial spec for the supervised sweep runner:
-/// everything `run` does per trial, as a pure function of the trial index.
+/// A fully-validated, owned trial spec: trial `t` of `run`, `sweep` and the
+/// fabric, as a pure function of the trial index.
 struct SweepSpec {
     n: u32,
     m: u32,
     honest: u32,
     goods: u32,
     algorithm: String,
-    adversary: String,
+    adversary: GauntletEntry,
     seed: u64,
     f: usize,
     error_rate: f64,
@@ -512,49 +494,27 @@ struct SweepSpec {
     inject_panic: Option<u64>,
 }
 
-/// The parts of one trial, shared by `SweepSpec::run_trial` and `run`'s
-/// engine arenas so that both build trial `t` the same way.
-impl SweepSpec {
-    /// Trial `trial`'s world.
-    fn world(&self, trial: u64) -> World {
-        World::binary(
-            self.m,
-            self.goods,
-            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
-        )
-        .expect("validated world")
-    }
-
-    /// Fresh protocol state for one trial in `world`: the honest cohort and
-    /// the adversary.
-    fn players(&self, world: &World) -> (Box<dyn Cohort>, Box<dyn Adversary>) {
-        let alpha = f64::from(self.honest) / f64::from(self.n);
-        (
-            make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
-                .expect("validated algorithm"),
-            make_adversary(&self.adversary).expect("validated adversary"),
-        )
-    }
-
-    /// Trial `trial`'s engine config.
-    fn config(&self, trial: u64) -> SimConfig {
-        SimConfig::new(self.n, self.honest, self.seed(trial))
-            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
-            .with_honest_error_rate(self.error_rate)
-            .with_faults(self.faults)
-            .with_stop(StopRule::all_satisfied(self.max_rounds))
-    }
-}
-
 impl TrialSpec for SweepSpec {
-    fn run_trial(&self, trial: u64) -> distill_sim::SimResult {
+    fn run_trial(&self, trial: u64) -> SimResult {
         assert!(
             self.inject_panic != Some(trial),
             "injected panic at trial {trial} (--inject-panic)"
         );
-        let world = self.world(trial);
-        let (cohort, adversary) = self.players(&world);
-        Engine::new(self.config(trial), &world, cohort, adversary)
+        let world = World::binary(
+            self.m,
+            self.goods,
+            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
+        )
+        .expect("validated world");
+        let alpha = f64::from(self.honest) / f64::from(self.n);
+        let cohort = make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
+            .expect("validated algorithm");
+        let config = SimConfig::new(self.n, self.honest, self.seed(trial))
+            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
+            .with_honest_error_rate(self.error_rate)
+            .with_faults(self.faults)
+            .with_stop(StopRule::all_satisfied(self.max_rounds));
+        Engine::new(config, &world, cohort, (self.adversary.make)())
             .expect("validated configuration")
             .run()
             .expect("engine run on validated inputs")
@@ -575,7 +535,7 @@ impl TrialSpec for SweepSpec {
             self.honest,
             self.goods,
             self.algorithm,
-            self.adversary,
+            self.adversary.name,
             self.seed,
             self.f,
             self.error_rate,
@@ -612,7 +572,6 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
         .validate()
         .map_err(|msg| err(format!("fault plan: {msg}")))?;
     let algorithm = args.str_or("algorithm", "distill");
-    let adversary_name = args.str_or("adversary", "uniform-bad");
     if honest == 0 || honest > n {
         return Err(err(format!("--honest {honest} must be in 1..={n}")));
     }
@@ -624,7 +583,7 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     // hit a construction failure mid-run (`SweepSpec::run_trial` relies on
     // this when it `expect`s).
     make_cohort(&algorithm, n, m, alpha, f64::from(goods) / f64::from(m))?;
-    make_adversary(&adversary_name)?;
+    let adversary = find_adversary(&args.str_or("adversary", "uniform-bad"))?;
     let inject_panic = match args.flags.get("inject-panic") {
         None => None,
         Some(_) => Some(args.get_or("inject-panic", 0u64)?),
@@ -636,7 +595,7 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
             honest,
             goods,
             algorithm,
-            adversary: adversary_name,
+            adversary,
             seed,
             f,
             error_rate,
@@ -677,7 +636,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     let goods = spec.goods;
     let f = spec.f;
     let algorithm = spec.algorithm.clone();
-    let adversary_name = spec.adversary.clone();
+    let adversary_name = spec.adversary.name;
     let alpha = f64::from(honest) / f64::from(n);
 
     let checkpoint = args.flags.get("checkpoint").map(std::path::PathBuf::from);
@@ -685,12 +644,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     if resume && checkpoint.is_none() {
         return Err(err("--resume requires --checkpoint <path>"));
     }
-    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
-    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
-        return Err(err(
-            "--trial-timeout must be a finite number of seconds >= 0",
-        ));
-    }
+    let (policy, _) = parse_supervisor_policy(args)?;
     let quarantine = args
         .flags
         .get("quarantine")
@@ -711,19 +665,14 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     }
 
     let spec = std::sync::Arc::new(spec);
-    let config = distill_harness::SweepConfig {
+    let config = SweepConfig {
         trials,
         threads: args.get_or("threads", num_threads())?,
         checkpoint,
         checkpoint_every: args.get_or("checkpoint-every", 8)?,
         resume,
         quarantine: quarantine.clone(),
-        policy: distill_harness::SupervisorPolicy {
-            max_retries: args.get_or("max-retries", 2)?,
-            trial_timeout: (trial_timeout_secs > 0.0)
-                .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
-            ..distill_harness::SupervisorPolicy::default()
-        },
+        policy,
         stop_after: None,
         retain_results: !stream,
     };
@@ -852,8 +801,27 @@ struct FabricFlags {
     lease_ttl_ms: u64,
     checkpoint_every: u64,
     trial_timeout_secs: f64,
-    policy: distill_harness::SupervisorPolicy,
+    policy: SupervisorPolicy,
     poll: std::time::Duration,
+}
+
+/// `--max-retries` and `--trial-timeout`, the supervision flags of `sweep`
+/// and both fabric commands: the policy, plus the timeout in seconds as
+/// given, which `sweep-supervise` forwards to its workers.
+fn parse_supervisor_policy(args: &Args) -> Result<(SupervisorPolicy, f64), CliError> {
+    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
+    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
+        return Err(err(
+            "--trial-timeout must be a finite number of seconds >= 0",
+        ));
+    }
+    let policy = SupervisorPolicy {
+        max_retries: args.get_or("max-retries", 2)?,
+        trial_timeout: (trial_timeout_secs > 0.0)
+            .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
+        ..SupervisorPolicy::default()
+    };
+    Ok((policy, trial_timeout_secs))
 }
 
 fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
@@ -876,18 +844,7 @@ fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
     )
     .unwrap_or(u64::MAX);
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
-    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
-    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
-        return Err(err(
-            "--trial-timeout must be a finite number of seconds >= 0",
-        ));
-    }
-    let policy = distill_harness::SupervisorPolicy {
-        max_retries: args.get_or("max-retries", 2)?,
-        trial_timeout: (trial_timeout_secs > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
-        ..distill_harness::SupervisorPolicy::default()
-    };
+    let (policy, trial_timeout_secs) = parse_supervisor_policy(args)?;
     let poll = std::time::Duration::from_millis(args.get_or("poll-ms", 50)?);
     Ok(FabricFlags {
         chunk,
@@ -1035,7 +992,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     push("honest", spec.honest.to_string());
     push("goods", spec.goods.to_string());
     push("algorithm", spec.algorithm.clone());
-    push("adversary", spec.adversary.clone());
+    push("adversary", spec.adversary.name.to_string());
     push("trials", trials.to_string());
     push("seed", spec.seed.to_string());
     push("f", spec.f.to_string());
@@ -1186,6 +1143,48 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
 
 const GAUNTLET_FLAGS: &[&str] = &["n", "honest", "goods", "trials", "seed", "algorithm"];
 
+/// One `gauntlet` row as a trial spec: `algorithm` against the adversary of
+/// `entry`, with the gauntlet's own world and engine seeds.
+struct GauntletSpec {
+    n: u32,
+    honest: u32,
+    goods: u32,
+    seed: u64,
+    algorithm: String,
+    entry: GauntletEntry,
+}
+
+impl TrialSpec for GauntletSpec {
+    fn run_trial(&self, trial: u64) -> SimResult {
+        let world = World::binary(
+            self.n,
+            self.goods,
+            self.seed.wrapping_add(7_000).wrapping_add(trial),
+        )
+        .expect("validated world");
+        let alpha = f64::from(self.honest) / f64::from(self.n);
+        let cohort = make_cohort(&self.algorithm, self.n, self.n, alpha, world.beta())
+            .expect("validated algorithm");
+        let config = SimConfig::new(self.n, self.honest, self.seed(trial))
+            .with_stop(StopRule::all_satisfied(1_000_000));
+        Engine::new(config, &world, cohort, (self.entry.make)())
+            .expect("validated configuration")
+            .run()
+            .expect("engine run on validated inputs")
+    }
+
+    fn seed(&self, trial: u64) -> u64 {
+        self.seed.wrapping_add(trial)
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "gauntlet v1 n={} honest={} goods={} algorithm={} adversary={} seed={}",
+            self.n, self.honest, self.goods, self.algorithm, self.entry.name, self.seed
+        )
+    }
+}
+
 /// `distill gauntlet` — one algorithm against every strategy.
 pub fn run_gauntlet(args: &Args) -> Result<String, CliError> {
     args.ensure_known(GAUNTLET_FLAGS)?;
@@ -1193,45 +1192,41 @@ pub fn run_gauntlet(args: &Args) -> Result<String, CliError> {
     let default_honest = ((f64::from(n)) * 0.75).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: usize = parse_trials(args, 5)?;
+    let trials: u64 = parse_trials(args, 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let algorithm = args.str_or("algorithm", "distill");
     if honest == 0 || honest > n {
         return Err(err(format!("--honest {honest} must be in 1..={n}")));
     }
+    if goods == 0 || goods > n {
+        return Err(err(format!("--goods {goods} must be in 1..={n}")));
+    }
     let alpha = f64::from(honest) / f64::from(n);
-    make_cohort(
-        &algorithm,
-        n,
-        n,
-        alpha,
-        f64::from(goods.max(1)) / f64::from(n),
-    )?;
+    make_cohort(&algorithm, n, n, alpha, f64::from(goods) / f64::from(n))?;
 
     let mut table = Table::new(
         format!("{algorithm} gauntlet — n=m={n} honest={honest} trials={trials}"),
         &["adversary", "mean cost", "mean rounds", "all satisfied"],
     );
     for entry in gauntlet() {
-        let results = run_trials_threaded(trials, num_threads(), |t| {
-            let world = World::binary(n, goods, seed.wrapping_add(7_000).wrapping_add(t))
-                .expect("validated world");
-            let cohort =
-                make_cohort(&algorithm, n, n, alpha, world.beta()).expect("validated algorithm");
-            let config = SimConfig::new(n, honest, seed.wrapping_add(t))
-                .with_stop(StopRule::all_satisfied(1_000_000));
-            Engine::new(config, &world, cohort, (entry.make)())
-                .expect("validated configuration")
-                .run()
-                .expect("engine run on validated inputs")
-        });
-        let cost = results.iter().map(|r| r.mean_probes()).sum::<f64>() / results.len() as f64;
-        let rounds = results.iter().map(|r| r.rounds as f64).sum::<f64>() / results.len() as f64;
-        let ok = results.iter().all(|r| r.all_satisfied);
+        let spec = GauntletSpec {
+            n,
+            honest,
+            goods,
+            seed,
+            algorithm: algorithm.clone(),
+            entry,
+        };
+        let (mut cost, mut rounds, mut ok) = (0.0, 0.0, true);
+        run_spec(spec, trials, |_, r| {
+            cost += r.mean_probes();
+            rounds += r.rounds as f64;
+            ok &= r.all_satisfied;
+        })?;
         table.row_owned(vec![
             entry.name.to_string(),
-            fmt_f(cost),
-            fmt_f(rounds),
+            fmt_f(cost / trials as f64),
+            fmt_f(rounds / trials as f64),
             if ok { "yes" } else { "NO" }.into(),
         ]);
     }
@@ -1556,24 +1551,6 @@ const BENCH_STORE_FLAGS: &[&str] = &[
     "format",
     "inject-regression",
 ];
-
-/// Escapes a string for the deterministic JSON output (same convention as
-/// distill-lint's report writer).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// A float as a JSON token: finite values print their shortest round-trip
 /// form, everything else (NaN, ±inf, absent) is `null` — strict parsers
@@ -2423,11 +2400,12 @@ mod tests {
         }
     }
 
+    /// `run`'s stdout on a faulted spec, pinned byte for byte (sha256
+    /// `458430a3…e8700`).
     #[test]
-    fn run_trials_equal_the_sweep_of_the_same_spec() {
-        // A faulted spec, so the arena reuse covers the churn plane too.
-        let (spec, trials) = parse_sweep_spec(&parse(&[
-            "sweep",
+    fn run_stdout_is_pinned() {
+        let out = dispatch(&parse(&[
+            "run",
             "--n",
             "24",
             "--honest",
@@ -2452,18 +2430,113 @@ mod tests {
             "0.2",
         ]))
         .unwrap();
-        // Two workers over six trials: at least one reuses its arena.
-        let run: Vec<_> = (0..).zip(run_spec_trials(&spec, trials, 2)).collect();
-        let config = distill_harness::SweepConfig {
-            threads: 2,
-            ..distill_harness::SweepConfig::new(trials)
-        };
-        let sweep = distill_harness::run_sweep(std::sync::Arc::new(spec), &config).unwrap();
-        assert_eq!(run.len(), 6);
-        let digests = |results: &[(u64, distill_sim::SimResult)]| {
-            digest_lines(results.iter().map(|(t, r)| (*t, r)))
-        };
-        assert_eq!(digests(&run), digests(&sweep.results));
+        let expected = r#"== distill vs uniform-bad — n=24 m=24 honest=20 (alpha=0.833) goods=2 f=2 trials=6 ==
+                  metric   mean    min    max
+---------------------------------------------
+individual cost (probes)  5.342  3.300  8.400
+                  rounds   13.8   11.0   19.0
+  trials fully satisfied    6/6      -      -
+  survivor cost (probes)  5.676  3.636  8.917
+           posts dropped   21.8  9.000   37.0
+                 crashes  7.833  7.000  9.000
+              recoveries  7.333  6.000  8.000
+
+Theorem 4 shape for these parameters: 2.320 (measured/bound = 2.302)
+
+"#;
+        assert_eq!(format!("{out}\n"), expected);
+    }
+
+    /// `gauntlet`'s stdout, pinned byte for byte (sha256 `30ec9e44…bb95`):
+    /// every row keeps its world and engine seeds.
+    #[test]
+    fn gauntlet_stdout_is_pinned() {
+        let out = dispatch(&parse(&[
+            "gauntlet", "--n", "64", "--trials", "3", "--seed", "5",
+        ]))
+        .unwrap();
+        let expected = r#"== distill gauntlet — n=m=64 honest=48 trials=3 ==
+        adversary  mean cost  mean rounds  all satisfied
+--------------------------------------------------------
+             null      4.799        5.000            yes
+      uniform-bad       14.6         21.0            yes
+        collusive       11.5         15.7            yes
+threshold-matcher      7.736         14.7            yes
+          slander       14.6         21.0            yes
+   ballot-stuffer       14.2         21.0            yes
+      advice-bait       14.3         22.0            yes
+             lull      4.799        5.000            yes
+          flooder       14.5         21.0            yes
+
+"#;
+        assert_eq!(format!("{out}\n"), expected);
+    }
+
+    /// A trial that panics fails `run`'s and `gauntlet`'s sweep, naming
+    /// the trial and its seed, without a retry.
+    #[test]
+    fn run_spec_fails_naming_a_panicking_trial() {
+        let argv = ["run", "--n", "16", "--trials", "3", "--seed", "40"];
+        let (spec, trials) =
+            parse_sweep_spec(&parse(&[&argv[..], &["--inject-panic", "1"]].concat())).unwrap();
+        let mut folded = 0;
+        let e = run_spec(spec, trials, |_, _| folded += 1).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "trial 1 (seed 41) panicked: injected panic at trial 1 (--inject-panic)"
+        );
+        assert_eq!(folded, 2);
+    }
+
+    /// `--adversary` takes every name of the gauntlet registry, `lull`
+    /// included, and nothing else.
+    #[test]
+    fn run_accepts_every_gauntlet_adversary() {
+        for entry in gauntlet() {
+            let argv = [
+                "run",
+                "--n",
+                "16",
+                "--trials",
+                "1",
+                "--adversary",
+                entry.name,
+            ];
+            let out = dispatch(&parse(&argv)).unwrap();
+            assert!(
+                out.contains(&format!("distill vs {} —", entry.name)),
+                "{out}"
+            );
+        }
+        let e = dispatch(&parse(&["run", "--adversary", "mimicry"])).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "unknown adversary \"mimicry\" (try `distill help`)"
+        );
+    }
+
+    /// `sweep` and both fabric commands read `--trial-timeout` through one
+    /// parser, so they refuse a negative timeout with one message.
+    #[test]
+    fn negative_trial_timeout_is_refused_alike_by_every_sweep_command() {
+        for argv in [
+            &["sweep", "--trial-timeout", "-1"][..],
+            &["sweep-worker", "--queue", "/tmp/q", "--trial-timeout", "-1"],
+            &[
+                "sweep-supervise",
+                "--queue",
+                "/tmp/q",
+                "--trial-timeout",
+                "-1",
+            ],
+        ] {
+            let e = dispatch(&parse(argv)).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "--trial-timeout must be a finite number of seconds >= 0",
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
@@ -2829,6 +2902,62 @@ mod tests {
         assert!(filtered.contains("\"commit\": \"c1\""));
         assert!(filtered.contains("\"commit\": \"c2\""));
         assert!(!filtered.contains("alloc/per_round"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `bench-store --format json` escapes quotes, backslashes and control
+    /// characters in ids, units and commit labels; both documents are
+    /// pinned byte for byte.
+    #[test]
+    fn bench_store_json_output_is_pinned() {
+        let dir = bench_store_dir("escapes");
+        let store = dir.join("history.store").display().to_string();
+        let json = dir.join("run.json");
+        std::fs::write(
+            &json,
+            r#"{"benches": [{"id": "esc/\"q\"\\x\u0001\t/é", "kind": "timed", "unit": "n\"s", "mean_ns": 110.0, "median_ns": 120.0, "min_ns": 100.0, "samples": 10, "throughput_per_sec": 1.0}, {"id": "alloc/per_round", "kind": "value", "unit": "allocs/round", "mean_ns": 0.0, "median_ns": 0.0, "min_ns": 0.0, "samples": 1, "throughput_per_sec": 0.0}]}"#,
+        )
+        .unwrap();
+        let json = json.display().to_string();
+        let bench_store = |argv: &[&str]| {
+            let argv = [&["bench-store", argv[0], "--store", &store], &argv[1..]].concat();
+            dispatch(&parse(&argv)).unwrap()
+        };
+        let commit = "c\"1\\\t";
+        bench_store(&[
+            "append",
+            "--json",
+            &json,
+            "--commit",
+            commit,
+            "--timestamp",
+            "3",
+        ]);
+        let query = bench_store(&["query", "--format", "json"]);
+        let expected = r#"{
+  "tool": "distill-bench-store",
+  "version": 1,
+  "records": [
+    {"bench_id": "alloc/per_round", "commit": "c\"1\\\t", "timestamp": 3, "kind": "value", "unit": "allocs/round", "mean": 0, "median": 0, "min": 0, "samples": 1},
+    {"bench_id": "esc/\"q\"\\x\u0001\t/é", "commit": "c\"1\\\t", "timestamp": 3, "kind": "timed", "unit": "n\"s", "mean": 110, "median": 120, "min": 100, "samples": 10}
+  ],
+  "total": 2
+}
+"#;
+        assert_eq!(format!("{query}\n"), expected);
+        let diff = bench_store(&["diff", "--json", &json, "--format", "json"]);
+        let expected = r#"{
+  "tool": "distill-bench-store",
+  "version": 1,
+  "tolerance": 0.5,
+  "regressed": 0,
+  "verdicts": [
+    {"bench_id": "alloc/per_round", "kind": "value", "unit": "allocs/round", "baseline_points": 0, "baseline_min": null, "baseline_median": null, "current_min": 0, "current_median": 0, "min_ratio": null, "status": "value (not gated)"},
+    {"bench_id": "esc/\"q\"\\x\u0001\t/é", "kind": "timed", "unit": "n\"s", "baseline_points": 1, "baseline_min": 100, "baseline_median": 120, "current_min": 100, "current_median": 120, "min_ratio": 1, "status": "pass"}
+  ]
+}
+"#;
+        assert_eq!(format!("{diff}\n"), expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 

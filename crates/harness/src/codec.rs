@@ -1,13 +1,13 @@
 //! Minimal binary codec for the payloads of [`crate::frame`] files.
 //!
-//! Hand-rolled because the build environment is offline (the vendored serde
-//! stub has no binary backend) and because those files need a *stable,
-//! versioned* layout that survives compiler and dependency upgrades: every
-//! multi-byte integer is little-endian, every `f64` travels as its raw IEEE
-//! bit pattern (so NaN payloads round-trip bit-identically), and every
-//! sequence is length-prefixed. Small counts may instead travel as
-//! canonical unsigned LEB128 varints. Decoding is total: any byte sequence
-//! either decodes or yields a typed [`CodecError`], never a panic.
+//! Hand-rolled because the workspace builds offline with no serialization
+//! dependency, and because those files need a *stable, versioned* layout
+//! that survives compiler and dependency upgrades: every multi-byte integer
+//! is little-endian, every `f64` travels as its raw IEEE bit pattern (so
+//! NaN payloads round-trip bit-identically), and every sequence is
+//! length-prefixed. Small counts may instead travel as canonical unsigned
+//! LEB128 varints. Decoding is total: any byte sequence either decodes or
+//! yields a typed [`CodecError`], never a panic.
 
 use std::fmt;
 

@@ -19,7 +19,7 @@
 //!   ([`ExperimentStore`]): perf measurements keyed by
 //!   `(bench id, commit, timestamp)` with set-union merge, plus the
 //!   noise-aware perf [`TrendGate`] CI uses instead of hardcoded
-//!   thresholds.
+//!   thresholds, and the hand-written JSON reader and [`json_escape`].
 //! - [`supervisor`] — per-trial panic isolation, bounded deterministic
 //!   retries with exponential backoff, and the wall-clock watchdog.
 //! - [`quarantine`] — replayable `(seed, config)` JSONL records for trials
@@ -73,8 +73,8 @@ pub use lease::{
 pub use merge::{merge_checkpoints, MergeError};
 pub use quarantine::QuarantineRecord;
 pub use store::{
-    parse_bench_json, BenchRow, ExperimentRecord, ExperimentStore, RowKind, StoreError, TrendGate,
-    TrendStatus, TrendVerdict, STORE_MAGIC, STORE_VERSION,
+    json_escape, parse_bench_json, BenchRow, ExperimentRecord, ExperimentStore, RowKind,
+    StoreError, TrendGate, TrendStatus, TrendVerdict, STORE_MAGIC, STORE_VERSION,
 };
 pub use supervisor::{supervise, Supervised, SupervisorPolicy, TrialFailure};
 pub use sweep::{

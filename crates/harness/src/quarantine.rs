@@ -8,10 +8,10 @@
 //! leaves a replayable record behind. Replaying is `run_trial(seed)` with
 //! the recorded config; nothing else is needed.
 //!
-//! The JSON is hand-rolled (the vendored serde stub has no serializer);
-//! escaping covers the JSON string mandatory set (quote, backslash, and
-//! control characters).
+//! The JSON is hand-rolled (the workspace has no JSON dependency); strings
+//! go through [`json_escape`], the escaper beside the store's JSON reader.
 
+use crate::store::json_escape;
 use crate::supervisor::TrialFailure;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -42,30 +42,11 @@ pub struct QuarantineRecord {
     pub lease: Option<u64>,
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl QuarantineRecord {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let (kind, detail) = match &self.failure {
-            TrialFailure::Panic(msg) => ("panic", escape_json(msg)),
+            TrialFailure::Panic(msg) => ("panic", json_escape(msg)),
             TrialFailure::Timeout { limit } => ("timeout", format!("{:.3}s", limit.as_secs_f64())),
         };
         // The fabric attribution fields are appended only when present, so
@@ -82,7 +63,7 @@ impl QuarantineRecord {
             self.trial,
             self.seed,
             self.fingerprint,
-            escape_json(&self.config),
+            json_escape(&self.config),
             self.attempts,
         )
     }
@@ -165,13 +146,6 @@ mod tests {
         let line = r.to_json_line();
         assert!(line.contains("\"failure\":\"timeout\""));
         assert!(line.contains("1.500s"));
-    }
-
-    #[test]
-    fn escape_covers_controls() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\u{1}y"), "x\\u0001y");
-        assert_eq!(escape_json("t\ta"), "t\\ta");
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::codec::{CodecError, Reader, Writer};
 use crate::frame::{self, FrameError};
 use std::cmp::Ordering;
 use std::fmt;
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -450,8 +451,9 @@ impl BenchRow {
 }
 
 /// A parsed JSON value — the minimal subset the bench dumps use. The
-/// vendored serde stub has no JSON backend, so the reader is hand-rolled
-/// (like the quarantine writer) and total: depth-limited, no panics.
+/// workspace has no JSON dependency, so the reader is hand-rolled (like
+/// [`json_escape`], the writers' escaper) and total: depth-limited, no
+/// panics.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
     Null,
@@ -747,6 +749,28 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRow>, StoreError> {
         });
     }
     Ok(out)
+}
+
+/// Escapes `s` for embedding in a JSON string literal: quote, backslash,
+/// and the control characters the JSON grammar forbids unescaped. The one
+/// escaper of the workspace's hand-written JSON (quarantine records and
+/// `bench-store --format json`), the counterpart of the reader above.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,6 +1239,13 @@ mod tests {
         let verdicts = TrendGate::default().evaluate(&store, &[rec("brand/new", "x", 1, 1.0, 1.0)]);
         assert_eq!(verdicts[0].status, TrendStatus::New);
         assert_eq!(verdicts[0].baseline_points, 0);
+    }
+
+    #[test]
+    fn escape_covers_controls() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\u{1}y"), "x\\u0001y");
+        assert_eq!(json_escape("t\ta"), "t\\ta");
     }
 
     #[test]

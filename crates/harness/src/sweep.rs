@@ -503,12 +503,16 @@ mod tests {
         let mut config = SweepConfig::new(8);
         config.policy = quick_policy();
         let single = run_sweep(Arc::clone(&spec), &config).unwrap();
-        config.threads = 4;
-        let multi = run_sweep(Arc::clone(&spec), &config).unwrap();
-        assert_eq!(
-            encode_results(&single.results),
-            encode_results(&multi.results)
-        );
+        // Zero threads run as one, and threads beyond the trial count idle.
+        for threads in [0, 4, 8 + 3] {
+            config.threads = threads;
+            let multi = run_sweep(Arc::clone(&spec), &config).unwrap();
+            assert_eq!(
+                encode_results(&single.results),
+                encode_results(&multi.results),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! * [`Adversary`] — the Byzantine strategy interface, with the
 //!   oblivious / adaptive / strongly-adaptive information models;
 //! * [`Engine`] — the synchronous round loop, enforcing the billboard
-//!   integrity rules and collecting [`SimResult`] metrics;
-//! * [`run_trials`] — a deterministic, multi-threaded multi-trial runner.
+//!   integrity rules and collecting [`SimResult`] metrics.
+//!
+//! Running many trials — threads, panic isolation, checkpoints — is
+//! `distill-harness`'s job (`run_sweep`), so this crate has no threads.
 //!
 //! ## Example: random probing against a silent adversary
 //!
@@ -67,7 +69,6 @@ mod faults;
 mod metrics;
 mod object_model;
 pub mod rng;
-mod runner;
 mod trace;
 mod world;
 
@@ -79,7 +80,6 @@ pub use error::SimError;
 pub use faults::{FaultCounters, FaultPlan};
 pub use metrics::{FinalEval, PlayerOutcome, ResultFold, SimResult};
 pub use object_model::ObjectModel;
-pub use runner::{run_trials, run_trials_scoped, run_trials_threaded};
 pub use trace::{summarize, TraceEvent, TraceSummary};
 pub use world::{Probe, ValueDistribution, World, WorldBuilder};
 

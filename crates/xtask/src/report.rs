@@ -62,6 +62,10 @@ impl Counts {
 }
 
 /// Escapes a string for inclusion in a JSON document.
+///
+/// The same escaper as `distill_harness::json_escape`, kept as a copy
+/// because xtask has no dependencies: the linter builds and runs without
+/// compiling the crates it checks.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

@@ -16,18 +16,20 @@ fn mean_cost_over_trials(
     trials: u64,
     make_cohort: &dyn Fn(&World) -> Box<dyn Cohort>,
 ) -> f64 {
-    let results = run_trials(trials as usize, |t| {
-        let world = World::binary(n, 1, 9000 + t).expect("valid world");
-        let cohort = make_cohort(&world);
-        let config = SimConfig::new(n, honest, 100 + t)
-            .with_stop(StopRule::all_satisfied(500_000))
-            .with_negative_reports(false);
-        Engine::new(config, &world, cohort, Box::new(UniformBad::new()))
-            .expect("valid engine")
-            .run()
-            .unwrap()
-    });
-    let costs: Vec<f64> = results.iter().map(|r| r.mean_probes()).collect();
+    let costs: Vec<f64> = (0..trials)
+        .map(|t| {
+            let world = World::binary(n, 1, 9000 + t).expect("valid world");
+            let cohort = make_cohort(&world);
+            let config = SimConfig::new(n, honest, 100 + t)
+                .with_stop(StopRule::all_satisfied(500_000))
+                .with_negative_reports(false);
+            Engine::new(config, &world, cohort, Box::new(UniformBad::new()))
+                .expect("valid engine")
+                .run()
+                .unwrap()
+                .mean_probes()
+        })
+        .collect();
     Summary::of(&costs).map_or(f64::NAN, |s| s.mean)
 }
 

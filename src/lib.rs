@@ -14,10 +14,13 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`billboard`] | `distill-billboard` | append-only authenticated billboard, reader-side vote policies, `ℓ_t(i)` tallies |
-//! | [`sim`] | `distill-sim` | worlds, synchronous engine, cohort/adversary traits, metrics, trial runner |
+//! | [`sim`] | `distill-sim` | worlds, synchronous engine, cohort/adversary traits, metrics |
 //! | [`core`] | `distill-core` | DISTILL, DISTILL^HP, α-guessing, cost classes, no-local-testing, three-phase example, baselines |
 //! | [`adversary`] | `distill-adversary` | Byzantine strategies incl. the Equation-1 threshold matcher and the Theorem 2 mimicry instance |
 //! | [`analysis`] | `distill-analysis` | bound formulas, Lemma 9, statistics, fits, tables |
+//!
+//! Many-trial runs (threads, panic isolation, checkpoints) go through
+//! `distill-harness`'s `run_sweep`, which this facade does not re-export.
 //!
 //! ## The model in one paragraph
 //!
@@ -83,9 +86,8 @@ pub mod prelude {
         BillboardService, Draft, EpochReader, EpochSnapshot, ServiceConfig, StressConfig,
     };
     pub use distill_sim::{
-        run_trials, run_trials_scoped, run_trials_threaded, Adversary, CandidateSet, Cohort,
-        Directive, Engine, FaultCounters, FaultPlan, InfoModel, ObjectModel, PhaseInfo,
-        ServicePlan, SimConfig, SimResult, StopRule, World, WorldBuilder,
+        Adversary, CandidateSet, Cohort, Directive, Engine, FaultCounters, FaultPlan, InfoModel,
+        ObjectModel, PhaseInfo, ServicePlan, SimConfig, SimResult, StopRule, World, WorldBuilder,
     };
 }
 

@@ -1,6 +1,8 @@
 //! Full-stack determinism: a simulation is a pure function of its seeds.
 
 use distill::prelude::*;
+use distill_harness::{run_sweep, SweepConfig, TrialSpec};
+use std::sync::Arc;
 
 fn run_once(seed: u64, world_seed: u64) -> SimResult {
     let n = 128;
@@ -65,11 +67,37 @@ fn different_world_seed_diverges() {
     );
 }
 
+/// Trial `t` is `run_once(100 + t, t)`.
+struct SeededTrials;
+
+impl TrialSpec for SeededTrials {
+    fn run_trial(&self, t: u64) -> SimResult {
+        run_once(self.seed(t), t)
+    }
+
+    fn seed(&self, t: u64) -> u64 {
+        100 + t
+    }
+
+    fn describe(&self) -> String {
+        "determinism: run_once(100 + t, t)".to_string()
+    }
+}
+
 #[test]
 fn threaded_runner_matches_sequential() {
-    let seq = run_trials(8, |t| run_once(100 + t, t));
-    let par = run_trials_threaded(8, 4, |t| run_once(100 + t, t));
-    for (a, b) in seq.iter().zip(&par) {
+    let sweep = |threads: usize| {
+        let config = SweepConfig {
+            threads,
+            ..SweepConfig::new(8)
+        };
+        let report = run_sweep(Arc::new(SeededTrials), &config).expect("sweep");
+        assert_eq!(report.results.len(), 8, "{:?}", report.quarantined);
+        report.results
+    };
+    let seq = sweep(1);
+    let par = sweep(4);
+    for ((_, a), (_, b)) in seq.iter().zip(&par) {
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.mean_probes(), b.mean_probes());
     }

@@ -1,7 +1,9 @@
 //! Property tests over randomized small simulation configurations.
 
 use distill::prelude::*;
+use distill_harness::{run_sweep, SweepConfig, TrialSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A small random scenario: population mix, world size, seeds, strategy mix.
 #[derive(Debug, Clone)]
@@ -73,6 +75,74 @@ fn run(s: &Scenario, cap: u64) -> SimResult {
     .unwrap()
 }
 
+/// Trial `t` of a scenario as a sweep's trial spec: the scenario with its
+/// seed advanced by `t`, under `faults`, with the satisfaction curve and
+/// the tally-window path switched as given, capped at 50 000 rounds.
+#[derive(Debug)]
+struct ScenarioTrials {
+    s: Scenario,
+    faults: FaultPlan,
+    curve: bool,
+    register: bool,
+}
+
+impl ScenarioTrials {
+    /// The scenario under the engine defaults: no faults, the curve
+    /// recorded, the incremental tally path.
+    fn plain(s: &Scenario) -> Self {
+        ScenarioTrials {
+            s: s.clone(),
+            faults: FaultPlan::none(),
+            curve: true,
+            register: true,
+        }
+    }
+}
+
+impl TrialSpec for ScenarioTrials {
+    fn run_trial(&self, t: u64) -> SimResult {
+        let s = &self.s;
+        let world = World::binary(s.m, s.goods, s.world_seed).expect("world");
+        let alpha = f64::from(s.honest) / f64::from(s.n);
+        let params = DistillParams::new(s.n, s.m, alpha, world.beta()).expect("params");
+        let config = SimConfig::new(s.n, s.honest, self.seed(t))
+            .with_policy(VotePolicy::multi_vote(s.f))
+            .with_faults(self.faults)
+            .with_satisfaction_curve(self.curve)
+            .with_stop(StopRule::all_satisfied(50_000))
+            .with_tally_window_registration(self.register);
+        Engine::new(
+            config,
+            &world,
+            Box::new(Distill::new(params)),
+            make_adversary(s.adversary),
+        )
+        .expect("engine")
+        .run()
+        .unwrap()
+    }
+
+    fn seed(&self, t: u64) -> u64 {
+        self.s.seed.wrapping_add(t)
+    }
+
+    fn describe(&self) -> String {
+        format!("{self:?}")
+    }
+}
+
+/// Trials `0..trials` of `spec` through the sweep on `threads` workers, in
+/// trial order; every trial must complete.
+fn sweep(spec: &Arc<ScenarioTrials>, trials: u64, threads: usize) -> Vec<SimResult> {
+    let config = SweepConfig {
+        threads,
+        ..SweepConfig::new(trials)
+    };
+    let report = run_sweep(Arc::clone(spec), &config).expect("sweep");
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    report.results.into_iter().map(|(_, r)| r).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -138,19 +208,15 @@ proptest! {
         prop_assert_eq!(incremental, scan);
     }
 
-    /// `run_trials_threaded` returns byte-identical results to `run_trials`
-    /// on real engine executions, independent of thread count (the
-    /// work-stealing counter changes which worker runs which trial, never
+    /// The sweep returns byte-identical results to a sequential loop on
+    /// real engine executions, independent of thread count (the
+    /// work-stealing cursor changes which worker runs which trial, never
     /// what a trial computes or where it lands in the output).
     #[test]
     fn threaded_trials_match_sequential_on_real_runs(s in arb_scenario(), threads in 1usize..9) {
-        let trial = |t: u64| {
-            let mut s = s.clone();
-            s.seed = s.seed.wrapping_add(t);
-            run(&s, 50_000)
-        };
-        let sequential = run_trials(4, trial);
-        let threaded = run_trials_threaded(4, threads, trial);
+        let spec = Arc::new(ScenarioTrials::plain(&s));
+        let sequential: Vec<SimResult> = (0..4).map(|t| spec.run_trial(t)).collect();
+        let threaded = sweep(&spec, 4, threads);
         prop_assert_eq!(sequential, threaded);
     }
 
@@ -205,10 +271,10 @@ proptest! {
         prop_assert_eq!(&third, &first);
     }
 
-    /// `run_trials_scoped` with a per-worker engine arena (create once, then
-    /// `reset` per trial) matches fresh-engine-per-trial output exactly.
+    /// One engine arena, created once and then `reset` for each of six
+    /// trials, matches fresh-engine-per-trial output exactly.
     #[test]
-    fn scoped_engine_reuse_matches_fresh_per_trial(s in arb_scenario(), threads in 1usize..4) {
+    fn scoped_engine_reuse_matches_fresh_per_trial(s in arb_scenario()) {
         let world = World::binary(s.m, s.goods, s.world_seed).expect("world");
         let alpha = f64::from(s.honest) / f64::from(s.n);
         let params = DistillParams::new(s.n, s.m, alpha, world.beta()).expect("params");
@@ -219,62 +285,52 @@ proptest! {
         };
         let trial_seed = |t: u64| s.seed.wrapping_add(t);
 
-        let fresh: Vec<SimResult> = run_trials(6, |t| {
-            Engine::new(
-                config_with(trial_seed(t)),
-                &world,
-                Box::new(Distill::new(params)),
-                make_adversary(s.adversary),
-            )
-            .expect("engine")
-            .run()
-            .unwrap()
-        });
-        let reused: Vec<SimResult> = run_trials_scoped(
-            6,
-            threads,
-            || None,
-            |slot: &mut Option<Engine<'_>>, t| {
-                let engine = match slot {
-                    Some(engine) => {
-                        engine
-                            .reset(
-                                trial_seed(t),
-                                Box::new(Distill::new(params)),
-                                make_adversary(s.adversary),
-                            )
-                            .expect("reset");
-                        engine
-                    }
-                    None => slot.insert(
-                        Engine::new(
-                            config_with(trial_seed(t)),
-                            &world,
+        let fresh: Vec<SimResult> = (0..6)
+            .map(|t| {
+                Engine::new(
+                    config_with(trial_seed(t)),
+                    &world,
+                    Box::new(Distill::new(params)),
+                    make_adversary(s.adversary),
+                )
+                .expect("engine")
+                .run()
+                .unwrap()
+            })
+            .collect();
+        let mut engine = Engine::new(
+            config_with(trial_seed(0)),
+            &world,
+            Box::new(Distill::new(params)),
+            make_adversary(s.adversary),
+        )
+        .expect("engine");
+        let reused: Vec<SimResult> = (0..6)
+            .map(|t| {
+                if t > 0 {
+                    engine
+                        .reset(
+                            trial_seed(t),
                             Box::new(Distill::new(params)),
                             make_adversary(s.adversary),
                         )
-                        .expect("engine"),
-                    ),
-                };
+                        .expect("reset");
+                }
                 engine.run_mut().unwrap()
-            },
-        );
+            })
+            .collect();
         prop_assert_eq!(fresh, reused);
     }
 
-    /// Work-stealing at the exact thread counts of the acceptance checklist
+    /// The sweep at the exact thread counts of the acceptance checklist
     /// ({1, 2, 3, 8}) stays byte-identical to sequential on one scenario per
     /// case (the random-threads property above covers the rest).
     #[test]
     fn thread_counts_one_two_three_eight_match_sequential(s in arb_scenario()) {
-        let trial = |t: u64| {
-            let mut s = s.clone();
-            s.seed = s.seed.wrapping_add(t);
-            run(&s, 50_000)
-        };
-        let sequential = run_trials(8, trial);
+        let spec = Arc::new(ScenarioTrials::plain(&s));
+        let sequential: Vec<SimResult> = (0..8).map(|t| spec.run_trial(t)).collect();
         for threads in [1usize, 2, 3, 8] {
-            prop_assert_eq!(&sequential, &run_trials_threaded(8, threads, trial));
+            prop_assert_eq!(&sequential, &sweep(&spec, 8, threads));
         }
     }
 
@@ -333,27 +389,8 @@ proptest! {
             FaultPlan::none().with_view_lag(lag)
         };
         let run_path = |register: bool| {
-            let trial = |t: u64| {
-                let world = World::binary(s.m, s.goods, s.world_seed).expect("world");
-                let alpha = f64::from(s.honest) / f64::from(s.n);
-                let params = DistillParams::new(s.n, s.m, alpha, world.beta()).expect("params");
-                let config = SimConfig::new(s.n, s.honest, s.seed.wrapping_add(t))
-                    .with_policy(VotePolicy::multi_vote(s.f))
-                    .with_faults(faults)
-                    .with_satisfaction_curve(curve)
-                    .with_stop(StopRule::all_satisfied(50_000))
-                    .with_tally_window_registration(register);
-                Engine::new(
-                    config,
-                    &world,
-                    Box::new(Distill::new(params)),
-                    make_adversary(s.adversary),
-                )
-                .expect("engine")
-                .run()
-                .unwrap()
-            };
-            run_trials_threaded(3, threads, trial)
+            let spec = ScenarioTrials { s: s.clone(), faults, curve, register };
+            sweep(&Arc::new(spec), 3, threads)
         };
         let incremental = run_path(true);
         let scan = run_path(false);
