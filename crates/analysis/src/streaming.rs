@@ -3,7 +3,7 @@
 //!
 //! Million-trial sweeps cannot afford to retain every measurement just to
 //! print a mean and a few percentiles at the end. This module provides the
-//! streaming counterpart of [`Summary`](crate::stats::Summary):
+//! streaming counterpart of [`Summary`]:
 //!
 //! - [`RunningMoments`] — count/mean/variance/min/max via Welford's
 //!   update, with Chan's parallel merge so per-worker partials combine

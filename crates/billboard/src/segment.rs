@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// An append-only post log stored as immutable shared segments.
 ///
-/// See the [module docs](self) for why this exists alongside
+/// See the `segment` module docs for why this exists alongside
 /// [`Billboard`](crate::Billboard).
 #[derive(Debug, Clone)]
 pub struct SegmentLog {

@@ -103,14 +103,21 @@ impl Args {
 
     /// A parsed flag with a default.
     pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+        Ok(self.get_opt(flag)?.unwrap_or(default))
+    }
+
+    /// A parsed flag without a default: `None` when it was not given.
+    pub fn get_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgError> {
+        self.flags
+            .get(flag)
+            .map(|raw| {
+                raw.parse().map_err(|_| ArgError::BadValue {
+                    flag: flag.to_string(),
+                    value: raw.clone(),
+                    expected: std::any::type_name::<T>(),
+                })
+            })
+            .transpose()
     }
 
     /// `true` iff the switch was given.
@@ -147,6 +154,8 @@ mod tests {
         assert_eq!(a.get_or("n", 0u32).unwrap(), 128);
         assert!((a.get_or("alpha", 0.0f64).unwrap() - 0.9).abs() < 1e-12);
         assert_eq!(a.get_or("missing", 7u32).unwrap(), 7);
+        assert_eq!(a.get_opt("n").unwrap(), Some(128u32));
+        assert_eq!(a.get_opt::<u32>("missing").unwrap(), None);
         assert_eq!(a.str_or("mode", "default"), "default");
     }
 
@@ -167,6 +176,10 @@ mod tests {
         let a = Args::parse(["run", "--n", "abc"], &[]).unwrap();
         assert!(matches!(
             a.get_or("n", 0u32),
+            Err(ArgError::BadValue { .. })
+        ));
+        assert!(matches!(
+            a.get_opt::<u32>("n"),
             Err(ArgError::BadValue { .. })
         ));
         assert!(a.ensure_known(&["n"]).is_ok());

@@ -5,7 +5,7 @@ use crate::args::Args;
 use distill_analysis::{fmt_f, Summary, Table};
 use distill_harness::json_escape;
 
-const BENCH_STORE_FLAGS: &[&str] = &[
+pub(super) const BENCH_STORE_FLAGS: &[&str] = &[
     "store",
     "json",
     "commit",

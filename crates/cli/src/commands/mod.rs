@@ -99,8 +99,8 @@ USAGE:
 COMMANDS:
     run        simulate one configuration over several trials
     sweep      crash-safe supervised `run`: checkpoint/resume, panic
-               quarantine, retries, watchdog timeouts; --stream for
-               O(1)-memory aggregation of huge sweeps
+               quarantine, retries, watchdog timeouts; streams each
+               trial into O(1)-memory aggregates
     sweep-worker
                one multi-process fabric worker: claim chunked trial ranges
                from the shared --queue under heartbeat-renewed leases
@@ -153,10 +153,9 @@ SWEEP FLAGS (all RUN FLAGS, plus):
     --quarantine <path>      failure records (default <checkpoint>.quarantine.jsonl)
     --threads <usize>        worker threads (available parallelism)
     --out <path>             per-trial result digests, for diffing runs
-    --stream                 O(1)-memory streaming aggregation (Welford
-                             moments + GK quantile sketch, rank error 0.5%)
-                             instead of retaining every result; excludes
-                             --out; --resume still loads the whole log
+    --inject-panic <u64>     test hook: panic in this trial
+    keeps no result: each trial's cost goes into Welford moments and a GK
+    quantile sketch (rank error 0.5%), though --resume loads the whole log;
     exits 3 when any trial ends quarantined
 
 SWEEP-WORKER FLAGS (all RUN FLAGS, plus):
@@ -168,9 +167,14 @@ SWEEP-WORKER FLAGS (all RUN FLAGS, plus):
     --max-retries / --trial-timeout / --checkpoint-every as in sweep
     --quarantine <path>      failure records (<queue>.worker<id>.quarantine.jsonl)
     --poll-ms <u64>          idle backoff while the queue is busy (50)
+    --inject-panic <u64>     as in sweep
+    --stop-after-chunks <k>  test hook: claim no chunk after the k-th
+    --fail-after-trials <k>  test hook: exit mid-lease after k trials, as a
+                             kill -9 would
     exits 0 even with quarantined trials: the supervisor's merge decides
 
-SWEEP-SUPERVISE FLAGS (all SWEEP-WORKER FLAGS except --worker-id, plus):
+SWEEP-SUPERVISE FLAGS (all SWEEP-WORKER FLAGS but --worker-id and --quarantine,
+passed on to every worker verbatim except --poll-ms; plus):
     --workers <u64>          worker processes to keep alive (3)
     --max-restarts <u64>     total restart budget across the fleet (16)
     --out <path>             merged per-trial digests, diffable against a
@@ -204,6 +208,7 @@ BENCH-STORE (append | query | diff; all take --store <path>, --format table|json
                (CI self-test hook, like sweep's --inject-panic)
 
 BOUNDS FLAGS: --n --m --alpha --beta --q0 --eps
+MEANFIELD FLAGS: --n --beta --explore <f64 in [0,1]> --rounds <usize>
 LEMMA9:       distill lemma9 <c0,c1,c2,...> --a <f64 in (0,1)>
 "
     .to_string()
@@ -285,7 +290,6 @@ mod tests {
             "--resume",
             "--trial-timeout",
             "--max-retries",
-            "--stream",
             "--queue",
             "--lease-ttl",
             "--max-claims",
@@ -293,6 +297,34 @@ mod tests {
             "--max-restarts",
         ] {
             assert!(h.contains(flag), "help must mention {flag}");
+        }
+    }
+
+    /// Every entry of every command's flag list is named in `help()`, as
+    /// a whole flag (`--a` does not count as named by `--alpha`).
+    #[test]
+    fn help_documents_every_flag() {
+        let h = help();
+        let lists = [
+            spec::SPEC_FLAGS,
+            sweep::SWEEP_FLAGS,
+            sweep::FORWARDED_FLAGS,
+            sweep::SWEEP_WORKER_FLAGS,
+            sweep::SWEEP_SUPERVISE_FLAGS,
+            run::GAUNTLET_FLAGS,
+            models::BOUNDS_FLAGS,
+            models::MEANFIELD_FLAGS,
+            models::ASYNC_FLAGS,
+            models::SERVICE_STRESS_FLAGS,
+            models::LEMMA9_FLAGS,
+            bench_store::BENCH_STORE_FLAGS,
+        ];
+        for flag in lists.concat() {
+            let name = format!("--{flag}");
+            let named = h.match_indices(&name).any(|(i, _)| {
+                !h[i + name.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            });
+            assert!(named, "help must document {name}");
         }
     }
 

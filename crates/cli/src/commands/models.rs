@@ -5,7 +5,7 @@ use crate::args::Args;
 use distill_analysis::{bounds, fmt_f, lemma9, Table};
 use distill_sim::{NullAdversary, World};
 
-const BOUNDS_FLAGS: &[&str] = &["n", "m", "alpha", "beta", "q0", "eps"];
+pub(super) const BOUNDS_FLAGS: &[&str] = &["n", "m", "alpha", "beta", "q0", "eps"];
 
 /// `distill bounds` — evaluate the paper's formulas.
 pub fn run_bounds(args: &Args) -> Result<String, CliError> {
@@ -59,7 +59,7 @@ pub fn run_bounds(args: &Args) -> Result<String, CliError> {
     Ok(table.render())
 }
 
-const MEANFIELD_FLAGS: &[&str] = &["n", "beta", "explore", "rounds"];
+pub(super) const MEANFIELD_FLAGS: &[&str] = &["n", "beta", "explore", "rounds"];
 
 /// `distill meanfield` — predicted satisfaction dynamics of the baselines.
 pub fn run_meanfield(args: &Args) -> Result<String, CliError> {
@@ -90,7 +90,7 @@ pub fn run_meanfield(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-const ASYNC_FLAGS: &[&str] = &["n", "goods", "schedule", "trials", "seed"];
+pub(super) const ASYNC_FLAGS: &[&str] = &["n", "goods", "schedule", "trials", "seed"];
 
 /// `distill async` — run the asynchronous model of \[1\].
 pub fn run_async(args: &Args) -> Result<String, CliError> {
@@ -150,7 +150,7 @@ pub fn run_async(args: &Args) -> Result<String, CliError> {
     Ok(table.render())
 }
 
-const SERVICE_STRESS_FLAGS: &[&str] = &[
+pub(super) const SERVICE_STRESS_FLAGS: &[&str] = &[
     "producers",
     "posts",
     "batch",
@@ -258,7 +258,7 @@ pub fn run_service_stress(args: &Args) -> Result<String, CliError> {
     Ok(table.render())
 }
 
-const LEMMA9_FLAGS: &[&str] = &["a"];
+pub(super) const LEMMA9_FLAGS: &[&str] = &["a"];
 
 /// `distill lemma9 <c0,c1,...> --a <f64>` — check the inequality.
 pub fn run_lemma9(args: &Args) -> Result<String, CliError> {

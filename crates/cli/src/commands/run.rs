@@ -105,7 +105,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-const GAUNTLET_FLAGS: &[&str] = &["n", "honest", "goods", "trials", "seed", "algorithm"];
+pub(super) const GAUNTLET_FLAGS: &[&str] = &["n", "honest", "goods", "trials", "seed", "algorithm"];
 
 /// One `gauntlet` row as a trial spec: `algorithm` against the adversary of
 /// `entry`, with the gauntlet's own world and engine seeds.

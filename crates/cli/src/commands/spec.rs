@@ -3,6 +3,7 @@
 use super::{err, num_threads, parse_n, parse_trials, CliError};
 use crate::args::Args;
 use distill_adversary::{gauntlet, GauntletEntry};
+use distill_billboard::VotePolicy;
 use distill_core::{Balance, Distill, DistillParams, GuessAlpha, RandomProbing, ThreePhase};
 use distill_harness::{SupervisorPolicy, SweepConfig, TrialSpec};
 use distill_sim::{Cohort, Engine, FaultPlan, SimConfig, SimResult, StopRule, World};
@@ -119,6 +120,17 @@ pub(super) struct SweepSpec {
     pub(super) inject_panic: Option<u64>,
 }
 
+impl SweepSpec {
+    /// Trial `trial`'s engine configuration.
+    fn config(&self, trial: u64) -> SimConfig {
+        SimConfig::new(self.n, self.honest, self.seed(trial))
+            .with_policy(VotePolicy::multi_vote(self.f))
+            .with_honest_error_rate(self.error_rate)
+            .with_faults(self.faults)
+            .with_stop(StopRule::all_satisfied(self.max_rounds))
+    }
+}
+
 impl TrialSpec for SweepSpec {
     fn run_trial(&self, trial: u64) -> SimResult {
         assert!(
@@ -134,12 +146,7 @@ impl TrialSpec for SweepSpec {
         let alpha = f64::from(self.honest) / f64::from(self.n);
         let cohort = make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
             .expect("validated algorithm");
-        let config = SimConfig::new(self.n, self.honest, self.seed(trial))
-            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
-            .with_honest_error_rate(self.error_rate)
-            .with_faults(self.faults)
-            .with_stop(StopRule::all_satisfied(self.max_rounds));
-        Engine::new(config, &world, cohort, (self.adversary.make)())
+        Engine::new(self.config(trial), &world, cohort, (self.adversary.make)())
             .expect("validated configuration")
             .run()
             .expect("engine run on validated inputs")
@@ -185,6 +192,9 @@ pub(super) fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError
     let trials: u64 = parse_trials(args, 10)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let f: usize = args.get_or("f", 1)?;
+    if f == 0 {
+        return Err(err("--f must be at least 1"));
+    }
     let error_rate: f64 = args.get_or("error-rate", 0.0)?;
     let max_rounds: u64 = args.get_or("max-rounds", 1_000_000)?;
     let faults = FaultPlan::none()
@@ -193,9 +203,6 @@ pub(super) fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError
         .with_crash_rate(args.get_or("crash-rate", 0.0)?)
         .with_crash_window(args.get_or("crash-window", 64)?)
         .with_recovery_rate(args.get_or("recovery-rate", 0.0)?);
-    faults
-        .validate()
-        .map_err(|msg| err(format!("fault plan: {msg}")))?;
     let algorithm = args.str_or("algorithm", "distill");
     if honest == 0 || honest > n {
         return Err(err(format!("--honest {honest} must be in 1..={n}")));
@@ -209,32 +216,30 @@ pub(super) fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError
     // this when it `expect`s).
     make_cohort(&algorithm, n, m, alpha, f64::from(goods) / f64::from(m))?;
     let adversary = find_adversary(&args.str_or("adversary", "uniform-bad"))?;
-    let inject_panic = match args.flags.get("inject-panic") {
-        None => None,
-        Some(_) => Some(args.get_or("inject-panic", 0u64)?),
+    let spec = SweepSpec {
+        n,
+        m,
+        honest,
+        goods,
+        algorithm,
+        adversary,
+        seed,
+        f,
+        error_rate,
+        max_rounds,
+        faults,
+        inject_panic: args.get_opt("inject-panic")?,
     };
-    Ok((
-        SweepSpec {
-            n,
-            m,
-            honest,
-            goods,
-            algorithm,
-            adversary,
-            seed,
-            f,
-            error_rate,
-            max_rounds,
-            faults,
-            inject_panic,
-        },
-        trials,
-    ))
+    // Trials differ only in their seeds, so trial 0's engine config stands
+    // for every trial's.
+    spec.config(0).validate().map_err(|e| err(e.to_string()))?;
+    Ok((spec, trials))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::dispatch;
     use crate::commands::tests::parse;
 
     /// A trial that panics fails `run`'s and `gauntlet`'s sweep, naming
@@ -251,5 +256,63 @@ mod tests {
             "trial 1 (seed 41) panicked: injected panic at trial 1 (--inject-panic)"
         );
         assert_eq!(folded, 2);
+    }
+
+    /// Spec values the engine refuses fail all four spec commands with the
+    /// config's own message, before any trial runs or any worker is
+    /// spawned: no file is written, not even a quarantine record.
+    #[test]
+    fn engine_rejected_spec_values_fail_before_any_trial() {
+        let dir = std::env::temp_dir().join(format!("distill-cli-bad-spec-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("sweep.ckpt").display().to_string();
+        let queue = dir.join("sweep.queue").display().to_string();
+        let commands: [&[&str]; 4] = [
+            &["run"],
+            &["sweep", "--checkpoint", &ckpt, "--max-retries", "0"],
+            &[
+                "sweep-worker",
+                "--queue",
+                &queue,
+                "--chunk",
+                "2",
+                "--max-retries",
+                "0",
+            ],
+            &[
+                "sweep-supervise",
+                "--queue",
+                &queue,
+                "--chunk",
+                "2",
+                "--workers",
+                "1",
+            ],
+        ];
+        for (flag, bad, message) in [
+            (
+                "--error-rate",
+                "2",
+                "invalid simulation config: honest_error_rate 2 out of [0, 1]",
+            ),
+            (
+                "--error-rate",
+                "NaN",
+                "invalid simulation config: honest_error_rate NaN out of [0, 1]",
+            ),
+            ("--f", "0", "--f must be at least 1"),
+        ] {
+            for head in commands {
+                let argv = [head, &["--n", "16", "--trials", "4", flag, bad]].concat();
+                match dispatch(&parse(&argv)) {
+                    Err(CliError::Message(m)) => assert_eq!(m, message, "{argv:?}"),
+                    other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+                }
+                let written = std::fs::read_dir(&dir).unwrap().count();
+                assert_eq!(written, 0, "{argv:?} wrote a file");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,18 +1,22 @@
 //! `sweep`, `sweep-worker` and `sweep-supervise`.
 
-use super::spec::{ensure_spec_flags, parse_sweep_spec};
+use super::spec::{ensure_spec_flags, parse_sweep_spec, SPEC_FLAGS};
 use super::{err, num_threads, summary_or_blank, CliError};
 use crate::args::Args;
-use distill_analysis::{fmt_f, Table};
-use distill_harness::{SupervisorPolicy, SweepConfig};
+use distill_analysis::{fmt_f, StreamingSummary, Table};
+use distill_harness::{QuarantineRecord, SupervisorPolicy, SweepConfig, WorkerConfig};
+use distill_sim::SimResult;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Rank-error target for `sweep --stream`'s quantile sketch: every reported
+/// Rank-error target for `sweep`'s quantile sketch: every reported
 /// percentile is within 0.5% of the trial count of the exact rank
 /// (documented in EXPERIMENTS.md P5).
 const STREAM_EPSILON: f64 = 0.005;
 
 /// `sweep`'s flags beyond [`SPEC_FLAGS`]: the crash-safety surface.
-const SWEEP_FLAGS: &[&str] = &[
+pub(super) const SWEEP_FLAGS: &[&str] = &[
     "checkpoint",
     "checkpoint-every",
     "trial-timeout",
@@ -22,33 +26,13 @@ const SWEEP_FLAGS: &[&str] = &[
     "out",
     "inject-panic",
     "resume",
-    "stream",
 ];
 
-/// `sweep-worker`'s flags beyond [`SPEC_FLAGS`] (the spec must match the
-/// supervisor's exactly — it is hashed into the queue fingerprint).
-const SWEEP_WORKER_FLAGS: &[&str] = &[
+/// The flags beyond [`SPEC_FLAGS`] that both fabric commands take.
+/// `sweep-supervise` forwards them, with the spec, to every worker
+/// ([`worker_argv`]).
+pub(super) const FORWARDED_FLAGS: &[&str] = &[
     "inject-panic",
-    // …plus the fabric surface
-    "queue",
-    "worker-id",
-    "chunk",
-    "lease-ttl",
-    "max-claims",
-    "max-retries",
-    "trial-timeout",
-    "quarantine",
-    "checkpoint-every",
-    "poll-ms",
-    "stop-after-chunks",
-    "fail-after-trials",
-];
-
-/// `sweep-supervise`'s flags beyond [`SPEC_FLAGS`] (the spec is forwarded
-/// verbatim to every worker).
-const SWEEP_SUPERVISE_FLAGS: &[&str] = &[
-    "inject-panic",
-    // …worker passthrough…
     "queue",
     "chunk",
     "lease-ttl",
@@ -56,75 +40,76 @@ const SWEEP_SUPERVISE_FLAGS: &[&str] = &[
     "max-retries",
     "trial-timeout",
     "checkpoint-every",
-    // …and the fleet surface
-    "workers",
-    "max-restarts",
-    "poll-ms",
-    "out",
-    "merged",
-    // test/CI hooks, forwarded to every worker (mirrors --inject-panic)
+    // test/CI hooks (mirror --inject-panic)
     "stop-after-chunks",
     "fail-after-trials",
 ];
 
-/// The `--out` digest file: one line per completed trial with the FNV-1a
-/// hash of its encoded `SimResult`, so CI can diff a resumed or fabric
-/// sweep against an uninterrupted reference byte-for-byte.
-fn digest_lines<'a>(
-    results: impl IntoIterator<Item = (u64, &'a distill_sim::SimResult)>,
-) -> String {
-    let mut text = String::new();
-    for (trial, result) in results {
-        let mut w = distill_harness::Writer::new();
-        distill_harness::checkpoint::encode_sim_result(&mut w, result);
-        let digest = distill_harness::fnv1a64(&w.into_bytes());
-        text.push_str(&format!("trial {trial} {digest:016x}\n"));
-    }
-    text
+/// `sweep-worker`'s own flags beyond [`FORWARDED_FLAGS`].
+pub(super) const SWEEP_WORKER_FLAGS: &[&str] = &["worker-id", "quarantine", "poll-ms"];
+
+/// `sweep-supervise`'s own flags beyond [`FORWARDED_FLAGS`]: the fleet
+/// surface, which workers never see.
+pub(super) const SWEEP_SUPERVISE_FLAGS: &[&str] =
+    &["workers", "max-restarts", "poll-ms", "out", "merged"];
+
+/// One line of the `--out` digest file: the FNV-1a hash of the trial's
+/// encoded `SimResult`, so CI can diff a resumed or fabric sweep against an
+/// uninterrupted reference byte-for-byte.
+fn digest_line(trial: u64, result: &SimResult) -> String {
+    let mut w = distill_harness::Writer::new();
+    distill_harness::checkpoint::encode_sim_result(&mut w, result);
+    let digest = distill_harness::fnv1a64(&w.into_bytes());
+    format!("trial {trial} {digest:016x}\n")
+}
+
+/// `--quarantine`, or else `<base><suffix>` when there is a `base` path.
+fn quarantine_path(args: &Args, base: Option<&Path>, suffix: &str) -> Option<PathBuf> {
+    args.flags.get("quarantine").map(PathBuf::from).or_else(|| {
+        base.map(|p| {
+            let mut q = p.as_os_str().to_owned();
+            q.push(suffix);
+            PathBuf::from(q)
+        })
+    })
+}
+
+/// The lines `sweep` and `sweep-worker` print after their table, one per
+/// quarantined trial.
+fn quarantine_lines(records: &[QuarantineRecord]) -> String {
+    records
+        .iter()
+        .map(|q| {
+            format!(
+                "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
+                q.trial, q.seed, q.failure, q.attempts
+            )
+        })
+        .collect()
 }
 
 /// `distill sweep` — the crash-safe supervised variant of `run`:
 /// checkpoint/resume, per-trial panic isolation with quarantine, retries,
-/// and watchdog timeouts. `--stream` trades the retained per-trial results
-/// for O(1)-memory streaming aggregation.
+/// and watchdog timeouts. Results stream: each one is folded into
+/// O(1)-memory aggregates (and, with `--out`, its digest line) in trial
+/// order, then dropped.
 pub fn sweep(args: &Args) -> Result<String, CliError> {
     ensure_spec_flags(args, SWEEP_FLAGS)?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let n = spec.n;
-    let m = spec.m;
-    let honest = spec.honest;
-    let goods = spec.goods;
-    let f = spec.f;
-    let algorithm = spec.algorithm.clone();
-    let adversary_name = spec.adversary.name;
-    let alpha = f64::from(honest) / f64::from(n);
+    let alpha = f64::from(spec.honest) / f64::from(spec.n);
+    let title = format!(
+        "sweep: {} vs {} — n={} m={} honest={} (alpha={alpha:.3}) goods={} f={} trials={trials}",
+        spec.algorithm, spec.adversary.name, spec.n, spec.m, spec.honest, spec.goods, spec.f
+    );
 
-    let checkpoint = args.flags.get("checkpoint").map(std::path::PathBuf::from);
+    let checkpoint = args.flags.get("checkpoint").map(PathBuf::from);
     let resume = args.has("resume");
     if resume && checkpoint.is_none() {
         return Err(err("--resume requires --checkpoint <path>"));
     }
-    let (policy, _) = parse_supervisor_policy(args)?;
-    let quarantine = args
-        .flags
-        .get("quarantine")
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            checkpoint.as_ref().map(|p| {
-                let mut q = p.as_os_str().to_owned();
-                q.push(".quarantine.jsonl");
-                std::path::PathBuf::from(q)
-            })
-        });
-    let out_path = args.flags.get("out").map(std::path::PathBuf::from);
-    let stream = args.has("stream");
-    if stream && out_path.is_some() {
-        return Err(err(
-            "--stream keeps no per-trial results, so --out digests are unavailable",
-        ));
-    }
-
-    let spec = std::sync::Arc::new(spec);
+    let policy = parse_supervisor_policy(args)?;
+    let quarantine = quarantine_path(args, checkpoint.as_deref(), ".quarantine.jsonl");
+    let out_path = args.flags.get("out").map(PathBuf::from);
     let config = SweepConfig {
         trials,
         threads: args.get_or("threads", num_threads())?,
@@ -134,40 +119,28 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         quarantine: quarantine.clone(),
         policy,
         stop_after: None,
-        retain_results: !stream,
+        retain_results: false,
     };
-    // Streaming mode folds each trial's individual cost into O(1)-memory
-    // aggregates (Welford moments + a GK quantile sketch at rank error
-    // STREAM_EPSILON) instead of retaining every `SimResult`.
-    let mut streamed = distill_analysis::StreamingSummary::new(STREAM_EPSILON);
+    // The fold sees each completed trial once, in ascending order, resumed
+    // trials included and quarantined ones never: Welford moments, a GK
+    // quantile sketch at rank error STREAM_EPSILON, and the digest lines.
+    let mut streamed = StreamingSummary::new(STREAM_EPSILON);
     let mut satisfied = 0u64;
-    let report = if stream {
-        let mut fold = |_trial: u64, r: &distill_sim::SimResult| {
-            streamed.push(r.mean_probes());
-            if r.all_satisfied {
-                satisfied += 1;
-            }
-        };
-        distill_harness::run_sweep_with(spec, &config, Some(&mut fold))
-            .map_err(|e| err(e.to_string()))?
-    } else {
-        distill_harness::run_sweep(spec, &config).map_err(|e| err(e.to_string()))?
+    let mut digests = out_path.as_ref().map(|_| String::new());
+    let mut fold = |trial: u64, r: &SimResult| {
+        streamed.push(r.mean_probes());
+        satisfied += u64::from(r.all_satisfied);
+        if let Some(text) = &mut digests {
+            text.push_str(&digest_line(trial, r));
+        }
     };
-
-    if let Some(path) = &out_path {
-        let results = report.results.iter().map(|(trial, r)| (*trial, r));
-        std::fs::write(path, digest_lines(results))
-            .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+    let report = distill_harness::run_sweep_with(Arc::new(spec), &config, Some(&mut fold))
+        .map_err(|e| err(e.to_string()))?;
+    if let Some((path, text)) = out_path.zip(digests) {
+        std::fs::write(&path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
 
-    let mut table = Table::new(
-        format!(
-            "sweep{}: {algorithm} vs {adversary_name} — n={n} m={m} honest={honest} \
-             (alpha={alpha:.3}) goods={goods} f={f} trials={trials}",
-            if stream { " (streaming)" } else { "" }
-        ),
-        &["metric", "value"],
-    );
+    let mut table = Table::new(title, &["metric", "value"]);
     table.row_owned(vec![
         "completed".into(),
         format!("{}/{trials}", report.completed),
@@ -184,62 +157,38 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         "quarantined".into(),
         report.quarantined.len().to_string(),
     ]);
-    if stream {
-        let m = streamed.moments();
-        let p = |q: f64| fmt_f(streamed.quantile(q).unwrap_or(f64::NAN));
-        table.row_owned(vec![
-            "mean individual cost".into(),
-            fmt_f(m.mean().unwrap_or(f64::NAN)),
-        ]);
-        table.row_owned(vec![
-            "cost std dev".into(),
-            fmt_f(m.std_dev().unwrap_or(f64::NAN)),
-        ]);
-        table.row_owned(vec![
-            "cost min / max".into(),
-            format!(
-                "{} / {}",
-                fmt_f(m.min().unwrap_or(f64::NAN)),
-                fmt_f(m.max().unwrap_or(f64::NAN))
-            ),
-        ]);
-        table.row_owned(vec![
-            format!("cost p50/p90/p99 (rank err <= {STREAM_EPSILON}n)"),
-            format!("{} / {} / {}", p(0.5), p(0.9), p(0.99)),
-        ]);
-        table.row_owned(vec![
-            "sketch tuples held".into(),
-            streamed.sketch().entries_len().to_string(),
-        ]);
-        table.row_owned(vec![
-            "trials fully satisfied".into(),
-            format!("{satisfied}/{}", report.completed),
-        ]);
-    } else {
-        let costs: Vec<f64> = report
-            .results
-            .iter()
-            .map(|(_, r)| r.mean_probes())
-            .collect();
-        let cost = summary_or_blank(&costs);
-        let done = report
-            .results
-            .iter()
-            .filter(|(_, r)| r.all_satisfied)
-            .count();
-        table.row_owned(vec!["mean individual cost".into(), fmt_f(cost.mean)]);
-        table.row_owned(vec![
-            "trials fully satisfied".into(),
-            format!("{done}/{}", report.results.len()),
-        ]);
-    }
+    let m = streamed.moments();
+    let p = |q: f64| fmt_f(streamed.quantile(q).unwrap_or(f64::NAN));
+    table.row_owned(vec![
+        "mean individual cost".into(),
+        fmt_f(m.mean().unwrap_or(f64::NAN)),
+    ]);
+    table.row_owned(vec![
+        "cost std dev".into(),
+        fmt_f(m.std_dev().unwrap_or(f64::NAN)),
+    ]);
+    table.row_owned(vec![
+        "cost min / max".into(),
+        format!(
+            "{} / {}",
+            fmt_f(m.min().unwrap_or(f64::NAN)),
+            fmt_f(m.max().unwrap_or(f64::NAN))
+        ),
+    ]);
+    table.row_owned(vec![
+        format!("cost p50/p90/p99 (rank err <= {STREAM_EPSILON}n)"),
+        format!("{} / {} / {}", p(0.5), p(0.9), p(0.99)),
+    ]);
+    table.row_owned(vec![
+        "sketch tuples held".into(),
+        streamed.sketch().entries_len().to_string(),
+    ]);
+    table.row_owned(vec![
+        "trials fully satisfied".into(),
+        format!("{satisfied}/{}", report.completed),
+    ]);
     let mut output = table.render();
-    for q in &report.quarantined {
-        output.push_str(&format!(
-            "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
-            q.trial, q.seed, q.failure, q.attempts
-        ));
-    }
+    output.push_str(&quarantine_lines(&report.quarantined));
     if !report.quarantined.is_empty() {
         if let Some(qpath) = &quarantine {
             output.push_str(&format!("\nreplay records: {}", qpath.display()));
@@ -252,41 +201,31 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(output)
 }
 
-/// The `--chunk` / `--lease-ttl` / retry / poll surface shared by the two
-/// fabric entry points, parsed and validated once.
-struct FabricFlags {
-    chunk: u64,
-    max_claims: u32,
-    lease_ttl_secs: f64,
-    lease_ttl_ms: u64,
-    checkpoint_every: u64,
-    trial_timeout_secs: f64,
-    policy: SupervisorPolicy,
-    poll: std::time::Duration,
-}
-
 /// `--max-retries` and `--trial-timeout`, the supervision flags of `sweep`
-/// and both fabric commands: the policy, plus the timeout in seconds as
-/// given, which `sweep-supervise` forwards to its workers.
-fn parse_supervisor_policy(args: &Args) -> Result<(SupervisorPolicy, f64), CliError> {
-    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
-    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
-        return Err(err(
-            "--trial-timeout must be a finite number of seconds >= 0",
-        ));
-    }
-    let policy = SupervisorPolicy {
+/// and both fabric commands.
+fn parse_supervisor_policy(args: &Args) -> Result<SupervisorPolicy, CliError> {
+    let timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
+    let timeout = Duration::try_from_secs_f64(timeout_secs)
+        .map_err(|_| err("--trial-timeout must be a finite number of seconds >= 0"))?;
+    Ok(SupervisorPolicy {
         max_retries: args.get_or("max-retries", 2)?,
-        trial_timeout: (trial_timeout_secs > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
+        trial_timeout: (timeout_secs > 0.0).then_some(timeout),
         ..SupervisorPolicy::default()
-    };
-    Ok((policy, trial_timeout_secs))
+    })
 }
 
-fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
-    let chunk: u64 = args.get_or("chunk", 16)?;
-    if chunk == 0 {
+/// The fabric flags, parsed and validated into the configuration a
+/// `sweep-worker` runs with; `sweep-supervise` parses them the same way
+/// before it spawns any worker.
+fn parse_worker_config(args: &Args, trials: u64) -> Result<WorkerConfig, CliError> {
+    let queue = args
+        .flags
+        .get("queue")
+        .map(PathBuf::from)
+        .ok_or_else(|| err(format!("{}: needs --queue <path>", args.command)))?;
+    let worker_id: u64 = args.get_or("worker-id", 0)?;
+    let chunk_size: u64 = args.get_or("chunk", 16)?;
+    if chunk_size == 0 {
         return Err(err("--chunk must be at least 1 trial"));
     }
     let max_claims: u32 = args.get_or("max-claims", 2)?;
@@ -294,27 +233,30 @@ fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
         return Err(err("--max-claims must be at least 1"));
     }
     let lease_ttl_secs: f64 = args.get_or("lease-ttl", 30.0)?;
-    if !lease_ttl_secs.is_finite() || lease_ttl_secs <= 0.0 {
-        return Err(err("--lease-ttl must be a finite number of seconds > 0"));
-    }
-    let lease_ttl_ms = u64::try_from(
-        std::time::Duration::from_secs_f64(lease_ttl_secs)
-            .as_millis()
-            .max(1),
-    )
-    .unwrap_or(u64::MAX);
-    let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
-    let (policy, trial_timeout_secs) = parse_supervisor_policy(args)?;
-    let poll = std::time::Duration::from_millis(args.get_or("poll-ms", 50)?);
-    Ok(FabricFlags {
-        chunk,
+    let lease_ttl = Duration::try_from_secs_f64(lease_ttl_secs)
+        .ok()
+        .filter(|_| lease_ttl_secs > 0.0)
+        .ok_or_else(|| err("--lease-ttl must be a finite number of seconds > 0"))?;
+    // Per-worker quarantine file by default: concurrent processes never
+    // interleave writes into one JSONL.
+    let quarantine = quarantine_path(
+        args,
+        Some(&queue),
+        &format!(".worker{worker_id}.quarantine.jsonl"),
+    );
+    Ok(WorkerConfig {
+        chunk_size,
         max_claims,
-        lease_ttl_secs,
-        lease_ttl_ms,
-        checkpoint_every,
-        trial_timeout_secs,
-        policy,
-        poll,
+        lease_ttl_ms: u64::try_from(lease_ttl.as_millis().max(1)).unwrap_or(u64::MAX),
+        checkpoint_every: args.get_or("checkpoint-every", 8)?,
+        policy: parse_supervisor_policy(args)?,
+        quarantine,
+        poll: Duration::from_millis(args.get_or("poll-ms", 50)?),
+        // Test/CI hooks mirroring sweep's --inject-panic: stop early or
+        // "crash" (exit without completing the leased chunk).
+        stop_after_chunks: args.get_opt("stop-after-chunks")?,
+        fail_after_trials: args.get_opt("fail-after-trials")?,
+        ..WorkerConfig::new(queue, worker_id, trials)
     })
 }
 
@@ -326,55 +268,18 @@ fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
 /// reclaimed and re-run, and the set-union merge deduplicates bit-exact
 /// duplicates).
 pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
-    ensure_spec_flags(args, SWEEP_WORKER_FLAGS)?;
+    ensure_spec_flags(args, &[FORWARDED_FLAGS, SWEEP_WORKER_FLAGS].concat())?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let queue = args
-        .flags
-        .get("queue")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| err("sweep-worker: needs --queue <path>"))?;
-    let worker_id: u64 = args.get_or("worker-id", 0)?;
-    let fabric = parse_fabric_flags(args)?;
-
-    let mut config = distill_harness::WorkerConfig::new(queue.clone(), worker_id, trials);
-    config.chunk_size = fabric.chunk;
-    config.max_claims = fabric.max_claims;
-    config.lease_ttl_ms = fabric.lease_ttl_ms;
-    config.checkpoint_every = fabric.checkpoint_every;
-    config.policy = fabric.policy;
-    config.poll = fabric.poll;
-    // Per-worker quarantine file by default: concurrent processes never
-    // interleave writes into one JSONL.
-    config.quarantine = Some(
-        args.flags
-            .get("quarantine")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                let mut q = queue.as_os_str().to_owned();
-                q.push(format!(".worker{worker_id}.quarantine.jsonl"));
-                std::path::PathBuf::from(q)
-            }),
-    );
-    // Test/CI hooks mirroring sweep's --inject-panic: stop early or "crash"
-    // (exit without completing the leased chunk).
-    config.stop_after_chunks = match args.flags.get("stop-after-chunks") {
-        None => None,
-        Some(_) => Some(args.get_or("stop-after-chunks", 0u64)?),
-    };
-    config.fail_after_trials = match args.flags.get("fail-after-trials") {
-        None => None,
-        Some(_) => Some(args.get_or("fail-after-trials", 0u64)?),
-    };
-
-    let report = distill_harness::run_worker(std::sync::Arc::new(spec), &config)
-        .map_err(|e| err(e.to_string()))?;
+    let config = parse_worker_config(args, trials)?;
+    let report =
+        distill_harness::run_worker(Arc::new(spec), &config).map_err(|e| err(e.to_string()))?;
     let mut table = Table::new(
         format!(
             "sweep-worker {} — queue {} ({} trials, chunk {})",
             report.worker_id,
-            queue.display(),
+            config.queue.display(),
             trials,
-            fabric.chunk
+            config.chunk_size
         ),
         &["metric", "value"],
     );
@@ -404,12 +309,7 @@ pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
     ]);
     table.row_owned(vec!["queue fully done".into(), report.finished.to_string()]);
     let mut output = table.render();
-    for q in &report.quarantined {
-        output.push_str(&format!(
-            "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
-            q.trial, q.seed, q.failure, q.attempts
-        ));
-    }
+    output.push_str(&quarantine_lines(&report.quarantined));
     // Quarantined trials are NOT an error exit here: the cross-process
     // claim budget decides chunk fate, and the supervisor's merge reports
     // the sweep-level verdict. A worker that ran at all did its job.
@@ -423,61 +323,19 @@ pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
 /// All state lives in files: kill -9 this supervisor (or any worker) and a
 /// fresh invocation resumes exactly where the fabric left off.
 pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
-    ensure_spec_flags(args, SWEEP_SUPERVISE_FLAGS)?;
-    let (spec, trials) = parse_sweep_spec(args)?;
-    let queue = args
-        .flags
-        .get("queue")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| err("sweep-supervise: needs --queue <path>"))?;
+    ensure_spec_flags(args, &[FORWARDED_FLAGS, SWEEP_SUPERVISE_FLAGS].concat())?;
+    // Every flag a worker will parse is validated here first, by the same
+    // functions, before any worker is spawned.
+    let (_, trials) = parse_sweep_spec(args)?;
+    let WorkerConfig { queue, poll, .. } = parse_worker_config(args, trials)?;
     let workers: u64 = args.get_or("workers", 3)?;
     if workers == 0 {
         return Err(err("--workers must be at least 1"));
     }
     let max_restarts: u64 = args.get_or("max-restarts", 16)?;
-    let fabric = parse_fabric_flags(args)?;
-    let out_path = args.flags.get("out").map(std::path::PathBuf::from);
-    let merged_path = args.flags.get("merged").map(std::path::PathBuf::from);
-
-    // Workers get the spec re-serialized from the parsed values (not the
-    // raw argv), so supervisor and workers agree on the fingerprint by
-    // construction.
-    let mut worker_argv: Vec<String> = vec!["sweep-worker".into()];
-    let mut push = |flag: &str, value: String| {
-        worker_argv.push(format!("--{flag}"));
-        worker_argv.push(value);
-    };
-    push("n", spec.n.to_string());
-    push("m", spec.m.to_string());
-    push("honest", spec.honest.to_string());
-    push("goods", spec.goods.to_string());
-    push("algorithm", spec.algorithm.clone());
-    push("adversary", spec.adversary.name.to_string());
-    push("trials", trials.to_string());
-    push("seed", spec.seed.to_string());
-    push("f", spec.f.to_string());
-    push("error-rate", spec.error_rate.to_string());
-    push("max-rounds", spec.max_rounds.to_string());
-    push("drop-rate", spec.faults.drop_rate.to_string());
-    push("view-lag", spec.faults.view_lag.to_string());
-    push("crash-rate", spec.faults.crash_rate.to_string());
-    push("crash-window", spec.faults.crash_window.to_string());
-    push("recovery-rate", spec.faults.recovery_rate.to_string());
-    if let Some(t) = spec.inject_panic {
-        push("inject-panic", t.to_string());
-    }
-    push("queue", queue.display().to_string());
-    push("chunk", fabric.chunk.to_string());
-    push("max-claims", fabric.max_claims.to_string());
-    push("lease-ttl", fabric.lease_ttl_secs.to_string());
-    push("checkpoint-every", fabric.checkpoint_every.to_string());
-    push("max-retries", fabric.policy.max_retries.to_string());
-    push("trial-timeout", fabric.trial_timeout_secs.to_string());
-    for hook in ["stop-after-chunks", "fail-after-trials"] {
-        if args.flags.contains_key(hook) {
-            push(hook, args.get_or(hook, 0u64)?.to_string());
-        }
-    }
+    let out_path = args.flags.get("out").map(PathBuf::from);
+    let merged_path = args.flags.get("merged").map(PathBuf::from);
+    let worker_argv = worker_argv(args);
 
     let exe = std::env::current_exe().map_err(|e| {
         err(format!(
@@ -487,7 +345,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let fleet = distill_harness::FleetConfig {
         workers,
         max_restarts,
-        poll: fabric.poll,
+        poll,
     };
     let fleet_report = distill_harness::supervise_workers(
         &fleet,
@@ -542,9 +400,12 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let merged = distill_harness::merge_checkpoints(&parts).map_err(|e| err(e.to_string()))?;
 
     if let Some(path) = &out_path {
-        let results = merged.completed.iter().map(|(trial, r)| (*trial, &**r));
-        std::fs::write(path, digest_lines(results))
-            .map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        let text: String = merged
+            .completed
+            .iter()
+            .map(|(trial, r)| digest_line(*trial, r))
+            .collect();
+        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
     }
     if let Some(path) = &merged_path {
         merged
@@ -601,11 +462,28 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     Ok(output)
 }
 
+/// The `sweep-worker` command line of `sweep-supervise`'s workers: each
+/// spec or forwarded flag the supervisor was given, verbatim. A worker
+/// parses them with the supervisor's own functions, so the two agree on
+/// the spec and its fingerprint by construction. Each spawn appends its
+/// `--worker-id`.
+fn worker_argv(args: &Args) -> Vec<String> {
+    let mut argv = vec!["sweep-worker".to_string()];
+    for (flag, value) in &args.flags {
+        if SPEC_FLAGS.contains(&flag.as_str()) || FORWARDED_FLAGS.contains(&flag.as_str()) {
+            argv.push(format!("--{flag}"));
+            argv.push(value.clone());
+        }
+    }
+    argv
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::commands::dispatch;
     use crate::commands::tests::parse;
+    use distill_harness::TrialSpec;
 
     fn sweep_tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("distill-cli-sweep-{}-{name}", std::process::id()))
@@ -710,67 +588,81 @@ mod tests {
         assert!(dispatch(&parse(&["sweep", "--trial-timeout", "-1"])).is_err());
         assert!(dispatch(&parse(&["sweep", "--algorithm", "nope"])).is_err());
         assert!(dispatch(&parse(&["sweep", "--bogus", "1"])).is_err());
+        assert!(dispatch(&parse(&["sweep", "--stream", "x"])).is_err());
+        for (flag, bad) in [("--error-rate", "2"), ("--error-rate", "NaN"), ("--f", "0")] {
+            assert!(
+                dispatch(&parse(&["sweep", flag, bad])).is_err(),
+                "{flag} {bad}"
+            );
+        }
     }
 
-    fn parse_stream(line: &[&str]) -> Args {
-        Args::parse(line.iter().copied(), &["resume", "stream"]).unwrap()
-    }
-
-    /// `sweep --stream` must report the same mean cost (to rounding) and
-    /// satisfied count as the retained sweep of the same spec, also when
-    /// resumed from its checkpoint, while refusing `--out`.
+    /// `sweep`'s stdout on a plain and a faulted spec, pinned byte for byte
+    /// (sha256 `4df4f9ce…a518` and `7777aa10…7ea0`).
     #[test]
-    fn sweep_stream_matches_retained_aggregates() {
-        let base = [
-            "sweep", "--n", "16", "--honest", "14", "--trials", "6", "--seed", "3",
-        ];
-        let retained = dispatch(&parse(&base)).unwrap();
-        let mut with_stream: Vec<&str> = base.to_vec();
-        with_stream.push("--stream");
-        let streamed = dispatch(&parse_stream(&with_stream)).unwrap();
-        let grab = |out: &str, label: &str| -> String {
-            out.lines()
-                .find(|l| l.contains(label))
-                .unwrap_or_else(|| panic!("no {label:?} row in:\n{out}"))
-                .split_whitespace()
-                .last()
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(
-            grab(&retained, "mean individual cost"),
-            grab(&streamed, "mean individual cost"),
-            "streaming must not change the mean"
-        );
-        assert_eq!(
-            grab(&retained, "trials fully satisfied"),
-            grab(&streamed, "trials fully satisfied"),
-        );
-        assert!(streamed.contains("completed"));
-        assert!(streamed.contains("6/6"));
-        assert!(streamed.contains("p50/p90/p99"));
+    fn sweep_stdout_is_pinned() {
+        let plain = dispatch(&parse(&[
+            "sweep", "--n", "64", "--honest", "48", "--trials", "6", "--seed", "3",
+        ]))
+        .unwrap();
+        let expected = r#"== sweep: distill vs uniform-bad — n=64 m=64 honest=48 (alpha=0.750) goods=1 f=1 trials=6 ==
+                               metric                value
+----------------------------------------------------------
+                            completed                  6/6
+              resumed from checkpoint                    0
+                  checkpoints written                    0
+                          quarantined                    0
+                 mean individual cost                 14.0
+                         cost std dev                8.477
+                       cost min / max         8.104 / 25.5
+cost p50/p90/p99 (rank err <= 0.005n)  8.646 / 24.4 / 24.4
+                   sketch tuples held                    6
+               trials fully satisfied                  6/6
 
-        // Streaming keeps no per-trial results, so `--out` is refused.
-        let bad = ["sweep", "--stream", "--out", "/tmp/x.digests"];
-        assert!(dispatch(&parse_stream(&bad)).is_err(), "{bad:?} must fail");
+"#;
+        assert_eq!(format!("{plain}\n"), expected);
+        let faulted = dispatch(&parse(&[
+            "sweep",
+            "--n",
+            "24",
+            "--honest",
+            "20",
+            "--goods",
+            "2",
+            "--trials",
+            "6",
+            "--seed",
+            "31",
+            "--f",
+            "2",
+            "--drop-rate",
+            "0.2",
+            "--view-lag",
+            "1",
+            "--crash-rate",
+            "0.3",
+            "--crash-window",
+            "8",
+            "--recovery-rate",
+            "0.2",
+        ]))
+        .unwrap();
+        let expected = r#"== sweep: distill vs uniform-bad — n=24 m=24 honest=20 (alpha=0.833) goods=2 f=2 trials=6 ==
+                               metric                  value
+------------------------------------------------------------
+                            completed                    6/6
+              resumed from checkpoint                      0
+                  checkpoints written                      0
+                          quarantined                      0
+                 mean individual cost                  5.342
+                         cost std dev                  2.116
+                       cost min / max          3.300 / 8.400
+cost p50/p90/p99 (rank err <= 0.005n)  3.950 / 7.400 / 7.400
+                   sketch tuples held                      6
+               trials fully satisfied                    6/6
 
-        // It checkpoints like a retained sweep, and a resume that finds
-        // every trial in the log folds them all.
-        let ckpt = sweep_tmp("stream.ckpt");
-        let ckpt_s = ckpt.display().to_string();
-        std::fs::remove_file(&ckpt).ok();
-        let mut checkpointed = with_stream.clone();
-        checkpointed.extend_from_slice(&["--checkpoint", &ckpt_s]);
-        dispatch(&parse_stream(&checkpointed)).unwrap();
-        checkpointed.push("--resume");
-        let resumed = dispatch(&parse_stream(&checkpointed)).unwrap();
-        assert_eq!(grab(&resumed, "resumed from checkpoint"), "6");
-        assert_eq!(
-            grab(&resumed, "mean individual cost"),
-            grab(&retained, "mean individual cost"),
-        );
-        std::fs::remove_file(&ckpt).ok();
-        std::fs::remove_file(format!("{ckpt_s}.quarantine.jsonl")).ok();
+"#;
+        assert_eq!(format!("{faulted}\n"), expected);
     }
 
     /// Two in-process fabric workers on one queue: disjoint leased chunks,
@@ -832,7 +724,11 @@ mod tests {
         let merged = distill_harness::merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 6);
         assert_eq!(
-            digest_lines(merged.completed.iter().map(|(t, r)| (*t, &**r))),
+            merged
+                .completed
+                .iter()
+                .map(|(t, r)| digest_line(*t, r))
+                .collect::<String>(),
             std::fs::read_to_string(&out_ref).unwrap(),
             "fabric merge must be bit-identical to the single-process sweep"
         );
@@ -955,26 +851,125 @@ mod tests {
     }
 
     /// `sweep` and both fabric commands read `--trial-timeout` through one
-    /// parser, so they refuse a negative timeout with one message.
+    /// parser, so they refuse a negative timeout, or one too long for a
+    /// `Duration`, with one message. The fabric commands refuse such a
+    /// `--lease-ttl` alike.
     #[test]
     fn negative_trial_timeout_is_refused_alike_by_every_sweep_command() {
-        for argv in [
-            &["sweep", "--trial-timeout", "-1"][..],
-            &["sweep-worker", "--queue", "/tmp/q", "--trial-timeout", "-1"],
-            &[
-                "sweep-supervise",
-                "--queue",
-                "/tmp/q",
-                "--trial-timeout",
-                "-1",
-            ],
-        ] {
-            let e = dispatch(&parse(argv)).unwrap_err();
+        let fabric = |cmd| [cmd, "--queue", "/tmp/q"];
+        for bad in ["-1", "1e300"] {
+            for head in [
+                &["sweep"][..],
+                &fabric("sweep-worker"),
+                &fabric("sweep-supervise"),
+            ] {
+                let argv = [head, &["--trial-timeout", bad]].concat();
+                assert_eq!(
+                    dispatch(&parse(&argv)).unwrap_err().to_string(),
+                    "--trial-timeout must be a finite number of seconds >= 0",
+                    "{argv:?}"
+                );
+            }
+        }
+        for cmd in ["sweep-worker", "sweep-supervise"] {
+            let argv = [&fabric(cmd)[..], &["--lease-ttl", "1e300"]].concat();
             assert_eq!(
-                e.to_string(),
-                "--trial-timeout must be a finite number of seconds >= 0",
+                dispatch(&parse(&argv)).unwrap_err().to_string(),
+                "--lease-ttl must be a finite number of seconds > 0",
                 "{argv:?}"
             );
+        }
+    }
+
+    /// The worker command line carries the supervisor's spec and fabric
+    /// flags: parsed as a worker parses it, it gives the supervisor's spec
+    /// and worker configuration, with every spec flag set and with none.
+    #[test]
+    fn supervisor_forwards_the_spec_to_its_workers() {
+        let spec = [
+            "--n",
+            "40",
+            "--m",
+            "48",
+            "--honest",
+            "30",
+            "--goods",
+            "3",
+            "--algorithm",
+            "random",
+            "--adversary",
+            "collusive",
+            "--trials",
+            "12",
+            "--seed",
+            "9",
+            "--f",
+            "2",
+            "--error-rate",
+            "0.125",
+            "--max-rounds",
+            "5000",
+            "--drop-rate",
+            "0.2",
+            "--view-lag",
+            "1",
+            "--crash-rate",
+            "0.3",
+            "--crash-window",
+            "8",
+            "--recovery-rate",
+            "0.25",
+        ];
+        let fabric = [
+            "--queue",
+            "/tmp/q",
+            "--inject-panic",
+            "5",
+            "--chunk",
+            "3",
+            "--lease-ttl",
+            "2.5",
+            "--max-claims",
+            "4",
+            "--max-retries",
+            "1",
+            "--trial-timeout",
+            "9",
+            "--checkpoint-every",
+            "2",
+            "--stop-after-chunks",
+            "1",
+            "--fail-after-trials",
+            "7",
+        ];
+        let fleet = [
+            "--workers",
+            "2",
+            "--max-restarts",
+            "3",
+            "--out",
+            "/tmp/o",
+            "--merged",
+            "/tmp/m",
+        ];
+        let given = |argv: &[&str], flags: &[&str]| {
+            flags
+                .iter()
+                .all(|f| argv.contains(&format!("--{f}").as_str()))
+        };
+        assert!(given(&spec, SPEC_FLAGS) && given(&fabric, FORWARDED_FLAGS));
+        for spec in [&spec[..], &[]] {
+            let supervisor = parse(&[&["sweep-supervise"][..], spec, &fabric, &fleet].concat());
+            let mut argv = worker_argv(&supervisor);
+            argv.extend(["--worker-id".to_string(), "0".to_string()]);
+            let worker = Args::parse(argv, &[]).unwrap();
+            ensure_spec_flags(&worker, &[FORWARDED_FLAGS, SWEEP_WORKER_FLAGS].concat()).unwrap();
+            let parsed = |args: &Args| {
+                let (spec, trials) = parse_sweep_spec(args).unwrap();
+                let config = parse_worker_config(args, trials).unwrap();
+                format!("{} trials={trials} {config:?}", spec.describe())
+            };
+            assert_eq!(parsed(&worker), parsed(&supervisor));
         }
     }
 }

@@ -18,7 +18,7 @@ use args::Args;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(raw, &["resume", "verify", "stream"]) {
+    let parsed = match Args::parse(raw, &["resume", "verify"]) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");

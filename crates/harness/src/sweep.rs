@@ -1,7 +1,7 @@
 //! The crash-safe supervised sweep runner.
 //!
 //! Composes the other three modules: trials run under
-//! [`supervise`](crate::supervisor::supervise) (panic isolation + retries +
+//! [`supervise`] (panic isolation + retries +
 //! watchdog), completed results accumulate into an ordered map (or stream
 //! into a fold), every `checkpoint_every` new completions are appended to
 //! the checkpoint log as one frame, and exhausted failures become

@@ -1,10 +1,10 @@
 //! The multi-process sweep fabric: worker processes over a shared
-//! [`LeaseQueue`](crate::lease::LeaseQueue), plus the `loopr`-style dumb
+//! [`LeaseQueue`], plus the `loopr`-style dumb
 //! supervisor that restarts dead ones.
 //!
 //! One sweep, many processes. Each worker loops: claim a chunk from the
 //! on-disk queue (reclaiming expired leases), run its trials under
-//! [`supervise`](crate::supervisor::supervise), append *its own* results
+//! [`supervise`], append *its own* results
 //! to the checkpoint log `<queue>.worker<id>.ckpt`, heartbeat-renew the
 //! lease while working, and mark the chunk done once its results are
 //! durably appended. Kill -9 a worker at any instant and its current lease

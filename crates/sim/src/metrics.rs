@@ -133,7 +133,7 @@ impl SimResult {
         self.players.iter().filter(|p| p.is_satisfied()).count()
     }
 
-    /// Total probes by honest players (the *total cost* measure of [1]).
+    /// Total probes by honest players (the *total cost* measure of \[1\]).
     pub fn total_probes(&self) -> u64 {
         self.players.iter().map(|p| p.probes).sum()
     }
