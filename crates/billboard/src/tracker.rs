@@ -432,17 +432,9 @@ impl VoteTracker {
             "tracker/log object universe mismatch"
         );
         let mut consumed = 0usize;
-        // The iterator borrows `log`, not `self`, so slices must be
-        // collected per step; segments are contiguous, so walking one slice
-        // at a time through `consume` is exactly sequential ingest.
-        loop {
-            let from = Seq(self.cursor as u64);
-            let Some(slice) = log.slices_since(from).next() else {
-                break;
-            };
-            if slice.is_empty() {
-                break;
-            }
+        // Segments are contiguous, so walking the delta one slice at a time
+        // through `consume` is exactly sequential ingest.
+        for slice in log.slices_since(Seq(self.cursor as u64)) {
             consumed += self.consume(slice, slice.len());
         }
         self.settle_voted_objects();

@@ -2,9 +2,10 @@
 //!
 //! The applier publishes the log as a monotone sequence of immutable
 //! **epochs**. An [`EpochSnapshot`] is a structural-sharing clone of the
-//! [`SegmentLog`] — cloning copies `Arc` pointers, never posts — so
-//! publishing after a batch costs O(segments), and a published snapshot is
-//! frozen forever. Readers hold an [`EpochReader`]: their own
+//! [`SegmentLog`] — cloning copies one `Arc` for the log's sealed blocks and
+//! at most 63 segment handles of its open tail, never posts — so publishing
+//! after a batch costs the same at any log length, and a published snapshot
+//! is frozen forever. Readers hold an [`EpochReader`]: their own
 //! [`VoteTracker`] (and optionally a materialized [`Billboard`] for
 //! [`BoardView`]-based reads) that they catch up against any snapshot at
 //! their own pace. Readers therefore never lock the log, and producers
@@ -94,8 +95,14 @@ impl EpochCell {
 
     /// Publishes `snapshot`, replacing the previous epoch for new loads.
     /// Readers that already loaded the old epoch keep it alive for free.
+    /// The replaced epoch is released after the lock, so a reader's `load`
+    /// never waits for it to be freed.
     pub fn publish(&self, snapshot: Arc<EpochSnapshot>) {
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = snapshot;
+        let replaced = std::mem::replace(
+            &mut *self.slot.lock().unwrap_or_else(PoisonError::into_inner),
+            snapshot,
+        );
+        drop(replaced);
     }
 }
 

@@ -195,18 +195,19 @@ impl ProducerHandle {
         if drafts.is_empty() {
             return Ok(Seq(first));
         }
-        let mut posts = Vec::with_capacity(drafts.len());
-        for (i, d) in drafts.iter().enumerate() {
-            let seq = first + i as u64;
-            posts.push(Post {
+        // The stamped posts go straight into the segment the log will keep:
+        // the iterator's length is exact, so this is one allocation.
+        let posts: Arc<[Post]> = (first..)
+            .zip(drafts)
+            .map(|(seq, d)| Post {
                 seq: Seq(seq),
                 round: Round(seq / self.config.posts_per_round),
                 author: d.author,
                 object: d.object,
                 value: d.value,
                 kind: d.kind,
-            });
-        }
+            })
+            .collect();
         let batch = StagedBatch::new(self.producer, posts).map_err(ServiceError::Rejected)?;
         self.tx
             .send(batch)

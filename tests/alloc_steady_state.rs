@@ -9,10 +9,14 @@
 //! heap acquisitions per round** (PR 3 tentpole; `cargo bench` reports the
 //! same number under `alloc/steady_state_round`). Since no vote lands in that
 //! shape, a tracker-level gate below also drives a voted set that changes on
-//! every ingest. A last gate holds the merge of worker checkpoints to
-//! sharing their results rather than copying them.
+//! every ingest. A gate holds the merge of worker checkpoints to sharing
+//! their results rather than copying them, and the last two hold the
+//! billboard service's write path to a snapshot that costs the same at any
+//! log length and to one allocation per submitted batch.
 
+use distill::billboard::{Post, SegmentLog, Seq};
 use distill::prelude::*;
+use distill::service::{BillboardService, Draft, ServiceConfig};
 use distill::sim::PlayerOutcome;
 use distill_harness::{merge_checkpoints, Checkpoint};
 use std::sync::Arc;
@@ -238,4 +242,84 @@ fn checkpoint_merge_allocates_independently_of_result_size() {
         "the merge allocated nothing: is the counter live?"
     );
     assert_eq!(small, large, "the merge copies results");
+}
+
+/// A log of `segments` one-post segments.
+fn one_post_segments(segments: u64) -> SegmentLog {
+    let mut log = SegmentLog::new(1, 1);
+    for seq in 0..segments {
+        let post = Post {
+            seq: Seq(seq),
+            round: Round(seq),
+            author: PlayerId(0),
+            object: ObjectId(0),
+            value: 1.0,
+            kind: ReportKind::Positive,
+        };
+        log.push_segment(Arc::from([post])).expect("segment");
+    }
+    log
+}
+
+/// Publishing an epoch clones the service's log. The clone shares the
+/// sealed blocks and copies only the open tail, so a log of 65,541
+/// segments costs the same bytes as one of 69 (every length here leaves a
+/// tail of 5 segments).
+#[test]
+fn segment_log_clone_allocates_independently_of_length() {
+    let clone_bytes = |segments: u64| {
+        let log = one_post_segments(segments);
+        let (delta, snapshot) = alloc_count::measure(|| log.clone());
+        assert_eq!(snapshot.len(), segments);
+        delta.bytes
+    };
+    let short = clone_bytes(69);
+    assert!(
+        short > 0,
+        "the clone allocated nothing: is the counter live?"
+    );
+    assert_eq!(
+        short,
+        clone_bytes(1_029),
+        "a snapshot copies the sealed blocks"
+    );
+    assert_eq!(
+        short,
+        clone_bytes(65_541),
+        "a snapshot copies the sealed blocks"
+    );
+}
+
+/// `submit` stamps a batch straight into the shared segment the log keeps:
+/// one acquisition of one batch of posts (plus the `Arc`'s two counts).
+#[test]
+fn submit_allocates_one_segment_per_batch() {
+    const BATCH: u32 = 1_024;
+    let service = BillboardService::start(ServiceConfig::new(BATCH, BATCH)).expect("start");
+    let handle = service.handle().expect("handle");
+    let drafts: Vec<Draft> = (0..BATCH)
+        .map(|i| Draft {
+            author: PlayerId(i),
+            object: ObjectId(BATCH - 1 - i),
+            value: 1.0,
+            kind: ReportKind::Positive,
+        })
+        .collect();
+    let segment = std::mem::size_of::<Post>() * BATCH as usize + 2 * std::mem::size_of::<usize>();
+    for batch in 0..4u64 {
+        let (delta, first) = alloc_count::measure(|| handle.submit(&drafts));
+        assert_eq!(first.expect("submit"), Seq(batch * u64::from(BATCH)));
+        assert_eq!(
+            delta.acquisitions(),
+            1,
+            "batch {batch} allocated: {delta:?}"
+        );
+        assert_eq!(
+            delta.bytes, segment as u64,
+            "batch {batch} allocated: {delta:?}"
+        );
+    }
+    drop(handle);
+    let report = service.shutdown().expect("shutdown");
+    assert_eq!(report.stats.posts, 4 * u64::from(BATCH));
 }

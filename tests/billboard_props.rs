@@ -11,17 +11,19 @@ const WIDE_PLAYERS: u32 = 64;
 const WIDE_OBJECTS: u32 = 512;
 
 /// An arbitrary post: (round-increment, author, object, value, positive?).
-fn arb_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
-    prop::collection::vec(
-        (
-            0u64..3,
-            0u32..N_PLAYERS,
-            0u32..N_OBJECTS,
-            0.0f64..2.0,
-            any::<bool>(),
-        ),
-        0..120,
+fn arb_post() -> impl Strategy<Value = (u64, u32, u32, f64, bool)> {
+    (
+        0u64..3,
+        0u32..N_PLAYERS,
+        0u32..N_OBJECTS,
+        0.0f64..2.0,
+        any::<bool>(),
     )
+}
+
+/// Arbitrary posts, in the shape of [`arb_post`].
+fn arb_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
+    prop::collection::vec(arb_post(), 0..120)
 }
 
 /// Arbitrary posts over the wide universe, in the shape of [`arb_posts`].
@@ -273,37 +275,62 @@ proptest! {
         prop_assert_eq!(board.posts(), oracle.posts());
     }
 
-    /// Segment-log ingestion is bit-identical to flat-board ingestion: the
-    /// same posts pushed as arbitrary segments produce the same tracker
-    /// state as `ingest` over the flat board, under every policy (so also
-    /// when best-value revocations cross zero in different slices).
+    /// Segment-log ingestion is bit-identical to flat-board ingestion, and
+    /// a snapshot reads exactly its prefix of the log. The same posts are
+    /// pushed as up to 400 segments of 1–4 posts, so the log seals blocks
+    /// of 64 segments, with snapshots taken at random points. Under every
+    /// policy (so also when best-value revocations cross zero in different
+    /// slices):
+    /// * after every later push, each snapshot's `slices_since(Seq(c))`
+    ///   yields, for every cut `c`, the flat board's posts from `c` to the
+    ///   snapshot's length, and no empty slice;
+    /// * a tracker fed by `ingest_segments`, and an `EpochReader` that
+    ///   syncs the snapshots in order, end equal to one flat `ingest`.
     #[test]
     fn ingest_segments_matches_flat_ingest(
-        posts in arb_posts(),
-        cuts in proptest::collection::vec(1usize..9, 0..12),
+        segments in proptest::collection::vec(proptest::collection::vec(arb_post(), 1..5), 0..400),
+        snapshot_after in proptest::collection::vec(0usize..400, 0..6),
         policy in arb_policy(),
     ) {
-        use distill::billboard::SegmentLog;
-        let board = build_board(&posts);
-        let mut log = SegmentLog::new(N_PLAYERS, N_OBJECTS);
+        use distill::billboard::{Post, SegmentLog, Seq};
+        use distill::service::{EpochReader, EpochSnapshot};
+        let board = build_board(&segments.concat());
         let all = board.posts();
+        let mut log = SegmentLog::new(N_PLAYERS, N_OBJECTS);
+        let mut snapshots = vec![(0, log.clone())];
         let mut at = 0;
-        let mut ci = 0;
-        while at < all.len() {
-            let width = if cuts.is_empty() { 5 } else { cuts[ci % cuts.len()] };
-            ci += 1;
-            let end = (at + width).min(all.len());
-            log.push_segment(all[at..end].to_vec().into()).expect("segment");
-            at = end;
+        for (i, segment) in segments.iter().enumerate() {
+            log.push_segment(all[at..at + segment.len()].into()).expect("segment");
+            at += segment.len();
+            if snapshot_after.contains(&i) {
+                snapshots.push((at, log.clone()));
+            }
+        }
+        snapshots.push((at, log.clone()));
+        prop_assert_eq!(log.segment_count(), segments.len());
+        for (end, snapshot) in &snapshots {
+            let end = *end;
+            for cut in 0..=end + 1 {
+                let slices: Vec<&[Post]> = snapshot.slices_since(Seq(cut as u64)).collect();
+                prop_assert!(slices.iter().all(|s| !s.is_empty()), "empty slice at cut {}", cut);
+                prop_assert_eq!(slices.concat(), &all[cut.min(end)..end]);
+            }
         }
         let mut flat = VoteTracker::new(N_PLAYERS, N_OBJECTS, policy);
         flat.ingest(&board);
         let mut seg = VoteTracker::new(N_PLAYERS, N_OBJECTS, policy);
         seg.ingest_segments(&log);
-        prop_assert_eq!(seg.events(), flat.events());
-        prop_assert_eq!(seg.objects_with_votes(), flat.objects_with_votes());
+        let mut reader = EpochReader::with_board(N_PLAYERS, N_OBJECTS, policy);
+        for (epoch, (_, snapshot)) in (1..).zip(&snapshots) {
+            reader.sync(&EpochSnapshot::at(epoch, snapshot)).expect("sync");
+        }
         let full = Window::new(Round(0), Round(u64::MAX));
-        prop_assert_eq!(seg.window_tally(full), flat.window_tally(full));
+        for tracker in [&seg, reader.tracker()] {
+            prop_assert_eq!(tracker.events(), flat.events());
+            prop_assert_eq!(tracker.objects_with_votes(), flat.objects_with_votes());
+            prop_assert_eq!(tracker.window_tally(full), flat.window_tally(full));
+        }
+        prop_assert_eq!(reader.view().expect("board-backed reader").posts(), all);
     }
 
     /// Best-value mode: a player's vote is always its maximum reported value.
