@@ -12,6 +12,12 @@ pub fn run_bounds(args: &Args) -> Result<String, CliError> {
     args.ensure_known(BOUNDS_FLAGS)?;
     let n: f64 = args.get_or("n", 1024.0)?;
     let m: f64 = args.get_or("m", n)?;
+    // Before alpha and beta: the default beta is 1/m.
+    for (flag, count) in [("n", n), ("m", m)] {
+        if !(count.is_finite() && count >= 1.0) {
+            return Err(err(format!("--{flag} must be a finite number >= 1")));
+        }
+    }
     let alpha: f64 = args.get_or("alpha", 0.9)?;
     let beta: f64 = args.get_or("beta", 1.0 / m)?;
     let q0: f64 = args.get_or("q0", 1.0)?;
@@ -355,6 +361,28 @@ mod tests {
         assert!(out.contains("Thm 4"));
         assert!(out.contains("Thm 12"));
         assert!(dispatch(&parse(&["bounds", "--alpha", "1.5"])).is_err());
+        let refusals: [(&[&str], &str); 7] = [
+            (&["--n", "0"], "--n"),
+            (&["--n", "0", "--beta", "0.5"], "--n"),
+            (&["--n", "-4", "--beta", "0.5"], "--n"),
+            (&["--n", "NaN", "--beta", "0.5"], "--n"),
+            (&["--n", "inf", "--beta", "0.5"], "--n"),
+            (&["--m", "0.5"], "--m"),
+            (&["--n", "64", "--m", "NaN", "--beta", "0.5"], "--m"),
+        ];
+        for (flags, named) in refusals {
+            let argv = [&["bounds"], flags].concat();
+            match dispatch(&parse(&argv)) {
+                Err(CliError::Message(m)) => {
+                    assert_eq!(
+                        m,
+                        format!("{named} must be a finite number >= 1"),
+                        "{argv:?}"
+                    );
+                }
+                other => panic!("{argv:?}: expected a refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

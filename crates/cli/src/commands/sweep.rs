@@ -63,6 +63,25 @@ fn digest_line(trial: u64, result: &SimResult) -> String {
     format!("trial {trial} {digest:016x}\n")
 }
 
+/// The error for an `--out` path that cannot be written, naming it.
+fn out_error(path: &Path, e: std::io::Error) -> CliError {
+    err(format!("--out {}: {e}", path.display()))
+}
+
+/// Opens `--out` before any trial runs or any worker starts, so a path that
+/// cannot be written fails fast rather than after the whole run. The
+/// digests are written when the run ends; until then an existing file keeps
+/// its contents.
+fn ensure_out_writable(path: &Path) -> Result<(), CliError> {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map(drop)
+        .map_err(|e| out_error(path, e))
+}
+
 /// `--quarantine`, or else `<base><suffix>` when there is a `base` path.
 fn quarantine_path(args: &Args, base: Option<&Path>, suffix: &str) -> Option<PathBuf> {
     args.flags.get("quarantine").map(PathBuf::from).or_else(|| {
@@ -121,6 +140,9 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         stop_after: None,
         retain_results: false,
     };
+    if let Some(path) = &out_path {
+        ensure_out_writable(path)?;
+    }
     // The fold sees each completed trial once, in ascending order, resumed
     // trials included and quarantined ones never: Welford moments, a GK
     // quantile sketch at rank error STREAM_EPSILON, and the digest lines.
@@ -137,7 +159,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     let report = distill_harness::run_sweep_with(Arc::new(spec), &config, Some(&mut fold))
         .map_err(|e| err(e.to_string()))?;
     if let Some((path, text)) = out_path.zip(digests) {
-        std::fs::write(&path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        std::fs::write(&path, text).map_err(|e| out_error(&path, e))?;
     }
 
     let mut table = Table::new(title, &["metric", "value"]);
@@ -336,6 +358,9 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let out_path = args.flags.get("out").map(PathBuf::from);
     let merged_path = args.flags.get("merged").map(PathBuf::from);
     let worker_argv = worker_argv(args);
+    if let Some(path) = &out_path {
+        ensure_out_writable(path)?;
+    }
 
     let exe = std::env::current_exe().map_err(|e| {
         err(format!(
@@ -405,7 +430,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
             .iter()
             .map(|(trial, r)| digest_line(*trial, r))
             .collect();
-        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        std::fs::write(path, text).map_err(|e| out_error(path, e))?;
     }
     if let Some(path) = &merged_path {
         merged
