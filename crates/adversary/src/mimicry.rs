@@ -58,12 +58,12 @@ impl MimicryInstance {
                  or m={m} < groups_objects={groups_objects}"
             )));
         }
-        if n % groups_players != 0 {
+        if !n.is_multiple_of(groups_players) {
             return Err(SimError::InvalidConfig(format!(
                 "groups_players {groups_players} must divide n {n}"
             )));
         }
-        if m % groups_objects != 0 {
+        if !m.is_multiple_of(groups_objects) {
             return Err(SimError::InvalidConfig(format!(
                 "groups_objects {groups_objects} must divide m {m}"
             )));

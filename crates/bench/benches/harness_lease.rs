@@ -102,7 +102,7 @@ fn populated_queue(trials: u64) -> LeaseQueue {
     let mut chunk = q.claim(1, 0, 1_000);
     let mut i = 0u64;
     while let Some(c) = chunk {
-        if i % 3 == 0 {
+        if i.is_multiple_of(3) {
             q.complete(c, 1);
         }
         i += 1;

@@ -508,7 +508,7 @@ mod tests {
             author: PlayerId((i % 3) as u32),
             object: ObjectId((i % 5) as u32),
             value: f64::from((i % 7) as u32),
-            kind: if i % 2 == 0 {
+            kind: if i.is_multiple_of(2) {
                 ReportKind::Positive
             } else {
                 ReportKind::Negative

@@ -527,7 +527,7 @@ impl VoteTracker {
         self.active.as_ref().filter(|aw| {
             aw.start == window.start
                 && aw.absorbed == self.events.len()
-                && self.events.last().map_or(true, |e| e.round < window.end)
+                && self.events.last().is_none_or(|e| e.round < window.end)
         })
     }
 

@@ -124,7 +124,7 @@ fn bench_store_query(
     let records: Vec<_> = store
         .records()
         .iter()
-        .filter(|r| filter.map_or(true, |f| &r.bench_id == f))
+        .filter(|r| filter.is_none_or(|f| &r.bench_id == f))
         .collect();
     if format == "json" {
         let mut out = String::from(

@@ -7,17 +7,25 @@ use distill_sim::{NullAdversary, World};
 
 pub(super) const BOUNDS_FLAGS: &[&str] = &["n", "m", "alpha", "beta", "q0", "eps"];
 
+/// Refuses a count flag (`--n`, `--m`) that is not finite or is below 1,
+/// naming it. Callers check it before any flag whose default derives from
+/// it, such as `--beta`, so a bad count is never blamed on that flag.
+fn ensure_count(flag: &str, count: f64) -> Result<(), CliError> {
+    if count.is_finite() && count >= 1.0 {
+        Ok(())
+    } else {
+        Err(err(format!("--{flag} must be a finite number >= 1")))
+    }
+}
+
 /// `distill bounds` — evaluate the paper's formulas.
 pub fn run_bounds(args: &Args) -> Result<String, CliError> {
     args.ensure_known(BOUNDS_FLAGS)?;
     let n: f64 = args.get_or("n", 1024.0)?;
     let m: f64 = args.get_or("m", n)?;
     // Before alpha and beta: the default beta is 1/m.
-    for (flag, count) in [("n", n), ("m", m)] {
-        if !(count.is_finite() && count >= 1.0) {
-            return Err(err(format!("--{flag} must be a finite number >= 1")));
-        }
-    }
+    ensure_count("n", n)?;
+    ensure_count("m", m)?;
     let alpha: f64 = args.get_or("alpha", 0.9)?;
     let beta: f64 = args.get_or("beta", 1.0 / m)?;
     let q0: f64 = args.get_or("q0", 1.0)?;
@@ -72,6 +80,8 @@ pub fn run_meanfield(args: &Args) -> Result<String, CliError> {
     use distill_analysis::meanfield;
     args.ensure_known(MEANFIELD_FLAGS)?;
     let n: f64 = args.get_or("n", 1024.0)?;
+    // Before beta, whose default is 1/n.
+    ensure_count("n", n)?;
     let beta: f64 = args.get_or("beta", 1.0 / n)?;
     let explore: f64 = args.get_or("explore", 0.5)?;
     let rounds: usize = args.get_or("rounds", 200)?;
@@ -411,6 +421,17 @@ mod tests {
         assert!(out.contains("balance"));
         assert!(out.contains("expected individual cost"));
         assert!(dispatch(&parse(&["meanfield", "--beta", "2.0"])).is_err());
+        for n in ["0", "-4", "NaN", "inf"] {
+            for extra in [&[][..], &["--beta", "0.5"]] {
+                let argv = [&["meanfield", "--n", n], extra].concat();
+                match dispatch(&parse(&argv)) {
+                    Err(CliError::Message(m)) => {
+                        assert_eq!(m, "--n must be a finite number >= 1", "{argv:?}");
+                    }
+                    other => panic!("{argv:?}: expected a refusal, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

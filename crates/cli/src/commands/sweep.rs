@@ -82,6 +82,18 @@ fn ensure_out_writable(path: &Path) -> Result<(), CliError> {
         .map_err(|e| out_error(path, e))
 }
 
+/// Creates and removes `--merged`'s scratch sibling `<path>.tmp.<pid>`,
+/// the file `write_atomic` renames over `path`, before any worker starts,
+/// so a directory that cannot be written fails fast. The target itself is
+/// not created: an empty file is not a checkpoint.
+fn ensure_merged_writable(path: &Path) -> Result<(), CliError> {
+    let mut probe = path.as_os_str().to_owned();
+    probe.push(format!(".tmp.{}", std::process::id()));
+    std::fs::File::create(&probe)
+        .and_then(|_| std::fs::remove_file(&probe))
+        .map_err(|e| err(format!("--merged {}: {e}", path.display())))
+}
+
 /// `--quarantine`, or else `<base><suffix>` when there is a `base` path.
 fn quarantine_path(args: &Args, base: Option<&Path>, suffix: &str) -> Option<PathBuf> {
     args.flags.get("quarantine").map(PathBuf::from).or_else(|| {
@@ -360,6 +372,9 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let worker_argv = worker_argv(args);
     if let Some(path) = &out_path {
         ensure_out_writable(path)?;
+    }
+    if let Some(path) = &merged_path {
+        ensure_merged_writable(path)?;
     }
 
     let exe = std::env::current_exe().map_err(|e| {

@@ -199,27 +199,31 @@ fn supervisor_merges_logs_of_worker_ids_beyond_its_fleet() {
 }
 
 /// An `--out` path that cannot be written fails both sweep commands before
-/// any work: exit 1 naming the path, and nothing written beside it. `sweep`
-/// leaves no checkpoint (it would write one after the first trial) and
-/// `sweep-supervise` no queue or worker log (its workers would write both).
+/// any work, as does a `--merged` path `sweep-supervise` cannot write: exit
+/// 1 naming the path, and nothing written beside it. `sweep` leaves no checkpoint
+/// (it would write one after the first trial) and `sweep-supervise` no
+/// queue or worker log (its workers would write both).
 #[test]
 fn unwritable_out_fails_before_any_trial_or_worker() {
     let dir = tmp_dir("unwritable-out");
-    let out = dir.join("missing").join("d");
-    let out_s = out.display().to_string();
+    let out_s = dir.join("missing").join("d").display().to_string();
+    let merged_s = dir.join("missing").join("m.ckpt").display().to_string();
     let ckpt_s = dir.join("sweep.ckpt").display().to_string();
     let queue_s = dir.join("sweep.queue").display().to_string();
-    let commands: [&[&str]; 2] = [
-        &["sweep", "--checkpoint", &ckpt_s, "--checkpoint-every", "1"],
-        &["sweep-supervise", "--queue", &queue_s, "--workers", "1"],
+    let sweep: &[&str] = &["sweep", "--checkpoint", &ckpt_s, "--checkpoint-every", "1"];
+    let supervise: &[&str] = &["sweep-supervise", "--queue", &queue_s, "--workers", "1"];
+    let cases = [
+        (sweep, "--out", out_s.as_str()),
+        (supervise, "--out", &out_s),
+        (supervise, "--merged", &merged_s),
     ];
-    for head in commands {
-        let args = [head, SPEC, &["--out", &out_s]].concat();
+    for (head, flag, path) in cases {
+        let args = [head, SPEC, &[flag, path]].concat();
         let run = Command::new(bin()).args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            stderr.contains(&format!("--out {out_s}: ")),
+            stderr.contains(&format!("{flag} {path}: ")),
             "{args:?}: {stderr}"
         );
         let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();

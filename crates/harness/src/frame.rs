@@ -32,6 +32,15 @@
 //! which case that writer's write fails with a typed I/O error (never
 //! corruption, never a silent partial file) and the caller retries its
 //! read–merge–write cycle.
+//!
+//! ## The file lock
+//!
+//! A read–modify–write of a shared file (the lease queue's claims, the
+//! store's appends) holds [`lock`] on the file for the whole cycle, so two
+//! writers never interleave, and neither sweeps the other's scratch file.
+//! The lock is the kernel's (`File::lock`, `flock(2)` on Linux): it is
+//! dropped when its holder exits, cleanly or by `kill -9`, so a dead
+//! holder never stalls anyone.
 
 use crate::codec::{fnv1a64, fnv1a64_prefixes, CodecError, Reader, Writer};
 use std::fmt;
@@ -384,6 +393,30 @@ fn sweep_stale_tmp(path: &Path) -> usize {
     removed
 }
 
+/// Blocks until this caller holds the exclusive lock of `path`, taken on
+/// the sibling `<path>.lock` (created if missing, never truncated); the
+/// returned file is the guard, and dropping it releases the lock. Every
+/// call opens its own handle, so threads of one process exclude each other
+/// too. The lock file stays on disk: deleting a lock file that others may
+/// hold would let two holders in.
+///
+/// # Errors
+/// [`FrameError::Io`] naming `<path>.lock` (open or lock failures).
+pub fn lock(path: &Path) -> Result<std::fs::File, FrameError> {
+    let mut s = path.as_os_str().to_owned();
+    s.push(".lock");
+    let path = PathBuf::from(s);
+    let err = |e| FrameError::io(&path, &e);
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(err)?;
+    file.lock().map_err(err)?;
+    Ok(file)
+}
+
 /// Reads the frame file at `path`, first sweeping any orphaned scratch
 /// files a killed writer left beside it.
 ///
@@ -484,7 +517,7 @@ mod tests {
             // Bytes past a one-frame file's payload, or payload bytes the
             // reader leaves unread.
             let mut long = good.clone();
-            long.extend(std::iter::repeat(0xAA).take(extra));
+            long.extend(std::iter::repeat_n(0xAA, extra));
             prop_assert_eq!(
                 decode_one(magic, version, &long, rest),
                 Err(FrameError::TrailingBytes { at: 0, extra })

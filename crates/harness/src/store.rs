@@ -390,14 +390,17 @@ impl ExperimentStore {
         ExperimentStore::decode(&frame::load(path)?)
     }
 
-    /// The append operation: open (reclaiming crash debris), set-union the
-    /// new records, write back atomically. Appending the same records twice
-    /// is a no-op the second time, so the store bytes are reproducible
-    /// across re-runs.
+    /// The append operation: under the store's [`frame::lock`], open
+    /// (reclaiming crash debris), set-union the new records, write back
+    /// atomically. Appending the same records twice is a no-op the second
+    /// time, so the store bytes are reproducible across re-runs, and
+    /// concurrent appends queue behind one another, so none loses
+    /// another's records.
     ///
     /// # Errors
-    /// Any [`StoreError`] from the open or the write-back.
+    /// Any [`StoreError`] from the lock, the open or the write-back.
     pub fn append(path: &Path, new: &[ExperimentRecord]) -> Result<AppendOutcome, StoreError> {
+        let _lock = frame::lock(path)?;
         let mut store = ExperimentStore::open(path)?;
         let existing = store.len();
         let added = store.merge_records(new.iter().cloned());
@@ -1070,6 +1073,34 @@ mod tests {
             ExperimentStore::append(&path, &[rec("engine/run", "ccc", 3, 90.0, 110.0)]).unwrap();
         assert_eq!(third.added, 1);
         assert_eq!(ExperimentStore::load(&path).unwrap().len(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writers racing appends of disjoint records into one store each
+    /// succeed, and the store ends up with every record of every writer.
+    #[test]
+    fn concurrent_appends_keep_every_record() {
+        let dir = scratch("race");
+        let (writers, per_writer) = (4, 6);
+        for round in 0..20 {
+            let path = dir.join(format!("race{round}.store"));
+            let start = std::sync::Barrier::new(writers);
+            std::thread::scope(|s| {
+                for w in 0..writers {
+                    let (path, start) = (&path, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..per_writer {
+                            let id = format!("writer{w}/row{i}");
+                            ExperimentStore::append(path, &[rec(&id, "race", 1, 1.0, 2.0)])
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            let store = ExperimentStore::load(&path).unwrap();
+            assert_eq!(store.len(), writers * per_writer, "round {round}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,14 +18,13 @@
 //! The queue file itself is written atomically, so it can never tear — but
 //! claim/renew/complete are read-modify-write cycles, and two workers
 //! interleaving them could lose an update (both "claim" the same chunk).
-//! A sibling `<queue>.lock` file, created with `O_CREAT|O_EXCL`,
-//! serialises those cycles. The lock is *advisory and safety-irrelevant*:
-//! a lost update merely duplicates work, and duplicated trials produce
-//! identical bytes that union cleanly. That is why breaking a stale lock
-//! (holder presumed killed) only needs to be *mostly* right: the breaker
-//! renames the lock to a pid-unique name first so exactly one breaker
-//! wins, and a lock whose holder was merely slow costs duplicated work,
-//! never correctness.
+//! Each cycle holds [`frame::lock`] on the queue: the kernel's lock on the
+//! sibling `<queue>.lock`, which serialises worker processes and the worker
+//! threads of one process alike. The kernel drops it when its holder exits,
+//! `kill -9` included, so a dead worker never stalls the rest; the lock
+//! file itself stays on disk. The lock guards work, not results: a lost
+//! update would merely duplicate work, and duplicated trials produce
+//! identical bytes that union cleanly.
 //!
 //! ## The dumb supervisor
 //!
@@ -37,7 +36,7 @@
 //! supervisor run picks up exactly where the files say.
 
 use crate::checkpoint::{CheckpointError, CheckpointLog};
-use crate::frame::FrameError;
+use crate::frame::{self, FrameError};
 use crate::lease::{LeaseError, LeaseOutcome, LeaseQueue};
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
@@ -74,7 +73,7 @@ pub enum WorkerError {
     Checkpoint(CheckpointError),
     /// Appending a quarantine record failed.
     Quarantine(String),
-    /// The queue lock could not be acquired or written.
+    /// The queue lock file could not be opened or locked.
     Lock(String),
     /// Spawning a worker process failed.
     Spawn(String),
@@ -259,108 +258,6 @@ pub struct WorkerReport {
 }
 
 // ---------------------------------------------------------------------------
-// The queue lock.
-// ---------------------------------------------------------------------------
-
-/// How long a lock may sit before a contender presumes its holder dead.
-const LOCK_STALE_MS: u64 = 10_000;
-/// Sleep between lock acquisition attempts.
-const LOCK_RETRY: Duration = Duration::from_millis(2);
-/// Acquisition attempts before giving up (~10 s at 2 ms each, plus
-/// whatever breaking stale locks took).
-const LOCK_ATTEMPTS: u32 = 5_000;
-
-fn lock_path(queue: &Path) -> PathBuf {
-    let mut s = queue.as_os_str().to_owned();
-    s.push(".lock");
-    PathBuf::from(s)
-}
-
-/// A held queue lock; dropped = released. Only removes the lock file if it
-/// still carries this holder's token, so a breaker that (wrongly) broke a
-/// slow-but-live holder's lock is not in turn broken by that holder.
-struct QueueLock {
-    path: PathBuf,
-    token: String,
-}
-
-impl Drop for QueueLock {
-    fn drop(&mut self) {
-        if std::fs::read_to_string(&self.path).is_ok_and(|c| c == self.token) {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-fn acquire_lock(queue: &Path, clock: &ClockFn) -> Result<QueueLock, WorkerError> {
-    let path = lock_path(queue);
-    let err = |msg: String| WorkerError::Lock(format!("{}: {msg}", path.display()));
-    // The token is staged in a caller-unique sibling and published with
-    // `hard_link` (atomic create-if-absent). Creating the lock file first
-    // and writing the token second would leave a window where a contender
-    // reads an empty lock, presumes a torn write from a dead holder, and
-    // breaks a *live* lock — two holders, and one sweeps the other's
-    // queue scratch file out from under its rename. The stage name needs
-    // a per-acquisition sequence number on top of the pid: worker threads
-    // sharing one process would otherwise share one stage file, and one
-    // thread's cleanup could unlink it between another's write and link.
-    static STAGE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = STAGE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let staged = {
-        let mut s = path.as_os_str().to_owned();
-        s.push(format!(".claim.{}.{seq}", std::process::id()));
-        PathBuf::from(s)
-    };
-    let unstage = |outcome| {
-        let _ = std::fs::remove_file(&staged);
-        outcome
-    };
-    for _ in 0..LOCK_ATTEMPTS {
-        // `pid acquired_ms seq` — the trailing sequence number makes the
-        // token unique even across threads of one process in one clock
-        // tick, so Drop's own-token check never releases a sibling's lock.
-        let token = format!("{} {} {seq}", std::process::id(), clock());
-        if let Err(e) = std::fs::write(&staged, token.as_bytes()) {
-            return unstage(Err(err(e.to_string())));
-        }
-        match std::fs::hard_link(&staged, &path) {
-            Ok(()) => {
-                return unstage(Ok(QueueLock { path, token }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // Somebody holds it. If their acquisition timestamp is
-                // older than the staleness bound (or unreadable — a
-                // legacy torn create; the hard-link publish above never
-                // produces one), presume them dead and break the lock:
-                // rename to a pid-unique name (exactly one breaker wins
-                // the rename) and delete the renamed file.
-                let acquired_ms = std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|c| c.split(' ').nth(1).and_then(|t| t.parse::<u64>().ok()));
-                let stale = match acquired_ms {
-                    Some(t) => clock().saturating_sub(t) > LOCK_STALE_MS,
-                    None => true,
-                };
-                if stale {
-                    let mut grave = path.as_os_str().to_owned();
-                    grave.push(format!(".stale.{}", std::process::id()));
-                    let grave = PathBuf::from(grave);
-                    if std::fs::rename(&path, &grave).is_ok() {
-                        let _ = std::fs::remove_file(&grave);
-                    }
-                    continue; // retry immediately
-                }
-                std::thread::sleep(LOCK_RETRY);
-            }
-            Err(e) => return unstage(Err(err(e.to_string()))),
-        }
-    }
-    unstage(Err(err(
-        "could not acquire within the attempt budget".into()
-    )))
-}
-
-// ---------------------------------------------------------------------------
 // Locked queue read-modify-write.
 // ---------------------------------------------------------------------------
 
@@ -373,18 +270,17 @@ struct QueueIdentity {
     max_claims: u32,
 }
 
-/// Under the queue lock: load the queue (initialising a missing one,
-/// rebuilding a corrupt one — corruption only costs re-execution, never
-/// results), apply `mutate`, write back atomically. Any other I/O failure
-/// is returned, never mistaken for corruption.
+/// Under the queue lock ([`frame::lock`]): load the queue (initialising a
+/// missing one, rebuilding a corrupt one — corruption only costs
+/// re-execution, never results), apply `mutate`, write back atomically.
+/// Any other I/O failure is returned, never mistaken for corruption.
 fn update_queue<T>(
     path: &Path,
     id: QueueIdentity,
-    clock: &ClockFn,
     rebuilds: &mut u64,
     mutate: impl FnOnce(&mut LeaseQueue) -> T,
 ) -> Result<T, WorkerError> {
-    let _lock = acquire_lock(path, clock)?;
+    let _lock = frame::lock(path).map_err(|e| WorkerError::Lock(e.to_string()))?;
     let mut queue = match LeaseQueue::load(path) {
         Ok(q) => {
             // A queue from a *different sweep* is a hard error — never
@@ -468,13 +364,7 @@ pub fn run_worker<S: TrialSpec>(
         CheckpointLog::resume(&ckpt_path, fingerprint, id.trials, every, |_| {
             report.checkpoint_rebuilt = true;
             let fresh = LeaseQueue::new(fingerprint, id.trials, id.chunk_size, id.max_claims)?;
-            update_queue(
-                &config.queue,
-                id,
-                &config.clock,
-                &mut report.queue_rebuilt,
-                |q| *q = fresh,
-            )?;
+            update_queue(&config.queue, id, &mut report.queue_rebuilt, |q| *q = fresh)?;
             report.queue_rebuilt += 1;
             Ok::<(), WorkerError>(())
         })?;
@@ -490,22 +380,16 @@ pub fn run_worker<S: TrialSpec>(
         let worker = config.worker_id;
         let ttl = config.lease_ttl_ms;
         let now = (config.clock)();
-        let claim = update_queue(
-            &config.queue,
-            id,
-            &config.clock,
-            &mut report.queue_rebuilt,
-            |q| {
-                if q.all_done() {
-                    Claim::AllDone
-                } else {
-                    match q.claim(worker, now, ttl) {
-                        Some(chunk) => Claim::Chunk(chunk, q.chunk_range(chunk)),
-                        None => Claim::Busy,
-                    }
+        let claim = update_queue(&config.queue, id, &mut report.queue_rebuilt, |q| {
+            if q.all_done() {
+                Claim::AllDone
+            } else {
+                match q.claim(worker, now, ttl) {
+                    Some(chunk) => Claim::Chunk(chunk, q.chunk_range(chunk)),
+                    None => Claim::Busy,
                 }
-            },
-        )?;
+            }
+        })?;
         let (chunk, range) = match claim {
             Claim::AllDone => {
                 report.finished = true;
@@ -541,13 +425,9 @@ pub fn run_worker<S: TrialSpec>(
             // abandoning the chunk — but never the results already earned.
             let now = (config.clock)();
             if now.saturating_add(ttl / 2) >= deadline {
-                let outcome = update_queue(
-                    &config.queue,
-                    id,
-                    &config.clock,
-                    &mut report.queue_rebuilt,
-                    |q| q.renew(chunk, worker, now, ttl),
-                )?;
+                let outcome = update_queue(&config.queue, id, &mut report.queue_rebuilt, |q| {
+                    q.renew(chunk, worker, now, ttl)
+                })?;
                 if outcome == LeaseOutcome::Applied {
                     deadline = now.saturating_add(ttl);
                 } else {
@@ -594,33 +474,23 @@ pub fn run_worker<S: TrialSpec>(
             // A chunk with quarantined trials: release it for another
             // claim (fresh cross-process retry budget) while budget
             // remains, otherwise accept the losses and mark it done.
-            let released = update_queue(
-                &config.queue,
-                id,
-                &config.clock,
-                &mut report.queue_rebuilt,
-                |q| {
-                    if q.claims_of(chunk) < q.max_claims {
-                        q.release(chunk, worker) == LeaseOutcome::Applied
-                    } else {
-                        q.complete(chunk, worker);
-                        false
-                    }
-                },
-            )?;
+            let released = update_queue(&config.queue, id, &mut report.queue_rebuilt, |q| {
+                if q.claims_of(chunk) < q.max_claims {
+                    q.release(chunk, worker) == LeaseOutcome::Applied
+                } else {
+                    q.complete(chunk, worker);
+                    false
+                }
+            })?;
             if released {
                 report.chunks_released += 1;
             } else {
                 report.chunks_completed += 1;
             }
         } else {
-            update_queue(
-                &config.queue,
-                id,
-                &config.clock,
-                &mut report.queue_rebuilt,
-                |q| q.complete(chunk, worker),
-            )?;
+            update_queue(&config.queue, id, &mut report.queue_rebuilt, |q| {
+                q.complete(chunk, worker)
+            })?;
             report.chunks_completed += 1;
         }
     }
@@ -748,7 +618,7 @@ mod tests {
         fn run_trial(&self, trial: u64) -> SimResult {
             SimResult {
                 rounds: trial.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ self.tag,
-                all_satisfied: trial % 3 == 0,
+                all_satisfied: trial.is_multiple_of(3),
                 players: vec![],
                 satisfied_per_round: vec![],
                 posts_total: 0,
@@ -1033,31 +903,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The lock file a holder killed mid-update leaves behind stalls no
+    /// worker, whatever it holds (here a pid that no process has and an
+    /// acquisition time equal to the frozen clock): the kernel released the
+    /// lock with the process.
     #[test]
-    fn stale_lock_is_broken_and_live_lock_is_respected() {
+    fn a_dead_holders_lock_file_does_not_stall_a_worker() {
+        let dir = scratch("dead-holder");
+        let queue = dir.join("sweep.queue");
+        let mut lock_file = queue.as_os_str().to_owned();
+        lock_file.push(".lock");
+        std::fs::write(&lock_file, b"4294967295 1000 0").unwrap();
+        let (_, clock) = test_clock(1_000);
+        let cfg = config(queue.clone(), 0, 8, clock);
+        let report = run_worker(Arc::new(SynthSpec { tag: 31 }), &cfg).unwrap();
+        assert!(report.finished);
+        assert!(LeaseQueue::load(&queue).unwrap().all_done());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A leftover lock file never blocks a queue update, while a held lock
+    /// stalls a contender thread of the same process until it is dropped.
+    #[test]
+    fn only_a_held_lock_stalls_a_queue_update() {
         let dir = scratch("lock");
         let queue = dir.join("sweep.queue");
-        let (time, clock) = test_clock(100_000);
-        // A lock from a process killed 11 s ago (per the injected clock).
-        std::fs::write(lock_path(&queue), b"999999999 89000").unwrap();
-        let lock = acquire_lock(&queue, &clock).unwrap();
-        drop(lock);
-        assert!(!lock_path(&queue).exists());
-        // A *fresh* foreign lock stalls acquisition until it goes away.
-        std::fs::write(lock_path(&queue), format!("999999999 {}", 100_000)).unwrap();
-        let handle = {
-            let queue = queue.clone();
-            let clock = Arc::clone(&clock);
-            std::thread::spawn(move || acquire_lock(&queue, &clock).map(drop))
+        let id = QueueIdentity {
+            fingerprint: 1,
+            trials: 8,
+            chunk_size: 4,
+            max_claims: 2,
         };
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!handle.is_finished(), "must wait for the live lock");
-        std::fs::remove_file(lock_path(&queue)).unwrap();
-        handle.join().unwrap().unwrap();
-        // Torn lock content (kill mid-create) is treated as stale.
-        std::fs::write(lock_path(&queue), b"garbage").unwrap();
-        time.fetch_add(1, Ordering::SeqCst);
-        drop(acquire_lock(&queue, &clock).unwrap());
+        // The lock file that a released lock leaves behind.
+        drop(frame::lock(&queue).unwrap());
+        update_queue(&queue, id, &mut 0, |_| ()).unwrap();
+
+        let held = frame::lock(&queue).unwrap();
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let contender = {
+            let (queue, started) = (queue.clone(), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                update_queue(&queue, id, &mut 0, |q| q.claim(7, 0, 1))
+            })
+        };
+        started.wait();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!contender.is_finished(), "must wait for the held lock");
+        assert_eq!(LeaseQueue::load(&queue).unwrap().state_counts().1, 0);
+        drop(held);
+        assert_eq!(contender.join().unwrap().unwrap(), Some(0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1243,7 +1138,6 @@ mod tests {
     fn unreadable_queue_is_returned_not_rebuilt() {
         let dir = scratch("unreadable-queue");
         let queue = dir.join("sweep.queue");
-        let (_, clock) = test_clock(0);
         std::fs::create_dir(&queue).unwrap();
         let id = QueueIdentity {
             fingerprint: 1,
@@ -1252,7 +1146,7 @@ mod tests {
             max_claims: 2,
         };
         let mut rebuilds = 0;
-        let err = update_queue(&queue, id, &clock, &mut rebuilds, |_| ()).unwrap_err();
+        let err = update_queue(&queue, id, &mut rebuilds, |_| ()).unwrap_err();
         assert!(matches!(
             err,
             WorkerError::Lease(LeaseError::Frame(FrameError::Io { .. }))

@@ -425,7 +425,7 @@ mod tests {
                 author: PlayerId(((i + salt) % n as usize) as u32),
                 object: ObjectId(((i * 3 + salt) % m as usize) as u32),
                 value: 1.0,
-                kind: if (i + salt) % 3 == 0 {
+                kind: if (i + salt).is_multiple_of(3) {
                     ReportKind::Positive
                 } else {
                     ReportKind::Negative

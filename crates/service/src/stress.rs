@@ -198,7 +198,7 @@ fn draft_at(i: u64, n_players: u32, n_objects: u32) -> Draft {
         author: PlayerId(author),
         object: ObjectId(object),
         value,
-        kind: if i % 3 == 0 {
+        kind: if i.is_multiple_of(3) {
             ReportKind::Positive
         } else {
             ReportKind::Negative

@@ -508,7 +508,7 @@ impl<'w> Engine<'w> {
                         rng.gen::<f64>() < prob
                     }
                     crate::config::Participation::RoundRobin { groups } => {
-                        (round.as_u64() + u64::from(p)) % u64::from(groups) == 0
+                        (round.as_u64() + u64::from(p)).is_multiple_of(u64::from(groups))
                     }
                     crate::config::Participation::Straggler {
                         player,

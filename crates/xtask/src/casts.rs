@@ -224,7 +224,7 @@ pub fn scan_casts(masked: &str) -> Vec<CastSite> {
             continue;
         }
         let bounded =
-            (i == 0 || !is_ident(chars[i - 1])) && chars.get(i + 2).map_or(true, |&c| !is_ident(c));
+            (i == 0 || !is_ident(chars[i - 1])) && chars.get(i + 2).is_none_or(|&c| !is_ident(c));
         if !bounded {
             i += 1;
             continue;

@@ -71,7 +71,7 @@ pub fn scan_aux(masked: &str) -> Vec<AuxSite> {
             continue;
         }
         let bounded = (i == 0 || !(is_ident(chars[i - 1]) || chars[i - 1] == ':'))
-            && chars.get(i + needle.len()).map_or(true, |&c| !is_ident(c));
+            && chars.get(i + needle.len()).is_none_or(|&c| !is_ident(c));
         if !bounded {
             i += needle.len();
             continue;

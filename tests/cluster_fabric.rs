@@ -29,7 +29,7 @@ impl TrialSpec for SynthSpec {
     fn run_trial(&self, trial: u64) -> SimResult {
         SimResult {
             rounds: trial.wrapping_mul(0x9E37_79B9).rotate_left(11) | 1,
-            all_satisfied: trial % 2 == 0,
+            all_satisfied: trial.is_multiple_of(2),
             players: vec![],
             satisfied_per_round: vec![],
             posts_total: 0,

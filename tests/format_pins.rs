@@ -24,7 +24,7 @@ use std::sync::Arc;
 fn fixed_result(seed: u64) -> SimResult {
     SimResult {
         rounds: 10 + seed,
-        all_satisfied: seed % 2 == 0,
+        all_satisfied: seed.is_multiple_of(2),
         players: vec![
             PlayerOutcome {
                 probes: 3,

@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn trailing_bytes_are_a_typed_error(q in arb_queue(), extra in 1usize..32) {
         let mut bytes = q.encode();
-        bytes.extend(std::iter::repeat(0xAA).take(extra));
+        bytes.extend(std::iter::repeat_n(0xAA, extra));
         match LeaseQueue::decode(&bytes) {
             Err(LeaseError::Frame(FrameError::TrailingBytes { at: 0, extra: got })) => {
                 prop_assert_eq!(got, extra)
