@@ -2,8 +2,8 @@
 //! crash-safe sweep harness (not from the paper; substrate robustness).
 //!
 //! * `checkpoint/encode_64` — serializing a 64-trial checkpoint to bytes;
-//! * `checkpoint/write_atomic_64` — the full atomic persist (temp file +
-//!   fsync + rename) of the same checkpoint;
+//! * `checkpoint/write_atomic_64` — the full atomic persist (file lock,
+//!   temp file, fsync, rename) of the same checkpoint;
 //! * `checkpoint/decode_validate_64` — load + checksum + fingerprint check;
 //! * `sweep/plain_16` vs `sweep/checkpointed_16` — a 16-trial DISTILL sweep
 //!   without checkpointing against the same sweep writing a checkpoint after

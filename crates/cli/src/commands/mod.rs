@@ -214,24 +214,25 @@ LEMMA9:       distill lemma9 <c0,c1,c2,...> --a <f64 in (0,1)>
     .to_string()
 }
 
-/// `--n` (default 256) through the one sanctioned id-space check, so an
-/// oversize population fails with the typed message instead of a parse
-/// error (or a silent truncation).
+/// `--n` (default 256, at least 1) through the one sanctioned id-space
+/// check, so an oversize population fails with the typed message instead
+/// of a parse error (or a silent truncation).
 fn parse_n(args: &Args) -> Result<u32, CliError> {
-    player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))
+    player_count(parse_positive(args, "n", 256)?).map_err(|e| err(e.to_string()))
 }
 
-/// `--trials`, refusing zero: a command that ran no trial has nothing to
-/// report.
-fn parse_trials<T: std::str::FromStr + From<u8> + PartialEq>(
+/// `--<flag>`, or `default` when it is absent, refusing zero: a zero count
+/// would run nothing, or be blamed on a flag that derives from it.
+fn parse_positive<T: std::str::FromStr + From<u8> + PartialEq>(
     args: &Args,
+    flag: &str,
     default: T,
 ) -> Result<T, CliError> {
-    let trials = args.get_or("trials", default)?;
-    if trials == T::from(0) {
-        return Err(err("--trials must be at least 1"));
+    let value = args.get_or(flag, default)?;
+    if value == T::from(0) {
+        return Err(err(format!("--{flag} must be at least 1")));
     }
-    Ok(trials)
+    Ok(value)
 }
 
 fn num_threads() -> usize {

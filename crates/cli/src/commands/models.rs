@@ -1,6 +1,6 @@
 //! `bounds`, `lemma9`, `meanfield`, `async` and `service-stress`.
 
-use super::{err, parse_n, parse_trials, summary_or_blank, CliError};
+use super::{err, parse_n, parse_positive, summary_or_blank, CliError};
 use crate::args::Args;
 use distill_analysis::{bounds, fmt_f, lemma9, Table};
 use distill_sim::{NullAdversary, World};
@@ -84,7 +84,7 @@ pub fn run_meanfield(args: &Args) -> Result<String, CliError> {
     ensure_count("n", n)?;
     let beta: f64 = args.get_or("beta", 1.0 / n)?;
     let explore: f64 = args.get_or("explore", 0.5)?;
-    let rounds: usize = args.get_or("rounds", 200)?;
+    let rounds: usize = parse_positive(args, "rounds", 200)?;
     if !(0.0 < beta && beta <= 1.0 && (0.0..=1.0).contains(&explore)) {
         return Err(err("need beta in (0,1] and explore in [0,1]"));
     }
@@ -117,7 +117,7 @@ pub fn run_async(args: &Args) -> Result<String, CliError> {
     args.ensure_known(ASYNC_FLAGS)?;
     let n = parse_n(args)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: u64 = parse_trials(args, 5)?;
+    let trials: u64 = parse_positive(args, "trials", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let schedule_name = args.str_or("schedule", "round-robin");
     match schedule_name.as_str() {
@@ -421,6 +421,12 @@ mod tests {
         assert!(out.contains("balance"));
         assert!(out.contains("expected individual cost"));
         assert!(dispatch(&parse(&["meanfield", "--beta", "2.0"])).is_err());
+        assert_eq!(
+            dispatch(&parse(&["meanfield", "--rounds", "0"]))
+                .unwrap_err()
+                .to_string(),
+            "--rounds must be at least 1"
+        );
         for n in ["0", "-4", "NaN", "inf"] {
             for extra in [&[][..], &["--beta", "0.5"]] {
                 let argv = [&["meanfield", "--n", n], extra].concat();

@@ -1,7 +1,7 @@
 //! `run` and `gauntlet`.
 
 use super::spec::{ensure_spec_flags, make_cohort, parse_sweep_spec, run_spec, SweepSpec};
-use super::{err, parse_n, parse_trials, summary_or_blank, CliError};
+use super::{err, parse_n, parse_positive, summary_or_blank, CliError};
 use crate::args::Args;
 use distill_adversary::{gauntlet, GauntletEntry};
 use distill_analysis::{bounds, fmt_f, Table};
@@ -156,7 +156,7 @@ pub fn run_gauntlet(args: &Args) -> Result<String, CliError> {
     let default_honest = ((f64::from(n)) * 0.75).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: u64 = parse_trials(args, 5)?;
+    let trials: u64 = parse_positive(args, "trials", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let algorithm = args.str_or("algorithm", "distill");
     if honest == 0 || honest > n {
@@ -273,6 +273,17 @@ mod tests {
         .is_err());
         assert!(dispatch(&parse(&["run", "--bogus-flag", "1"])).is_err());
         assert!(dispatch(&parse(&["frobnicate"])).is_err());
+        // A zero count is refused naming its own flag, not a flag whose
+        // default or range derives from it, and never runs trials that
+        // stop before their first round.
+        for flag in ["--n", "--m", "--max-rounds"] {
+            assert_eq!(
+                dispatch(&parse(&["run", flag, "0"]))
+                    .unwrap_err()
+                    .to_string(),
+                format!("{flag} must be at least 1")
+            );
+        }
     }
 
     /// `run`'s stdout on a faulted spec, pinned byte for byte (sha256

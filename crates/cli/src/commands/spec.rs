@@ -1,6 +1,6 @@
 //! The simulation spec that `run`, `sweep` and the fabric share.
 
-use super::{err, num_threads, parse_n, parse_trials, CliError};
+use super::{err, num_threads, parse_n, parse_positive, CliError};
 use crate::args::Args;
 use distill_adversary::{gauntlet, GauntletEntry};
 use distill_billboard::VotePolicy;
@@ -185,18 +185,15 @@ impl TrialSpec for SweepSpec {
 /// fingerprint by construction.
 pub(super) fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     let n = parse_n(args)?;
-    let m: u32 = args.get_or("m", n)?;
+    let m: u32 = parse_positive(args, "m", n)?;
     let default_honest = ((f64::from(n)) * 0.9).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
-    let trials: u64 = parse_trials(args, 10)?;
+    let trials: u64 = parse_positive(args, "trials", 10)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let f: usize = args.get_or("f", 1)?;
-    if f == 0 {
-        return Err(err("--f must be at least 1"));
-    }
+    let f: usize = parse_positive(args, "f", 1)?;
     let error_rate: f64 = args.get_or("error-rate", 0.0)?;
-    let max_rounds: u64 = args.get_or("max-rounds", 1_000_000)?;
+    let max_rounds: u64 = parse_positive(args, "max-rounds", 1_000_000)?;
     let faults = FaultPlan::none()
         .with_drop_rate(args.get_or("drop-rate", 0.0)?)
         .with_view_lag(args.get_or("view-lag", 0)?)

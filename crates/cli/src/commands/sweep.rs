@@ -1,7 +1,7 @@
 //! `sweep`, `sweep-worker` and `sweep-supervise`.
 
 use super::spec::{ensure_spec_flags, parse_sweep_spec, SPEC_FLAGS};
-use super::{err, num_threads, summary_or_blank, CliError};
+use super::{err, num_threads, parse_positive, summary_or_blank, CliError};
 use crate::args::Args;
 use distill_analysis::{fmt_f, StreamingSummary, Table};
 use distill_harness::{QuarantineRecord, SupervisorPolicy, SweepConfig, WorkerConfig};
@@ -82,16 +82,14 @@ fn ensure_out_writable(path: &Path) -> Result<(), CliError> {
         .map_err(|e| out_error(path, e))
 }
 
-/// Creates and removes `--merged`'s scratch sibling `<path>.tmp.<pid>`,
-/// the file `write_atomic` renames over `path`, before any worker starts,
-/// so a directory that cannot be written fails fast. The target itself is
-/// not created: an empty file is not a checkpoint.
-fn ensure_merged_writable(path: &Path) -> Result<(), CliError> {
-    let mut probe = path.as_os_str().to_owned();
-    probe.push(format!(".tmp.{}", std::process::id()));
-    std::fs::File::create(&probe)
-        .and_then(|_| std::fs::remove_file(&probe))
-        .map_err(|e| err(format!("--merged {}: {e}", path.display())))
+/// Takes and releases the lock of the checkpoint file that `flag` names,
+/// which creates its `<path>.lock` sibling, before any trial runs or any
+/// worker starts, so a directory that cannot be written fails fast. The
+/// checkpoint itself is not created: an empty file is not a checkpoint.
+fn ensure_lockable(flag: &str, path: &Path) -> Result<(), CliError> {
+    distill_harness::frame::lock(path)
+        .map(drop)
+        .map_err(|e| err(format!("--{flag} {}: {e}", path.display())))
 }
 
 /// `--quarantine`, or else `<base><suffix>` when there is a `base` path.
@@ -154,6 +152,9 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     };
     if let Some(path) = &out_path {
         ensure_out_writable(path)?;
+    }
+    if let Some(path) = &config.checkpoint {
+        ensure_lockable("checkpoint", path)?;
     }
     // The fold sees each completed trial once, in ascending order, resumed
     // trials included and quarantined ones never: Welford moments, a GK
@@ -258,14 +259,8 @@ fn parse_worker_config(args: &Args, trials: u64) -> Result<WorkerConfig, CliErro
         .map(PathBuf::from)
         .ok_or_else(|| err(format!("{}: needs --queue <path>", args.command)))?;
     let worker_id: u64 = args.get_or("worker-id", 0)?;
-    let chunk_size: u64 = args.get_or("chunk", 16)?;
-    if chunk_size == 0 {
-        return Err(err("--chunk must be at least 1 trial"));
-    }
-    let max_claims: u32 = args.get_or("max-claims", 2)?;
-    if max_claims == 0 {
-        return Err(err("--max-claims must be at least 1"));
-    }
+    let chunk_size: u64 = parse_positive(args, "chunk", 16)?;
+    let max_claims: u32 = parse_positive(args, "max-claims", 2)?;
     let lease_ttl_secs: f64 = args.get_or("lease-ttl", 30.0)?;
     let lease_ttl = Duration::try_from_secs_f64(lease_ttl_secs)
         .ok()
@@ -285,7 +280,7 @@ fn parse_worker_config(args: &Args, trials: u64) -> Result<WorkerConfig, CliErro
         checkpoint_every: args.get_or("checkpoint-every", 8)?,
         policy: parse_supervisor_policy(args)?,
         quarantine,
-        poll: Duration::from_millis(args.get_or("poll-ms", 50)?),
+        poll: Duration::from_millis(parse_positive(args, "poll-ms", 50)?),
         // Test/CI hooks mirroring sweep's --inject-panic: stop early or
         // "crash" (exit without completing the leased chunk).
         stop_after_chunks: args.get_opt("stop-after-chunks")?,
@@ -362,10 +357,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     // functions, before any worker is spawned.
     let (_, trials) = parse_sweep_spec(args)?;
     let WorkerConfig { queue, poll, .. } = parse_worker_config(args, trials)?;
-    let workers: u64 = args.get_or("workers", 3)?;
-    if workers == 0 {
-        return Err(err("--workers must be at least 1"));
-    }
+    let workers: u64 = parse_positive(args, "workers", 3)?;
     let max_restarts: u64 = args.get_or("max-restarts", 16)?;
     let out_path = args.flags.get("out").map(PathBuf::from);
     let merged_path = args.flags.get("merged").map(PathBuf::from);
@@ -374,7 +366,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
         ensure_out_writable(path)?;
     }
     if let Some(path) = &merged_path {
-        ensure_merged_writable(path)?;
+        ensure_lockable("merged", path)?;
     }
 
     let exe = std::env::current_exe().map_err(|e| {
@@ -397,19 +389,9 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
                 .stdout(std::process::Stdio::null())
                 .spawn()
         },
-        // Lock-free done probe: the queue file is atomically renamed into
-        // place, so a plain read sees a consistent snapshot; any error
-        // (missing, mid-rebuild) just means "not done yet". Read + decode
-        // rather than `LeaseQueue::load`: load sweeps `.tmp` siblings, and
-        // an unlocked sweeper would delete a live worker's scratch file
-        // out from under its rename.
-        || {
-            std::fs::read(&queue)
-                .ok()
-                .and_then(|bytes| distill_harness::LeaseQueue::decode(&bytes).ok())
-                .map(|q| q.all_done())
-                .unwrap_or(false)
-        },
+        // A load only reads, so the supervisor takes no lock; any error
+        // (missing, mid-rebuild) just means "not done yet".
+        || distill_harness::LeaseQueue::load(&queue).is_ok_and(|q| q.all_done()),
     )
     .map_err(|e| err(e.to_string()))?;
 
@@ -633,6 +615,14 @@ mod tests {
             assert!(
                 dispatch(&parse(&["sweep", flag, bad])).is_err(),
                 "{flag} {bad}"
+            );
+        }
+        for flag in ["--m", "--max-rounds"] {
+            assert_eq!(
+                dispatch(&parse(&["sweep", flag, "0"]))
+                    .unwrap_err()
+                    .to_string(),
+                format!("{flag} must be at least 1")
             );
         }
     }
@@ -862,6 +852,17 @@ cost p50/p90/p99 (rank err <= 0.005n)  3.950 / 7.400 / 7.400
             "0"
         ]))
         .is_err());
+        // A zero poll would spin: the supervisor re-reading the queue, an
+        // idle worker re-taking the queue lock the busy ones need.
+        for cmd in ["sweep-worker", "sweep-supervise"] {
+            assert_eq!(
+                dispatch(&parse(&[cmd, "--queue", "/tmp/q", "--poll-ms", "0"]))
+                    .unwrap_err()
+                    .to_string(),
+                "--poll-ms must be at least 1",
+                "{cmd}"
+            );
+        }
         // Unknown flags rejected on both.
         assert!(dispatch(&parse(&[
             "sweep-worker",

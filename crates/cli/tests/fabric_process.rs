@@ -199,23 +199,31 @@ fn supervisor_merges_logs_of_worker_ids_beyond_its_fleet() {
 }
 
 /// An `--out` path that cannot be written fails both sweep commands before
-/// any work, as does a `--merged` path `sweep-supervise` cannot write: exit
-/// 1 naming the path, and nothing written beside it. `sweep` leaves no checkpoint
-/// (it would write one after the first trial) and `sweep-supervise` no
-/// queue or worker log (its workers would write both).
+/// any work, as does a `--merged` path `sweep-supervise` cannot write and a
+/// `--checkpoint` path `sweep` cannot write, resuming or not: exit 1 naming
+/// the flag and path, and nothing written beside it. `sweep` leaves no
+/// checkpoint (it would write one after the first trial) and
+/// `sweep-supervise` no queue or worker log (its workers would write both).
 #[test]
 fn unwritable_out_fails_before_any_trial_or_worker() {
     let dir = tmp_dir("unwritable-out");
     let out_s = dir.join("missing").join("d").display().to_string();
     let merged_s = dir.join("missing").join("m.ckpt").display().to_string();
+    let missing_ckpt_s = dir.join("missing").join("c.ckpt").display().to_string();
     let ckpt_s = dir.join("sweep.ckpt").display().to_string();
     let queue_s = dir.join("sweep.queue").display().to_string();
     let sweep: &[&str] = &["sweep", "--checkpoint", &ckpt_s, "--checkpoint-every", "1"];
     let supervise: &[&str] = &["sweep-supervise", "--queue", &queue_s, "--workers", "1"];
+    // A cadence past the trial count: the first append would come only
+    // after every trial had run.
+    let late: &[&str] = &["sweep", "--checkpoint-every", "1000"];
+    let resume: &[&str] = &["sweep", "--resume", "--checkpoint-every", "1000"];
     let cases = [
         (sweep, "--out", out_s.as_str()),
         (supervise, "--out", &out_s),
         (supervise, "--merged", &merged_s),
+        (late, "--checkpoint", &missing_ckpt_s),
+        (resume, "--checkpoint", &missing_ckpt_s),
     ];
     for (head, flag, path) in cases {
         let args = [head, SPEC, &[flag, path]].concat();

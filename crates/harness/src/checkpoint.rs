@@ -38,8 +38,10 @@
 //! appends one frame per cadence with [`frame::append`], so a checkpoint
 //! write costs bytes in proportion to the new trials only. The one whole-map
 //! rewrite is compaction after damage: `CheckpointLog::resume` rewrites a
-//! damaged log's intact prefix as one frame with [`frame::write_atomic`]
-//! before anything is appended behind the damage.
+//! damaged log's intact prefix as one frame, under the log's
+//! [`frame::lock`], before anything is appended behind the damage. That
+//! and [`Checkpoint::write_atomic`] are the only writes that replace a
+//! checkpoint file; loads only read it.
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::frame::{self, FrameError};
@@ -303,8 +305,8 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads and strictly decodes a checkpoint log after sweeping a killed
-    /// writer's scratch files (see [`frame::load`]).
+    /// Loads and strictly decodes a checkpoint log. A plain read (see
+    /// [`frame::load`]).
     ///
     /// # Errors
     /// I/O failures surface as [`FrameError::Io`] (kind `NotFound` for a
@@ -329,14 +331,14 @@ impl Checkpoint {
         }
     }
 
-    /// Writes the checkpoint atomically as a one-frame log: a crash at any
-    /// point leaves either the old or the new complete file, never a torn
-    /// one.
+    /// Writes the checkpoint atomically as a one-frame log, under the
+    /// file's [`frame::lock`]: a crash at any point leaves either the old
+    /// or the new complete file, never a torn one.
     ///
     /// # Errors
     /// [`CheckpointError::Frame`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        Ok(frame::write_atomic(path, &self.encode())?)
+        Ok(frame::lock(path)?.write(&self.encode())?)
     }
 }
 
@@ -456,7 +458,9 @@ impl CheckpointLog {
         drop(bytes);
         let entries = completed.iter().map(|(trial, result)| (*trial, result));
         let bytes = encode_frame(fingerprint, total_trials, entries, encode_sim_result);
-        frame::write_atomic(path, &bytes).map_err(CheckpointError::from)?;
+        frame::lock(path)
+            .and_then(|lock| lock.write(&bytes))
+            .map_err(CheckpointError::from)?;
         Ok((log, completed))
     }
 
@@ -1029,8 +1033,9 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let ck = sample_checkpoint();
         ck.write_atomic(&path).unwrap();
-        // No scratch file may survive the rename.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        // No scratch file may survive the rename; the lock file stays.
+        assert!(path.exists() && dir.join("sweep.ckpt.lock").exists());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, ck);
         // Overwrite with different contents; load sees the new snapshot.
@@ -1205,29 +1210,6 @@ mod tests {
         let err = CheckpointLog::resume(&path, fp ^ 1, total, 1, unreachable).unwrap_err();
         assert!(matches!(err, CheckpointError::ConfigMismatch { .. }));
         assert_eq!(std::fs::read(&path).unwrap().len(), whole.len() - 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A writer killed between creating its scratch file and renaming it
-    /// leaves an orphan; the next load reclaims it and still reads the
-    /// intact previous checkpoint.
-    #[test]
-    fn load_sweeps_orphaned_tmp_from_killed_writer() {
-        let dir = std::env::temp_dir().join(format!("distill-ckpt-orphan-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.ckpt");
-        let ck = sample_checkpoint();
-        ck.write_atomic(&path).unwrap();
-        // Crash debris: a dead writer's pid-suffixed scratch and a legacy
-        // fixed-name one, both torn mid-write.
-        let orphan_a = dir.join("sweep.ckpt.tmp.999999999");
-        let orphan_b = dir.join("sweep.ckpt.tmp");
-        std::fs::write(&orphan_a, &ck.encode()[..20]).unwrap();
-        std::fs::write(&orphan_b, b"garbage").unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
-        assert!(!orphan_a.exists(), "orphaned scratch must be reclaimed");
-        assert!(!orphan_b.exists(), "legacy orphan must be reclaimed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,37 +13,32 @@
 //! primitives, and get back bytes or one typed [`FrameError`]. Decoding
 //! verifies magic, version, length and checksum before the payload reader
 //! sees a byte, and afterwards checks that it consumed the whole payload.
-//! A lease-queue file holds exactly one frame ([`decode_one`]). Checkpoint
-//! and store files are frame sequences ([`decode_seq`]) whose intact
-//! prefix survives a torn tail; a checkpoint grows by [`append`]ing one
-//! frame per write, and [`is_torn`] tells the torn last frame a crash
-//! mid-append leaves from other damage.
+//! Lease-queue and store files hold exactly one frame ([`decode_one`]). A
+//! checkpoint file is a frame sequence ([`decode_seq`]) whose intact prefix
+//! survives a torn tail; it grows by [`append`]ing one frame per write, and
+//! [`is_torn`] tells the torn last frame a crash mid-append leaves from
+//! other damage.
 //!
-//! ## Atomic writes
+//! ## One write path: the lock holder's
 //!
-//! [`write_atomic`] writes to a *process-unique* sibling
-//! (`<path>.tmp.<pid>`), fsyncs, then `rename(2)`s over the target. A
-//! process killed at any instant leaves either the previous complete file
-//! or the new one at `path`, never a torn hybrid — but it can leave the
-//! orphaned scratch file behind if the kill lands between create and
-//! rename; [`load`] reclaims those. The pid in the name keeps two
-//! concurrent writers off one scratch file. Sweeping skips this process's
-//! own suffix, but may delete a *different live* writer's scratch file, in
-//! which case that writer's write fails with a typed I/O error (never
-//! corruption, never a silent partial file) and the caller retries its
-//! read–merge–write cycle.
+//! A harness file is replaced only through the guard [`lock`] returns:
+//! [`FileLock::write`] writes the fixed scratch sibling `<path>.tmp`,
+//! fsyncs it and `rename(2)`s it over the target. The lock is the
+//! kernel's (`File::lock`, `flock(2)` on Linux) on the sibling
+//! `<path>.lock`, so only its holder ever touches `<path>.tmp`, and a
+//! read–modify–write of a shared file (the lease queue's claims, the
+//! store's appends) holds it for the whole cycle, so two writers never
+//! interleave. The kernel drops the lock when its holder exits, cleanly or
+//! by `kill -9`, so a dead holder never stalls anyone. A holder killed at
+//! any instant leaves either the previous complete file or the new one at
+//! `path`, never a torn hybrid; a scratch file it leaves behind is
+//! truncated and reused by the next holder.
 //!
-//! ## The file lock
-//!
-//! A read–modify–write of a shared file (the lease queue's claims, the
-//! store's appends) holds [`lock`] on the file for the whole cycle, so two
-//! writers never interleave, and neither sweeps the other's scratch file.
-//! The lock is the kernel's (`File::lock`, `flock(2)` on Linux): it is
-//! dropped when its holder exits, cleanly or by `kill -9`, so a dead
-//! holder never stalls anyone.
-
+//! [`load`] is a plain read. It never changes a file, so any number of
+//! readers may run beside a writer and see one whole version or the other.
 use crate::codec::{fnv1a64, fnv1a64_prefixes, CodecError, Reader, Writer};
 use std::fmt;
+use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -325,29 +320,6 @@ pub fn is_torn(magic: [u8; 8], version: u32, bytes: &[u8], at: usize) -> bool {
     len > body.len() as u64 && fnv1a64_prefixes(body).all(|hash| hash != stored)
 }
 
-/// The scratch sibling this process writes before renaming over `path`.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(format!(".tmp.{}", std::process::id()));
-    PathBuf::from(s)
-}
-
-/// Writes `bytes` to `path` atomically: create `<path>.tmp.<pid>`, write,
-/// fsync, rename over `path`.
-///
-/// # Errors
-/// [`FrameError::Io`] naming the scratch file (create/write/fsync
-/// failures) or the target (rename failures).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FrameError> {
-    let tmp = tmp_path(path);
-    let err = |e| FrameError::io(&tmp, &e);
-    let mut file = std::fs::File::create(&tmp).map_err(err)?;
-    file.write_all(bytes).map_err(err)?;
-    file.sync_all().map_err(err)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| FrameError::io(path, &e))
-}
-
 /// Appends `bytes` (whole frames) to the log at `path`, creating it if it
 /// is missing, then fsyncs. A process killed mid-append can leave a torn
 /// last frame behind, which [`decode_seq`] reports as damage after the
@@ -366,64 +338,74 @@ pub fn append(path: &Path, bytes: &[u8]) -> Result<(), FrameError> {
     file.sync_all().map_err(err)
 }
 
-/// Removes orphaned scratch files next to `path`: every sibling whose name
-/// starts with `<file name>.tmp` except this process's own, including
-/// legacy fixed-name `<path>.tmp` leftovers, and returns how many it
-/// reclaimed. Best effort: a file it cannot list or remove stays behind as
-/// debris, which never affects reading the intact file.
-fn sweep_stale_tmp(path: &Path) -> usize {
-    let parent = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    let (Some(name), Ok(entries)) = (path.file_name(), std::fs::read_dir(parent)) else {
-        return 0;
-    };
-    let stale_prefix = format!("{}.tmp", name.to_string_lossy());
-    let own = tmp_path(path);
-    let mut removed = 0;
-    for candidate in entries.filter_map(Result::ok).map(|entry| entry.path()) {
-        let stale = candidate
-            .file_name()
-            .is_some_and(|n| n.to_string_lossy().starts_with(&stale_prefix));
-        if stale && candidate != own && std::fs::remove_file(&candidate).is_ok() {
-            removed += 1;
-        }
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut s = path.as_os_str().to_owned();
+    s.push(suffix);
+    PathBuf::from(s)
+}
+
+/// The exclusive lock of one harness file, held until the guard is
+/// dropped, and the only way to replace that file.
+#[derive(Debug)]
+pub struct FileLock {
+    /// The locked file (not the lock file).
+    path: PathBuf,
+    /// The open `<path>.lock`, which holds the kernel lock.
+    _lock: File,
+}
+
+impl FileLock {
+    /// Replaces the locked file with `bytes` atomically: write the scratch
+    /// sibling `<path>.tmp` (truncating whatever a killed holder left
+    /// there), fsync it, rename it over `path`.
+    ///
+    /// # Errors
+    /// [`FrameError::Io`] naming the scratch file (create, write or fsync
+    /// failures) or the target (rename failures).
+    pub fn write(&self, bytes: &[u8]) -> Result<(), FrameError> {
+        let tmp = sibling(&self.path, ".tmp");
+        let err = |e| FrameError::io(&tmp, &e);
+        let mut file = File::create(&tmp).map_err(err)?;
+        file.write_all(bytes).map_err(err)?;
+        file.sync_all().map_err(err)?;
+        drop(file);
+        std::fs::rename(&tmp, &self.path).map_err(|e| FrameError::io(&self.path, &e))
     }
-    removed
 }
 
 /// Blocks until this caller holds the exclusive lock of `path`, taken on
-/// the sibling `<path>.lock` (created if missing, never truncated); the
-/// returned file is the guard, and dropping it releases the lock. Every
-/// call opens its own handle, so threads of one process exclude each other
-/// too. The lock file stays on disk: deleting a lock file that others may
-/// hold would let two holders in.
+/// the sibling `<path>.lock` (created if missing, never truncated);
+/// dropping the returned guard releases it. Every call opens its own
+/// handle, so threads of one process exclude each other too. The lock
+/// file stays on disk: deleting a lock file that others may hold would let
+/// two holders in.
 ///
 /// # Errors
 /// [`FrameError::Io`] naming `<path>.lock` (open or lock failures).
-pub fn lock(path: &Path) -> Result<std::fs::File, FrameError> {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".lock");
-    let path = PathBuf::from(s);
-    let err = |e| FrameError::io(&path, &e);
+pub fn lock(path: &Path) -> Result<FileLock, FrameError> {
+    let lock_path = sibling(path, ".lock");
+    let err = |e| FrameError::io(&lock_path, &e);
     let file = std::fs::OpenOptions::new()
         .create(true)
         .truncate(false)
         .write(true)
-        .open(&path)
+        .open(&lock_path)
         .map_err(err)?;
     file.lock().map_err(err)?;
-    Ok(file)
+    Ok(FileLock {
+        path: path.to_path_buf(),
+        _lock: file,
+    })
 }
 
-/// Reads the frame file at `path`, first sweeping any orphaned scratch
-/// files a killed writer left beside it.
+/// Reads the frame file at `path`. It takes no lock and changes nothing:
+/// every write renames a whole file into place, so a read sees one whole
+/// version.
 ///
 /// # Errors
 /// [`FrameError::Io`], whose `kind` is `NotFound` for a missing file.
 pub fn load(path: &Path) -> Result<Vec<u8>, FrameError> {
-    sweep_stale_tmp(path);
     std::fs::read(path).map_err(|e| FrameError::io(path, &e))
 }
 
@@ -569,16 +551,27 @@ mod tests {
         dir
     }
 
+    /// The file names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn write_then_load_round_trips_and_leaves_no_tmp() {
         let dir = scratch_dir("round-trip");
         let target = dir.join("data.bin");
-        write_atomic(&target, b"hello").unwrap();
+        let guard = lock(&target).unwrap();
+        guard.write(b"hello").unwrap();
         assert_eq!(load(&target).unwrap(), b"hello");
-        write_atomic(&target, b"world").unwrap();
+        guard.write(b"world").unwrap();
         assert_eq!(load(&target).unwrap(), b"world");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(leftovers.len(), 1, "only the target may remain");
+        drop(guard);
+        assert_eq!(names(&dir), ["data.bin", "data.bin.lock"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -626,42 +619,74 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The kill-mid-write scenario: a writer died between creating its
-    /// scratch file and renaming it. The next load sweeps the orphan.
+    /// A holder killed mid-write leaves its scratch file `<path>.tmp`
+    /// behind. Loads read the intact file and delete nothing; the next
+    /// holder's write truncates and reuses the scratch file, so none is
+    /// left after it. An older build's `<path>.tmp.<pid>` is nobody's to
+    /// delete. The same holds through every format's own write and load.
     #[test]
-    fn load_reclaims_orphans_from_dead_writers() {
-        let dir = scratch_dir("sweep");
-        let target = dir.join("store.bin");
-        write_atomic(&target, b"good").unwrap();
-        // Orphans from two "dead" writers: a pid-suffixed scratch file (the
-        // pid is not ours) and a legacy fixed-name one.
-        let orphan_pid = dir.join("store.bin.tmp.999999999");
-        let orphan_legacy = dir.join("store.bin.tmp");
-        std::fs::write(&orphan_pid, b"torn").unwrap();
-        std::fs::write(&orphan_legacy, b"torn").unwrap();
-        // An unrelated sibling must survive.
-        let unrelated = dir.join("store.bin.bak");
-        std::fs::write(&unrelated, b"keep").unwrap();
-        assert_eq!(sweep_stale_tmp(&target), 2);
-        assert!(!orphan_pid.exists());
-        assert!(!orphan_legacy.exists());
-        assert!(unrelated.exists());
-        std::fs::write(&orphan_pid, b"torn").unwrap();
-        assert_eq!(load(&target).unwrap(), b"good");
-        assert!(!orphan_pid.exists());
-        // Sweeping again finds nothing.
-        assert_eq!(sweep_stale_tmp(&target), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sweep_skips_this_processes_own_scratch_file() {
-        let dir = scratch_dir("own");
-        let target = dir.join("store.bin");
-        let own = tmp_path(&target);
-        std::fs::write(&own, b"in flight").unwrap();
-        assert_eq!(sweep_stale_tmp(&target), 0);
-        assert!(own.exists());
+    fn a_killed_holders_scratch_file_is_reused_by_the_next_write() {
+        use crate::{Checkpoint, ExperimentRecord, ExperimentStore, LeaseQueue, RowKind};
+        let dir = scratch_dir("orphan");
+        let check = |name: &str, write: &dyn Fn(&Path), read: &dyn Fn(&Path)| {
+            let path = dir.join(name);
+            write(&path);
+            let intact = load(&path).unwrap();
+            let (tmp, legacy) = (sibling(&path, ".tmp"), sibling(&path, ".tmp.999999999"));
+            std::fs::write(&tmp, b"torn half-write").unwrap();
+            std::fs::write(&legacy, b"torn half-write").unwrap();
+            read(&path);
+            assert!(
+                tmp.exists() && legacy.exists(),
+                "{name}: a load deleted a file"
+            );
+            write(&path);
+            assert!(!tmp.exists(), "{name}: the write left its scratch file");
+            assert!(legacy.exists(), "{name}: the write deleted a foreign file");
+            assert_eq!(load(&path).unwrap(), intact, "{name}");
+            read(&path);
+        };
+        check(
+            "data.bin",
+            &|p| lock(p).unwrap().write(b"whole").unwrap(),
+            &|p| {
+                assert_eq!(load(p).unwrap(), b"whole");
+            },
+        );
+        let queue = LeaseQueue::new(7, 10, 4, 2).unwrap();
+        check("sweep.queue", &|p| queue.write_atomic(p).unwrap(), &|p| {
+            assert_eq!(LeaseQueue::load(p).unwrap(), queue);
+        });
+        let checkpoint = Checkpoint {
+            fingerprint: 7,
+            total_trials: 10,
+            completed: Vec::new(),
+        };
+        check(
+            "sweep.ckpt",
+            &|p| checkpoint.write_atomic(p).unwrap(),
+            &|p| {
+                assert_eq!(Checkpoint::load(p).unwrap(), checkpoint);
+            },
+        );
+        let record = ExperimentRecord {
+            bench_id: "x/y".into(),
+            commit: "c0".into(),
+            timestamp: 1,
+            kind: RowKind::Timed,
+            unit: "ns".into(),
+            mean: 2.0,
+            median: 2.0,
+            min: 1.0,
+            samples: 3,
+        };
+        let append = |p: &Path| {
+            ExperimentStore::append(p, std::slice::from_ref(&record)).unwrap();
+        };
+        check("bench.store", &append, &|p| {
+            let store = ExperimentStore::load(p).unwrap();
+            assert_eq!(store.records(), std::slice::from_ref(&record));
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -670,7 +695,6 @@ mod tests {
         let missing = std::env::temp_dir()
             .join(format!("distill-frame-none-{}", std::process::id()))
             .join("x.frame");
-        assert_eq!(sweep_stale_tmp(&missing), 0);
         let err = load(&missing).unwrap_err();
         assert!(matches!(
             err,
@@ -680,7 +704,15 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("distill-frame-none"));
-        let err = write_atomic(&missing, b"x").unwrap_err();
-        assert!(err.to_string().contains("distill-frame-none"));
+        let err = lock(&missing).unwrap_err();
+        assert!(err.to_string().contains("x.frame.lock"));
+        // A write names the scratch file it could not create.
+        let dir = scratch_dir("write-error");
+        let target = dir.join("x.frame");
+        std::fs::create_dir(dir.join("x.frame.tmp")).unwrap();
+        let err = lock(&target).unwrap().write(b"x").unwrap_err();
+        assert!(err.to_string().contains("x.frame.tmp"), "{err}");
+        assert!(!target.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

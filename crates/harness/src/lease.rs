@@ -16,7 +16,8 @@
 //! | tag u8 [| worker u64 | expires_ms u64]` (tag 0 available, 1 leased, 2
 //! done). Decoding is total: truncation, bit flips, version skew, and
 //! geometry mismatches all yield a typed [`LeaseError`] (property-tested in
-//! `tests/lease_corruption.rs`), never a panic.
+//! `tests/lease_corruption.rs`), never a panic. Only the holder of the
+//! queue's [`frame::lock`] writes the file; a load only reads it.
 //!
 //! ## Correctness versus performance
 //!
@@ -281,23 +282,8 @@ impl LeaseQueue {
     /// nobody reclaimed the chunk in between; once someone did, the answer
     /// is [`LeaseOutcome::NotHeld`] and the worker must abandon the chunk.
     pub fn renew(&mut self, chunk: u64, worker: u64, now_ms: u64, ttl_ms: u64) -> LeaseOutcome {
-        let Some(entry) = usize::try_from(chunk)
-            .ok()
-            .and_then(|i| self.chunks.get_mut(i))
-        else {
-            return LeaseOutcome::OutOfRange;
-        };
-        match entry.state {
-            ChunkState::Done => LeaseOutcome::AlreadyDone,
-            ChunkState::Leased { worker: w, .. } if w == worker => {
-                entry.state = ChunkState::Leased {
-                    worker,
-                    expires_ms: now_ms.saturating_add(ttl_ms),
-                };
-                LeaseOutcome::Applied
-            }
-            _ => LeaseOutcome::NotHeld,
-        }
+        let expires_ms = now_ms.saturating_add(ttl_ms);
+        self.move_held(chunk, worker, ChunkState::Leased { worker, expires_ms })
     }
 
     /// Marks `chunk` done on behalf of `worker` (its results are safely
@@ -306,26 +292,19 @@ impl LeaseQueue {
     /// [`LeaseOutcome::NotHeld`] — harmless, because the reclaiming worker
     /// will produce bit-identical results that merge cleanly.
     pub fn complete(&mut self, chunk: u64, worker: u64) -> LeaseOutcome {
-        let Some(entry) = usize::try_from(chunk)
-            .ok()
-            .and_then(|i| self.chunks.get_mut(i))
-        else {
-            return LeaseOutcome::OutOfRange;
-        };
-        match entry.state {
-            ChunkState::Done => LeaseOutcome::AlreadyDone,
-            ChunkState::Leased { worker: w, .. } if w == worker => {
-                entry.state = ChunkState::Done;
-                LeaseOutcome::Applied
-            }
-            _ => LeaseOutcome::NotHeld,
-        }
+        self.move_held(chunk, worker, ChunkState::Done)
     }
 
     /// Releases `worker`'s lease on `chunk` back to available (used when a
     /// chunk held quarantined trials and the claim budget still has room —
     /// the next claimer gets a fresh per-trial retry budget).
     pub fn release(&mut self, chunk: u64, worker: u64) -> LeaseOutcome {
+        self.move_held(chunk, worker, ChunkState::Available)
+    }
+
+    /// Moves `chunk` to state `to` if `worker` holds its lease; otherwise
+    /// changes nothing and says why not.
+    fn move_held(&mut self, chunk: u64, worker: u64, to: ChunkState) -> LeaseOutcome {
         let Some(entry) = usize::try_from(chunk)
             .ok()
             .and_then(|i| self.chunks.get_mut(i))
@@ -335,7 +314,7 @@ impl LeaseQueue {
         match entry.state {
             ChunkState::Done => LeaseOutcome::AlreadyDone,
             ChunkState::Leased { worker: w, .. } if w == worker => {
-                entry.state = ChunkState::Available;
+                entry.state = to;
                 LeaseOutcome::Applied
             }
             _ => LeaseOutcome::NotHeld,
@@ -477,8 +456,9 @@ impl LeaseQueue {
         Ok(())
     }
 
-    /// Loads and decodes a queue file after sweeping a killed writer's
-    /// scratch files (see [`frame::load`]).
+    /// Loads and decodes a queue file. A plain read (see [`frame::load`]):
+    /// it takes no lock, and sees the queue before or after any concurrent
+    /// write, never between.
     ///
     /// # Errors
     /// I/O failures surface as [`FrameError::Io`] (kind `NotFound` for a
@@ -487,13 +467,15 @@ impl LeaseQueue {
         LeaseQueue::decode(&frame::load(path)?)
     }
 
-    /// Writes the queue atomically: a crash at any point leaves either the
-    /// old or the new complete file, never a torn one.
+    /// Writes the queue atomically under the queue's [`frame::lock`]: a
+    /// crash at any point leaves either the old or the new complete file,
+    /// never a torn one. A read–modify–write cycle holds the lock itself
+    /// and writes through its guard instead (see `crate::worker`).
     ///
     /// # Errors
     /// [`LeaseError::Frame`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), LeaseError> {
-        Ok(frame::write_atomic(path, &self.encode())?)
+        Ok(frame::lock(path)?.write(&self.encode())?)
     }
 }
 
@@ -654,13 +636,14 @@ mod tests {
         let mut q = queue();
         q.claim(1, 5, 10);
         q.write_atomic(&path).unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         assert_eq!(LeaseQueue::load(&path).unwrap(), q);
-        // Orphaned scratch debris from a killed writer is swept on load.
-        let orphan = dir.join("sweep.queue.tmp.999999999");
-        std::fs::write(&orphan, b"torn").unwrap();
-        assert_eq!(LeaseQueue::load(&path).unwrap(), q);
-        assert!(!orphan.exists());
+        // The queue and its lock file; the scratch file was renamed away.
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["sweep.queue", "sweep.queue.lock"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,14 +10,16 @@
 //! - [`codec`] — little-endian binary primitives with total decoding and
 //!   the FNV-1a checksum/fingerprint hash.
 //! - [`frame`] — the one on-disk envelope (`magic | version | len |
-//!   fnv1a64 | payload`) of every harness file, its stale-scratch-sweeping
-//!   load and tmp/fsync/rename write, and its typed [`FrameError`].
+//!   fnv1a64 | payload`) of every harness file, its typed [`FrameError`],
+//!   a load that only reads, and the file lock whose guard is the only
+//!   tmp/fsync/rename write.
 //! - [`checkpoint`] — the sweep checkpoint ([`Checkpoint`]), an
 //!   append-only log of frames: its payload schema, strict and salvage
 //!   decodes, and the writer that appends one frame per cadence.
 //! - [`store`] — the append-only experiment-results store
 //!   ([`ExperimentStore`]): perf measurements keyed by
-//!   `(bench id, commit, timestamp)` with set-union merge, plus the
+//!   `(bench id, commit, timestamp)` in one canonical frame that appends
+//!   set-union under the store's lock, plus the
 //!   noise-aware perf [`TrendGate`] CI uses instead of hardcoded
 //!   thresholds, and the hand-written JSON reader and [`json_escape`].
 //! - [`supervisor`] — per-trial panic isolation, bounded deterministic

@@ -11,21 +11,23 @@
 //!
 //! ## File format
 //!
-//! A store file is a sequence of [`crate::frame`] frames with magic
-//! `DSTLSTOR`. A payload is `count u64 | count × record` with each record
-//! `bench_id str | commit str | timestamp u64 | kind u8 | unit str |
-//! mean f64 | median f64 | min f64 | samples u64` (strings length-prefixed,
-//! floats as raw IEEE bits — NaN-preserving). Decoding is total: any byte
-//! sequence either decodes or yields a typed [`StoreError`], never a panic
-//! (property-tested in `tests/store_corruption.rs`).
+//! A store file is one [`crate::frame`] with magic `DSTLSTOR`. Its payload
+//! is `count u64 | count × record` with each record `bench_id str | commit
+//! str | timestamp u64 | kind u8 | unit str | mean f64 | median f64 | min
+//! f64 | samples u64` (strings length-prefixed, floats as raw IEEE bits —
+//! NaN-preserving). Decoding is total: any byte sequence either decodes or
+//! yields a typed [`StoreError`], never a panic (property-tested in
+//! `tests/store_corruption.rs`); an empty file, a torn one and one with a
+//! second frame behind the first are all refused.
 //!
-//! ## Set-union merge, canonical bytes
+//! ## Set semantics, canonical bytes
 //!
 //! In memory a store is a canonical *set* of records: sorted by a total
-//! order (floats via `f64::total_cmp`) and deduplicated bit-exactly.
-//! Decoding unions every frame in the file, so duplicate or interleaved
-//! appends from concurrent writers converge; writing always emits one
-//! canonical frame atomically (tmp, fsync, rename). The same record set
+//! order (floats via `f64::total_cmp`) and deduplicated bit-exactly. An
+//! append set-unions its records into the store under the store's
+//! [`frame::lock`] and writes the result back as one canonical frame
+//! through the lock's guard, so concurrent appends queue behind one
+//! another and lose nothing, and a load only reads. The same record set
 //! therefore always produces bit-identical store bytes, no matter how many
 //! appends, in what order, or from how many processes it arrived.
 //!
@@ -206,8 +208,7 @@ impl ExperimentRecord {
 /// Why a store could not be loaded, decoded, or parsed from bench JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
-    /// The file could not be read or written, or one of its frames is
-    /// damaged.
+    /// The file could not be read or written, or its frame is damaged.
     Frame(FrameError),
     /// A `BENCH_*.json` document failed to parse.
     Json {
@@ -311,11 +312,6 @@ impl ExperimentStore {
         self.records.len() - before
     }
 
-    /// Set-unions another store into this one.
-    pub fn merge(&mut self, other: &ExperimentStore) -> usize {
-        self.merge_records(other.records.iter().cloned())
-    }
-
     /// Encodes the store as one canonical frame. Equal record sets always
     /// produce identical bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -327,37 +323,20 @@ impl ExperimentStore {
         })
     }
 
-    /// Decodes a store file: every frame is verified before a payload byte
-    /// is interpreted, and all frames are set-unioned — so a file built by
-    /// repeated or interleaved appends decodes to the same store as a
-    /// single canonical write.
+    /// Decodes a store file: its one frame is verified before a payload
+    /// byte is interpreted.
     ///
     /// # Errors
     /// Every corruption mode maps to a [`StoreError`] variant; no input can
     /// cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        match ExperimentStore::decode_salvage(bytes) {
-            (store, None) => Ok(store),
-            (_, Some(e)) => Err(e),
-        }
-    }
-
-    /// Best-effort decode: unions every intact leading frame and reports
-    /// the first corruption (if any) alongside what was recovered, instead
-    /// of refusing the whole file. The crash-recovery path for a file whose
-    /// tail was torn by a non-atomic writer.
-    pub fn decode_salvage(bytes: &[u8]) -> (Self, Option<StoreError>) {
-        let (frames, damage) = frame::decode_seq(STORE_MAGIC, STORE_VERSION, bytes, |r| {
+        let records = frame::decode_one(STORE_MAGIC, STORE_VERSION, bytes, |r| {
             let count = r.seq_len(MIN_RECORD_BYTES)?;
             (0..count)
                 .map(|_| ExperimentRecord::decode_from(r))
                 .collect::<Result<Vec<_>, _>>()
-        });
-        let records = frames.into_iter().flatten().collect();
-        (
-            ExperimentStore::from_records(records),
-            damage.map(StoreError::Frame),
-        )
+        })?;
+        Ok(ExperimentStore::from_records(records))
     }
 
     /// Opens a store for reading or appending: [`load`], except that a
@@ -377,9 +356,10 @@ impl ExperimentStore {
         }
     }
 
-    /// Loads an existing store after sweeping a killed writer's scratch
-    /// files (see [`frame::load`]); a missing file is an error (use
-    /// [`open`] for the append path).
+    /// Loads an existing store. A plain read (see [`frame::load`]): it
+    /// takes no lock and sees the store before or after any concurrent
+    /// append, never between. A missing file is an error (use [`open`] for
+    /// the append path).
     ///
     /// [`open`]: ExperimentStore::open
     ///
@@ -390,21 +370,21 @@ impl ExperimentStore {
         ExperimentStore::decode(&frame::load(path)?)
     }
 
-    /// The append operation: under the store's [`frame::lock`], open
-    /// (reclaiming crash debris), set-union the new records, write back
-    /// atomically. Appending the same records twice is a no-op the second
-    /// time, so the store bytes are reproducible across re-runs, and
-    /// concurrent appends queue behind one another, so none loses
+    /// The append operation: under the store's [`frame::lock`], open,
+    /// set-union the new records, and write back atomically through the
+    /// lock's guard. Appending the same records twice is a no-op the
+    /// second time, so the store bytes are reproducible across re-runs,
+    /// and concurrent appends queue behind one another, so none loses
     /// another's records.
     ///
     /// # Errors
     /// Any [`StoreError`] from the lock, the open or the write-back.
     pub fn append(path: &Path, new: &[ExperimentRecord]) -> Result<AppendOutcome, StoreError> {
-        let _lock = frame::lock(path)?;
+        let lock = frame::lock(path)?;
         let mut store = ExperimentStore::open(path)?;
         let existing = store.len();
         let added = store.merge_records(new.iter().cloned());
-        frame::write_atomic(path, &store.encode())?;
+        lock.write(&store.encode())?;
         Ok(AppendOutcome {
             store,
             existing,
@@ -1006,47 +986,6 @@ mod tests {
         assert_eq!(decoded.encode(), bytes);
     }
 
-    #[test]
-    fn multi_frame_files_union() {
-        let a = ExperimentStore::from_records(vec![rec("x/a", "c1", 1, 1.0, 2.0)]);
-        let b = ExperimentStore::from_records(vec![
-            rec("x/a", "c1", 1, 1.0, 2.0), // duplicate of a's record
-            rec("x/b", "c2", 2, 3.0, 4.0),
-        ]);
-        let mut concat = a.encode();
-        concat.extend_from_slice(&b.encode());
-        let decoded = ExperimentStore::decode(&concat).unwrap();
-        assert_eq!(decoded.len(), 2);
-        // The union re-encodes to the canonical single frame regardless of
-        // frame order.
-        let mut reversed = b.encode();
-        reversed.extend_from_slice(&a.encode());
-        assert_eq!(
-            ExperimentStore::decode(&reversed).unwrap().encode(),
-            decoded.encode()
-        );
-    }
-
-    #[test]
-    fn salvage_recovers_intact_prefix_frames() {
-        let a = ExperimentStore::from_records(vec![rec("x/a", "c1", 1, 1.0, 2.0)]);
-        let b = ExperimentStore::from_records(vec![rec("x/b", "c2", 2, 3.0, 4.0)]);
-        let mut bytes = a.encode();
-        let b_bytes = b.encode();
-        bytes.extend_from_slice(&b_bytes[..b_bytes.len() / 2]); // torn append
-        let (recovered, err) = ExperimentStore::decode_salvage(&bytes);
-        assert_eq!(recovered, a);
-        // The damage names the torn frame's own offset.
-        let torn_at = a.encode().len();
-        assert!(matches!(
-            err,
-            Some(StoreError::Frame(FrameError::Truncated { at, .. })) if at == torn_at
-        ));
-        let (clean, none) = ExperimentStore::decode_salvage(&a.encode());
-        assert_eq!(clean, a);
-        assert!(none.is_none());
-    }
-
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("distill-store-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1104,18 +1043,72 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The kill-mid-write scenario end to end: a dead writer's scratch file
-    /// sits next to the store; open reclaims it and the store reads clean.
+    /// Marks a reader child of `loads_never_fail_a_concurrent_append`; the
+    /// value is the store it loads.
+    const RACE_READER: &str = "DISTILL_STORE_RACE_READER";
+
+    /// Reader processes kill-reaped on drop, so a failing test leaves none
+    /// behind.
+    struct Readers(Vec<std::process::Child>);
+
+    impl Drop for Readers {
+        fn drop(&mut self) {
+            for child in &mut self.0 {
+                child.kill().ok();
+                child.wait().ok();
+            }
+        }
+    }
+
+    /// Readers loop `load` in other processes, as `bench-store query` runs
+    /// beside `bench-store append`, while this thread appends disjoint
+    /// records one at a time. A load only reads, so every append and every
+    /// load succeeds, and the store ends with every record. The readers
+    /// are this test binary, re-run on this test alone.
     #[test]
-    fn open_reclaims_orphaned_tmp() {
-        let dir = scratch("orphan");
+    fn loads_never_fail_a_concurrent_append() {
+        use std::time::{Duration, Instant};
+        let deadline = Instant::now() + Duration::from_secs(60);
+        if let Some(path) = std::env::var_os(RACE_READER) {
+            let path = std::path::PathBuf::from(path);
+            let dir = path.parent().unwrap();
+            std::fs::write(dir.join(format!("ready.{}", std::process::id())), b"").unwrap();
+            while !dir.join("stop").exists() && Instant::now() < deadline {
+                ExperimentStore::load(&path).unwrap();
+            }
+            return;
+        }
+        let dir = scratch("read-race");
         let path = dir.join("bench.store");
         ExperimentStore::append(&path, &sample_records()).unwrap();
-        let orphan = dir.join("bench.store.tmp.999999999");
-        std::fs::write(&orphan, b"torn half-write").unwrap();
-        let store = ExperimentStore::open(&path).unwrap();
-        assert_eq!(store.len(), 4);
-        assert!(!orphan.exists(), "orphan must be reclaimed on open");
+        let test = "store::tests::loads_never_fail_a_concurrent_append";
+        let mut readers = Readers(Vec::new());
+        for _ in 0..2 {
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([test, "--exact", "--test-threads", "1"])
+                .env(RACE_READER, &path)
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .unwrap();
+            readers.0.push(child);
+        }
+        let ready =
+            |child: &std::process::Child| dir.join(format!("ready.{}", child.id())).exists();
+        while !readers.0.iter().all(ready) {
+            assert!(Instant::now() < deadline, "the readers never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let appends = 40;
+        for i in 0..appends {
+            let id = format!("race/row{i}");
+            ExperimentStore::append(&path, &[rec(&id, "race", 1, 1.0, 2.0)]).unwrap();
+        }
+        std::fs::write(dir.join("stop"), b"").unwrap();
+        for child in &mut readers.0 {
+            assert!(child.wait().unwrap().success(), "a reader's load failed");
+        }
+        let store = ExperimentStore::load(&path).unwrap();
+        assert_eq!(store.len(), sample_records().len() + appends);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,9 +18,11 @@
 //! The queue file itself is written atomically, so it can never tear — but
 //! claim/renew/complete are read-modify-write cycles, and two workers
 //! interleaving them could lose an update (both "claim" the same chunk).
-//! Each cycle holds [`frame::lock`] on the queue: the kernel's lock on the
-//! sibling `<queue>.lock`, which serialises worker processes and the worker
-//! threads of one process alike. The kernel drops it when its holder exits,
+//! Each cycle holds [`frame::lock`] on the queue and writes through its
+//! guard: the kernel's lock on the sibling `<queue>.lock`, which serialises
+//! worker processes and the worker threads of one process alike. A reader
+//! that only wants to know whether the sweep is done, as the supervisor
+//! does, loads the queue without the lock. The kernel drops it when its holder exits,
 //! `kill -9` included, so a dead worker never stalls the rest; the lock
 //! file itself stays on disk. The lock guards work, not results: a lost
 //! update would merely duplicate work, and duplicated trials produce
@@ -115,7 +117,8 @@ pub fn worker_checkpoint_path(queue: &Path, worker_id: u64) -> PathBuf {
 
 /// Every worker checkpoint log beside `queue`, whatever its worker id:
 /// the files named `<queue>.worker<digits>.ckpt`, with their ids, in
-/// ascending order. A writer's scratch files (`<log>.tmp…`) never match.
+/// ascending order. A log's lock file and scratch file (`<log>.lock`,
+/// `<log>.tmp`) never match.
 ///
 /// # Errors
 /// The I/O error of listing the queue's directory.
@@ -272,15 +275,16 @@ struct QueueIdentity {
 
 /// Under the queue lock ([`frame::lock`]): load the queue (initialising a
 /// missing one, rebuilding a corrupt one — corruption only costs
-/// re-execution, never results), apply `mutate`, write back atomically.
-/// Any other I/O failure is returned, never mistaken for corruption.
+/// re-execution, never results), apply `mutate`, write back atomically
+/// through the lock's guard. Any other I/O failure is returned, never
+/// mistaken for corruption.
 fn update_queue<T>(
     path: &Path,
     id: QueueIdentity,
     rebuilds: &mut u64,
     mutate: impl FnOnce(&mut LeaseQueue) -> T,
 ) -> Result<T, WorkerError> {
-    let _lock = frame::lock(path).map_err(|e| WorkerError::Lock(e.to_string()))?;
+    let lock = frame::lock(path).map_err(|e| WorkerError::Lock(e.to_string()))?;
     let mut queue = match LeaseQueue::load(path) {
         Ok(q) => {
             // A queue from a *different sweep* is a hard error — never
@@ -303,7 +307,7 @@ fn update_queue<T>(
         }
     };
     let out = mutate(&mut queue);
-    queue.write_atomic(path)?;
+    lock.write(&queue.encode()).map_err(LeaseError::from)?;
     Ok(out)
 }
 
@@ -1156,8 +1160,8 @@ mod tests {
     }
 
     /// The listing finds every id's log, however many workers a fleet had,
-    /// and nothing else: not scratch files, other queues' logs, or names
-    /// without a worker id.
+    /// and nothing else: not scratch or lock files, other queues' logs, or
+    /// names without a worker id.
     #[test]
     fn worker_checkpoint_paths_lists_every_log_of_the_queue() {
         let dir = scratch("listing");
@@ -1169,6 +1173,7 @@ mod tests {
             "sweep.queue.worker5.ckpt",
             "sweep.queue.worker5.ckpt.tmp.4242",
             "sweep.queue.worker3.ckpt.tmp",
+            "sweep.queue.worker3.ckpt.lock",
             "sweep.queue.worker+8.ckpt",
             "sweep.queue.worker.ckpt",
             "sweep.queue.workerx.ckpt",

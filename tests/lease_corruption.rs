@@ -161,26 +161,30 @@ fn foreign_queue_attachment_is_refused_with_the_specific_mismatch() {
     ));
 }
 
-/// A stale tmp file from a dead writer (a pid that is not ours) is swept on
-/// load instead of accumulating forever — same discipline as checkpoints
-/// and the store.
+/// Loads only read: a scratch file a killed writer left beside the queue,
+/// `<queue>.tmp`, and an older build's `<queue>.tmp.<pid>` both survive a
+/// load. The next write reuses `<queue>.tmp`, so it survives no write; the
+/// older name is nobody's to delete.
 #[test]
-fn stale_tmp_files_are_swept_on_load() {
+fn stale_tmp_files_survive_load_and_the_next_write_reuses_its_own() {
     let dir = std::env::temp_dir().join(format!("distill-lease-tmp-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.queue");
     let q = LeaseQueue::new(42, 64, 8, 2).unwrap();
     q.write_atomic(&path).unwrap();
-    // A plausible orphan from a crashed writer: same stem, foreign pid.
+    let scratch = dir.join("sweep.queue.tmp");
     let stale = dir.join("sweep.queue.tmp.999999");
-    std::fs::write(&stale, b"torn half-written frame").unwrap();
+    for orphan in [&scratch, &stale] {
+        std::fs::write(orphan, b"torn half-written frame").unwrap();
+    }
     let loaded = LeaseQueue::load(&path).unwrap();
     assert!(loaded.validate_for(42, 64, 8, 2).is_ok());
-    assert!(
-        !stale.exists(),
-        "the foreign-pid tmp orphan must be swept on load"
-    );
+    assert!(scratch.exists() && stale.exists(), "a load deleted a file");
+    q.write_atomic(&path).unwrap();
+    assert!(!scratch.exists(), "the write left its scratch file");
+    assert!(stale.exists(), "the write deleted a foreign file");
+    assert_eq!(LeaseQueue::load(&path).unwrap(), q);
     std::fs::remove_dir_all(&dir).ok();
 }
 

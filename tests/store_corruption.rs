@@ -1,9 +1,8 @@
 //! Experiment-store files must never be trusted: truncated, bit-flipped,
-//! wrong-version, and garbage inputs all have to produce a clean typed
-//! [`StoreError`] — never a panic, never a silently-wrong store — and
-//! duplicate or interleaved appends must set-union back to the canonical
-//! record set. Property-tested over generated stores and corruptions, in
-//! the style of `tests/checkpoint_corruption.rs`.
+//! wrong-version, two-frame and garbage inputs all have to produce a clean
+//! typed [`StoreError`] — never a panic, never a silently-wrong store.
+//! Property-tested over generated stores and corruptions, in the style of
+//! `tests/checkpoint_corruption.rs`.
 
 use distill_harness::{
     ExperimentRecord, ExperimentStore, FrameError, RowKind, StoreError, STORE_VERSION,
@@ -64,20 +63,16 @@ proptest! {
         prop_assert_eq!(decoded.len(), store.len());
     }
 
-    /// Any truncation yields a typed error, never a panic and never an Ok.
+    /// Every truncation, down to the empty file, yields a typed error,
+    /// never a panic and never an Ok.
     #[test]
-    fn truncation_is_a_typed_error(store in arb_store(), frac in 0.0f64..1.0) {
+    fn truncation_is_a_typed_error(store in arb_store()) {
         let bytes = store.encode();
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        prop_assume!(cut < bytes.len());
-        let err = ExperimentStore::decode(&bytes[..cut])
-            .expect_err("truncated store must not decode");
-        prop_assert!(!err.to_string().is_empty());
-        // Salvage of a torn single-frame file recovers nothing but reports
-        // the damage cleanly.
-        let (recovered, damage) = ExperimentStore::decode_salvage(&bytes[..cut]);
-        prop_assert!(recovered.is_empty());
-        prop_assert!(damage.is_some());
+        for cut in 0..bytes.len() {
+            let err = ExperimentStore::decode(&bytes[..cut])
+                .expect_err("truncated store must not decode");
+            prop_assert!(!err.to_string().is_empty());
+        }
     }
 
     /// Any single bit flip yields a typed error: header fields are
@@ -93,45 +88,27 @@ proptest! {
         prop_assert!(!err.to_string().is_empty());
     }
 
-    /// Arbitrary bytes never panic the decoder (strict or salvage).
+    /// Arbitrary bytes never panic the decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = ExperimentStore::decode(&bytes);
-        let _ = ExperimentStore::decode_salvage(&bytes);
     }
 
-    /// Duplicate and interleaved appends (concurrent writers losing the
-    /// rename race, frames landing in either order) decode by set-union to
-    /// the same canonical store, bit for bit.
+    /// A store file is one frame: every write replaces the whole file, so
+    /// a second frame behind the first, whole or torn, is damage, refused
+    /// with the count of its bytes rather than merged in.
     #[test]
-    fn interleaved_and_duplicate_appends_union_cleanly(a in arb_store(), b in arb_store()) {
-        let mut union = a.clone();
-        union.merge(&b);
-        let canonical = union.encode();
-        // a then b, b then a, and a duplicated again: all the same store.
-        for frames in [
-            [a.encode(), b.encode()].concat(),
-            [b.encode(), a.encode()].concat(),
-            [a.encode(), b.encode(), a.encode()].concat(),
-        ] {
-            let decoded = ExperimentStore::decode(&frames).expect("frame sequence must decode");
-            prop_assert_eq!(decoded.encode(), canonical.clone());
+    fn a_second_frame_is_refused_with_trailing_bytes(a in arb_store(), b in arb_store()) {
+        let first = a.encode();
+        let second = b.encode();
+        for extra in 1..=second.len() {
+            let bytes = [&first[..], &second[..extra]].concat();
+            prop_assert_eq!(
+                ExperimentStore::decode(&bytes),
+                Err(StoreError::Frame(FrameError::TrailingBytes { at: 0, extra }))
+            );
         }
-    }
-
-    /// A torn multi-frame file salvages exactly its intact prefix.
-    #[test]
-    fn salvage_recovers_the_intact_prefix(a in arb_store(), b in arb_store(), frac in 0.0f64..1.0) {
-        let good = a.encode();
-        let tail = b.encode();
-        let cut = ((tail.len() as f64) * frac) as usize;
-        // A zero-byte torn tail is just a valid file; the interesting cases
-        // are a strictly partial second frame.
-        prop_assume!(cut > 0 && cut < tail.len());
-        let bytes = [good, tail[..cut].to_vec()].concat();
-        let (recovered, damage) = ExperimentStore::decode_salvage(&bytes);
-        prop_assert_eq!(recovered.encode(), a.encode());
-        prop_assert!(damage.is_some());
+        prop_assert_eq!(ExperimentStore::decode(&first).map(|s| s.encode()), Ok(first));
     }
 }
 
