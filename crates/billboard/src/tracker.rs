@@ -39,6 +39,9 @@ pub struct VoteEvent {
 /// paper analyses — §4.1 needs `f = o(1/(1−α))`).
 const ARENA_STRIDE_CAP: usize = 8;
 
+// The arena counts each player's votes in one byte.
+const _: () = assert!(ARENA_STRIDE_CAP <= u8::MAX as usize);
+
 /// The zeroed filler record behind unused arena slots (never observable:
 /// reads are bounded by the per-player length).
 const EMPTY_RECORD: VoteRecord = VoteRecord {
@@ -54,14 +57,16 @@ const EMPTY_RECORD: VoteRecord = VoteRecord {
 /// `n_players × stride` records plus a length array: one allocation for the
 /// whole population instead of one heap vector per voter. At n = 10^6 that
 /// removes a million scattered small allocations from the ingest path, and
-/// keeps [`VoteTracker::votes_of`] a contiguous-slice borrow. Policies with
-/// a per-player cap above [`ARENA_STRIDE_CAP`] keep the boxed layout —
-/// chosen once at construction, so no per-call branching on mixed storage.
+/// keeps [`VoteTracker::votes_of`] a contiguous-slice borrow. The lengths
+/// are bytes, so looking up a random player's votes at n = 10^6 reads a
+/// 1 MB plane. Policies with a per-player cap above [`ARENA_STRIDE_CAP`]
+/// keep the boxed layout — chosen once at construction, so no per-call
+/// branching on mixed storage.
 #[derive(Debug, Clone)]
 enum VoteStore {
     Arena {
         stride: usize,
-        lens: Vec<u32>,
+        lens: Vec<u8>,
         slots: Vec<VoteRecord>,
     },
     Boxed(Vec<Vec<VoteRecord>>),

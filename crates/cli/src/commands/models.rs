@@ -188,15 +188,15 @@ pub(super) const SERVICE_STRESS_FLAGS: &[&str] = &[
 pub fn run_service_stress(args: &Args) -> Result<String, CliError> {
     use distill_service::{run_stress, verify_linearization, StressConfig};
     args.ensure_known(SERVICE_STRESS_FLAGS)?;
-    let producers: u32 = args.get_or("producers", 8)?;
-    let posts: u64 = args.get_or("posts", 1_000_000)?;
-    let batch: usize = args.get_or("batch", 1024)?;
+    let producers: u32 = parse_positive(args, "producers", 8)?;
+    let posts: u64 = parse_positive(args, "posts", 1_000_000)?;
+    let batch: usize = parse_positive(args, "batch", 1024)?;
     let readers: u32 = args.get_or("readers", 2)?;
-    let n: u32 = args.get_or("n", 256)?;
-    let m: u32 = args.get_or("m", 1024)?;
-    let posts_per_round: u64 = args.get_or("posts-per-round", 256)?;
-    let channel: usize = args.get_or("channel", 256)?;
-    let publish_every: u64 = args.get_or("publish-every", 8)?;
+    let n: u32 = parse_positive(args, "n", 256)?;
+    let m: u32 = parse_positive(args, "m", 1024)?;
+    let posts_per_round: u64 = parse_positive(args, "posts-per-round", 256)?;
+    let channel: usize = parse_positive(args, "channel", 256)?;
+    let publish_every: u64 = parse_positive(args, "publish-every", 8)?;
     let config = StressConfig::new(producers, posts)
         .with_batch_posts(batch)
         .with_universe(n, m)
@@ -363,6 +363,37 @@ mod tests {
         // unknown flags are rejected
         let bad = Args::parse(["service-stress", "--bogus", "1"].iter().copied(), &[]).unwrap();
         assert!(run_service_stress(&bad).is_err());
+        // a zero count is refused naming the flag, not the config field
+        for flag in [
+            "n",
+            "m",
+            "batch",
+            "channel",
+            "producers",
+            "posts",
+            "posts-per-round",
+            "publish-every",
+        ] {
+            let argv = ["service-stress", &format!("--{flag}"), "0"];
+            match dispatch(&parse(&argv)) {
+                Err(CliError::Message(m)) => {
+                    assert_eq!(m, format!("--{flag} must be at least 1"), "{argv:?}");
+                }
+                other => panic!("{argv:?}: expected a refusal, got {other:?}"),
+            }
+        }
+        // no readers is a valid stress run
+        let out = dispatch(&parse(&[
+            "service-stress",
+            "--producers",
+            "1",
+            "--posts",
+            "2000",
+            "--readers",
+            "0",
+        ]))
+        .unwrap();
+        assert!(out.contains("2000"));
     }
 
     #[test]

@@ -583,10 +583,8 @@ impl<'w> Engine<'w> {
             let probe = self.probe_buf[idx];
             let p = probe.player;
             let outcome = &mut self.outcomes[p.index()];
-            let value = self.world.value(probe.object);
-            let cost = self.world.cost(probe.object);
             outcome.probes += 1;
-            outcome.cost_paid += cost;
+            outcome.cost_paid += self.world.cost(probe.object);
             if probe.via_advice {
                 outcome.advice_probes += 1;
             } else {
@@ -595,11 +593,15 @@ impl<'w> Engine<'w> {
             if !local_testing {
                 // Only the §5.3 final evaluation reads this; skipping it for
                 // local-testing worlds keeps the plane out of the hot loop.
+                let value = self.world.value(probe.object);
                 match self.best_probe[p.index()] {
                     Some((_, best)) if best >= value => {}
                     _ => self.best_probe[p.index()] = Some((probe.object, value)),
                 }
             }
+            // The value plane is read below only for a probe that posts, so
+            // a local-testing probe of a bad object that posts nothing reads
+            // just the good bitset and the cost.
             let good = self.world.is_good(probe.object);
             if let Some(t) = self.trace.as_mut() {
                 t.push(TraceEvent::Probe {
@@ -639,6 +641,7 @@ impl<'w> Engine<'w> {
                         });
                     }
                 } else {
+                    let value = self.world.value(probe.object);
                     self.board.append(round, p, probe.object, value, kind)?;
                 }
             }

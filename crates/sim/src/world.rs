@@ -3,7 +3,7 @@
 use crate::error::SimError;
 use crate::object_model::ObjectModel;
 use crate::rng::{stream_rng, Stream};
-use distill_billboard::ObjectId;
+use distill_billboard::{BitSet, ObjectId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
@@ -28,13 +28,58 @@ pub struct Probe {
 /// It is immutable during a simulation, and shared by reference between the
 /// engine and (per the Byzantine model) the adversary, which is assumed to
 /// know everything.
+///
+/// The round loop reads goodness and cost for every probe, at random object
+/// ids, so both are kept small: goodness is one bit per object, and a world
+/// whose objects all cost the same (every unit-cost world) stores that one
+/// cost instead of a plane of `m` copies.
 #[derive(Debug, Clone)]
 pub struct World {
     values: Vec<f64>,
-    costs: Vec<f64>,
-    good: Vec<bool>,
+    costs: Costs,
+    good: BitSet,
     good_count: u32,
     model: ObjectModel,
+}
+
+/// A world's object costs.
+#[derive(Debug, Clone)]
+enum Costs {
+    /// Every object costs this much.
+    Uniform(f64),
+    /// Object `i` costs `costs[i]`, and not every object costs the same.
+    PerObject(Vec<f64>),
+}
+
+impl Costs {
+    /// Keeps the plane only if its costs differ (bit for bit, so a stored
+    /// `-0.0` is never answered as `0.0`).
+    fn new(costs: Vec<f64>) -> Costs {
+        match costs.first() {
+            Some(&c) if costs.iter().all(|x| x.to_bits() == c.to_bits()) => Costs::Uniform(c),
+            _ => Costs::PerObject(costs),
+        }
+    }
+
+    /// The stored costs: the plane, or the one shared cost.
+    fn stored(&self) -> &[f64] {
+        match self {
+            Costs::Uniform(c) => std::slice::from_ref(c),
+            Costs::PerObject(costs) => costs,
+        }
+    }
+}
+
+/// Refuses `costs` costs for `values` objects; an empty world is left to
+/// [`World::with_costs`], which refuses it by name.
+fn check_lengths(values: usize, costs: usize) -> Result<(), SimError> {
+    if values == 0 || values == costs {
+        Ok(())
+    } else {
+        Err(SimError::InvalidWorld(format!(
+            "{values} values but {costs} costs"
+        )))
+    }
 }
 
 impl World {
@@ -54,48 +99,51 @@ impl World {
         costs: Vec<f64>,
         model: ObjectModel,
     ) -> Result<Self, SimError> {
+        check_lengths(values.len(), costs.len())?;
+        World::with_costs(values, Costs::new(costs), model)
+    }
+
+    /// [`World::from_parts`] once the costs have one entry per object, or
+    /// are one shared cost.
+    fn with_costs(values: Vec<f64>, costs: Costs, model: ObjectModel) -> Result<Self, SimError> {
         if values.is_empty() {
             return Err(SimError::InvalidWorld("world must contain objects".into()));
         }
-        if values.len() != costs.len() {
-            return Err(SimError::InvalidWorld(format!(
-                "{} values but {} costs",
-                values.len(),
-                costs.len()
-            )));
-        }
         if values
             .iter()
-            .chain(costs.iter())
+            .chain(costs.stored())
             .any(|v| !v.is_finite() || *v < 0.0)
         {
             return Err(SimError::InvalidWorld(
                 "values and costs must be finite and non-negative".into(),
             ));
         }
-        let good = match model {
+        let m = values.len();
+        let mut good = BitSet::new(m);
+        match model {
             ObjectModel::LocalTesting { threshold } => {
-                values.iter().map(|&v| v >= threshold).collect::<Vec<_>>()
+                for (i, &v) in values.iter().enumerate() {
+                    if v >= threshold {
+                        good.insert(i);
+                    }
+                }
             }
             ObjectModel::TopBeta { beta } => {
                 if !(0.0 < beta && beta <= 1.0) {
                     return Err(SimError::InvalidWorld(format!("beta {beta} out of (0, 1]")));
                 }
-                let m = values.len();
                 let k = ((beta * m as f64).ceil() as usize).clamp(1, m);
                 let mut idx: Vec<usize> = (0..m).collect();
                 // highest value first; ties broken by lower id
                 idx.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
-                let mut good = vec![false; m];
                 for &i in idx.iter().take(k) {
-                    good[i] = true;
+                    good.insert(i);
                 }
-                good
             }
-        };
-        // lint: allow(cast) — good has exactly m: u32 entries, so the count
+        }
+        // lint: allow(cast) — good has exactly m: u32 bits, so the count
         // fits
-        let good_count = good.iter().filter(|&&g| g).count() as u32;
+        let good_count = good.count_ones() as u32;
         if good_count == 0 {
             return Err(SimError::InvalidWorld(
                 "world must contain at least one good object".into(),
@@ -118,23 +166,7 @@ impl World {
     /// Returns [`SimError::InvalidWorld`] if `m == 0` or `n_good` is 0 or
     /// exceeds `m`.
     pub fn binary(m: u32, n_good: u32, seed: u64) -> Result<Self, SimError> {
-        if n_good == 0 || n_good > m {
-            return Err(SimError::InvalidWorld(format!(
-                "n_good {n_good} must be in 1..={m}"
-            )));
-        }
-        let mut rng = stream_rng(seed, Stream::World);
-        let mut ids: Vec<usize> = (0..m as usize).collect();
-        ids.shuffle(&mut rng);
-        let mut values = vec![0.0; m as usize];
-        for &i in ids.iter().take(n_good as usize) {
-            values[i] = 1.0;
-        }
-        World::from_parts(
-            values,
-            vec![1.0; m as usize],
-            ObjectModel::LocalTesting { threshold: 0.5 },
-        )
+        WorldBuilder::new(m).good_objects(n_good).seed(seed).build()
     }
 
     /// A world with i.i.d. `U[0,1)` values and unit costs, good = top `βm`
@@ -143,12 +175,9 @@ impl World {
     /// # Errors
     /// Returns [`SimError::InvalidWorld`] if `m == 0` or `beta ∉ (0,1]`.
     pub fn uniform_top_beta(m: u32, beta: f64, seed: u64) -> Result<Self, SimError> {
-        if m == 0 {
-            return Err(SimError::InvalidWorld("world must contain objects".into()));
-        }
         let mut rng = stream_rng(seed, Stream::World);
         let values: Vec<f64> = (0..m).map(|_| rng.gen::<f64>()).collect();
-        World::from_parts(values, vec![1.0; m as usize], ObjectModel::TopBeta { beta })
+        World::with_costs(values, Costs::Uniform(1.0), ObjectModel::TopBeta { beta })
     }
 
     /// A Theorem-12 world with geometric **cost classes**: class `i` holds
@@ -230,6 +259,21 @@ impl World {
         self.model
     }
 
+    /// The index of `object`.
+    ///
+    /// # Panics
+    /// Panics if `object` is out of range.
+    #[inline]
+    fn index(&self, object: ObjectId) -> usize {
+        let i = object.index();
+        assert!(
+            i < self.values.len(),
+            "object {object} out of range for a world of {} objects",
+            self.values.len()
+        );
+        i
+    }
+
     /// The true value of `object`.
     ///
     /// # Panics
@@ -245,7 +289,13 @@ impl World {
     /// Panics if `object` is out of range.
     #[inline]
     pub fn cost(&self, object: ObjectId) -> f64 {
-        self.costs[object.index()]
+        match &self.costs {
+            Costs::Uniform(c) => {
+                self.index(object); // out of range still panics
+                *c
+            }
+            Costs::PerObject(costs) => costs[object.index()],
+        }
     }
 
     /// Ground truth: is `object` good?
@@ -257,29 +307,22 @@ impl World {
     /// Panics if `object` is out of range.
     #[inline]
     pub fn is_good(&self, object: ObjectId) -> bool {
-        self.good[object.index()]
+        self.good.contains(self.index(object))
+    }
+
+    /// Every object id, ascending.
+    fn objects(&self) -> impl Iterator<Item = ObjectId> {
+        (0..self.m()).map(ObjectId)
     }
 
     /// The ids of all good objects, ascending.
     pub fn good_objects(&self) -> Vec<ObjectId> {
-        self.good
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| g)
-            // lint: allow(cast) — index ranges over the world's m: u32 objects
-            .map(|(i, _)| ObjectId(i as u32))
-            .collect()
+        self.objects().filter(|&o| self.is_good(o)).collect()
     }
 
     /// The ids of all bad objects, ascending.
     pub fn bad_objects(&self) -> Vec<ObjectId> {
-        self.good
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| !g)
-            // lint: allow(cast) — index ranges over the world's m: u32 objects
-            .map(|(i, _)| ObjectId(i as u32))
-            .collect()
+        self.objects().filter(|&o| !self.is_good(o)).collect()
     }
 
     /// Probes `object`: returns its value and charges its cost.
@@ -289,8 +332,8 @@ impl World {
     pub fn probe(&self, object: ObjectId) -> Probe {
         Probe {
             object,
-            value: self.values[object.index()],
-            cost: self.costs[object.index()],
+            value: self.value(object),
+            cost: self.cost(object),
         }
     }
 
@@ -299,18 +342,15 @@ impl World {
     pub fn cost_class_members(&self, class: u32) -> Vec<ObjectId> {
         let lo = (2u64.pow(class)) as f64;
         let hi = (2u64.pow(class + 1)) as f64;
-        self.costs
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c >= lo && c < hi)
-            // lint: allow(cast) — index ranges over the world's m: u32 objects
-            .map(|(i, _)| ObjectId(i as u32))
+        self.objects()
+            .filter(|&o| (lo..hi).contains(&self.cost(o)))
             .collect()
     }
 
     /// The largest cost-class index with at least one member, if costs ≥ 1.
     pub fn max_cost_class(&self) -> u32 {
         self.costs
+            .stored()
             .iter()
             // lint: allow(cast) — floor(log2) of a finite f64 ≥ 1 lies in
             // [0, 1024), well inside u32
@@ -467,7 +507,6 @@ impl WorldBuilder {
     /// [`World::from_parts`]).
     pub fn build(self) -> Result<World, SimError> {
         let m = self.m as usize;
-        let costs = self.costs.unwrap_or_else(|| vec![1.0; m]);
         let values = match self.values {
             Some(v) => v,
             None => match self.model {
@@ -479,11 +518,13 @@ impl WorldBuilder {
                         )));
                     }
                     let mut rng = stream_rng(self.seed, Stream::World);
-                    let mut ids: Vec<usize> = (0..m).collect();
+                    // The shuffle's draws depend only on the slice length,
+                    // so the id type does not change the permutation.
+                    let mut ids: Vec<u32> = (0..self.m).collect();
                     ids.shuffle(&mut rng);
                     let mut values = vec![0.0; m];
                     for &i in ids.iter().take(self.n_good as usize) {
-                        values[i] = threshold.max(1.0);
+                        values[i as usize] = threshold.max(1.0);
                     }
                     values
                 }
@@ -494,7 +535,14 @@ impl WorldBuilder {
                 }
             },
         };
-        World::from_parts(values, costs, self.model)
+        match self.costs {
+            Some(costs) => World::from_parts(values, costs, self.model),
+            // unit costs, one per object of the builder's `m`
+            None => {
+                check_lengths(values.len(), m)?;
+                World::with_costs(values, Costs::Uniform(1.0), self.model)
+            }
+        }
     }
 }
 

@@ -40,9 +40,11 @@ fn arb_wide_posts() -> impl Strategy<Value = Vec<(u64, u32, u32, f64, bool)>> {
     )
 }
 
-/// One of the reader policies: single vote, `f` votes, or best value.
+/// One of the reader policies: single vote, `f` votes, or best value. An
+/// `f` from 1 to 10 covers every stride of the tracker's flat vote arena,
+/// the widest (8) included, and the boxed layout it falls back to above 8.
 fn arb_policy() -> impl Strategy<Value = VotePolicy> {
-    (0usize..3, 1usize..4).prop_map(|(kind, f)| match kind {
+    (0usize..3, 1usize..11).prop_map(|(kind, f)| match kind {
         0 => VotePolicy::single_vote(),
         1 => VotePolicy::multi_vote(f),
         _ => VotePolicy::best_value(),
@@ -82,9 +84,10 @@ fn build_board_in(
 
 proptest! {
     /// The f-cap: no author is ever counted for more than `f` votes, no
-    /// matter what it posts.
+    /// matter what it posts, in the flat arena (`f` ≤ 8) and the boxed
+    /// layout (`f` ≥ 9) alike.
     #[test]
-    fn vote_cap_holds(posts in arb_posts(), f in 1usize..4) {
+    fn vote_cap_holds(posts in arb_posts(), f in 1usize..11) {
         let board = build_board(&posts);
         let mut tracker = VoteTracker::new(N_PLAYERS, N_OBJECTS, VotePolicy::multi_vote(f));
         tracker.ingest(&board);
@@ -93,11 +96,12 @@ proptest! {
         }
     }
 
-    /// Per-object current counts agree with per-player vote sets.
+    /// Per-object current counts agree with per-player vote sets, under
+    /// every reader policy.
     #[test]
-    fn counts_are_consistent(posts in arb_posts()) {
+    fn counts_are_consistent(posts in arb_posts(), policy in arb_policy()) {
         let board = build_board(&posts);
-        let mut tracker = VoteTracker::new(N_PLAYERS, N_OBJECTS, VotePolicy::single_vote());
+        let mut tracker = VoteTracker::new(N_PLAYERS, N_OBJECTS, policy);
         tracker.ingest(&board);
         for o in 0..N_OBJECTS {
             let by_count = tracker.votes_for(ObjectId(o));
@@ -218,7 +222,7 @@ proptest! {
     fn voted_set_matches_scan_under_best_value(
         dense in arb_posts(),
         wide in arb_wide_posts(),
-        f in 1usize..4,
+        f in 1usize..11,
         cuts in prop::collection::vec(0u64..200, 0..8),
     ) {
         let mut cuts = cuts;

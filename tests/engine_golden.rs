@@ -23,18 +23,26 @@ use distill::sim::{
 
 /// FNV-1a over the full `Debug` rendering of a result. `Debug` for these
 /// types prints every field (f64s via the shortest-roundtrip formatter), so
-/// two results digest equal iff they are observably identical.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// two results digest equal iff they are observably identical. The
+/// rendering is hashed as it is written, so a 2^17-player result is never
+/// held as one string.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 fn digest<T: std::fmt::Debug>(value: &T) -> u64 {
-    fnv1a(format!("{value:?}").as_bytes())
+    use std::fmt::Write;
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{value:?}").expect("hashing never fails");
+    h.0
 }
 
 /// Probe uniformly at random every round (the §3 trivial algorithm); used
@@ -181,6 +189,23 @@ fn run_scenario(name: &str) -> u64 {
                 .expect("run");
             digest(&result)
         }
+        "e18_distill_2e17" => {
+            // E18's shape at n = m = 2^17: β = 0.1, round(√n) = 362
+            // `UniformBad` players, negative reports and the curve off. The
+            // only pin with more than 48 players: its good set spans 2,048
+            // bitset words, and its advice rounds mix players with and
+            // without votes.
+            let n = 1 << 17;
+            let world = World::binary(n, n / 10, 18_017).expect("world");
+            let config = SimConfig::new(n, n - 362, 1_817)
+                .with_negative_reports(false)
+                .with_satisfaction_curve(false)
+                .with_stop(StopRule::all_satisfied(100_000));
+            let result = distill_engine(&world, config, Box::new(UniformBad::new()))
+                .run()
+                .expect("run");
+            digest(&result)
+        }
         "best_value_horizon" => {
             let world = World::uniform_top_beta(64, 0.1, 9).expect("world");
             let config = SimConfig::new(24, 20, 606)
@@ -287,7 +312,9 @@ fn run_async(
 /// bit for bit — but `Debug` now prints the extra field. The
 /// `async_round_robin_faulted_service` pin was recorded from the engines
 /// that still kept one copy of the fault layer each, before they came to
-/// share `sim::faults`.
+/// share `sim::faults`. The `e18_distill_2e17` pin was recorded while the
+/// world still kept goodness as one byte per object and a cost per object,
+/// and the tracker a 4-byte vote count per player.
 const PINS: &[(&str, u64)] = &[
     ("plain_distill", 0xc76af13208f9fe6a),
     ("tally_scan_path", 0xc76af13208f9fe6a),
@@ -303,6 +330,7 @@ const PINS: &[(&str, u64)] = &[
     ("async_round_robin_faulted_service", 0x07cfe72cdd27bae0),
     ("async_isolate_plain", 0xfbcd6a8be9046b3b),
     ("async_random_faulted", 0x3c4ac0f7a5af49e5),
+    ("e18_distill_2e17", 0x2f5c611da36dd5fe),
 ];
 
 #[test]
