@@ -54,19 +54,25 @@ impl Adversary for UniformBad {
         if self.rounds_seen >= self.spread_rounds {
             self.done = true;
         }
-        let bad = ctx.world.bad_objects();
-        if bad.is_empty() {
+        let n_bad = (ctx.world.m() - ctx.world.good_count()) as usize;
+        if n_bad == 0 {
             self.done = true;
             return Vec::new();
         }
-        ctx.dishonest
+        // Draw each voter's rank among the bad objects, then look all the
+        // ranks up in one sweep instead of listing every bad object.
+        let voters: Vec<_> = ctx
+            .dishonest
             .iter()
             .enumerate()
             .filter(|(i, _)| (*i as u64) % self.spread_rounds == slice)
-            .map(|(_, &p)| {
-                let target = bad[ctx.rng.gen_range(0..bad.len())];
-                DishonestPost::vote(p, target)
-            })
+            .map(|(_, &p)| p)
+            .collect();
+        let ranks: Vec<usize> = voters.iter().map(|_| ctx.rng.gen_range(0..n_bad)).collect();
+        voters
+            .into_iter()
+            .zip(ctx.world.bad_objects_at(&ranks))
+            .map(|(p, target)| DishonestPost::vote(p, target))
             .collect()
     }
 

@@ -89,6 +89,46 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Selects non-members by rank: for each `k` of `ranks`, the `k`-th id
+    /// of `0..len` (counting from 0) that is not a member, or `None` when
+    /// there are no more than `k` such ids. The ranks may come in any order
+    /// and repeat; one sweep over the words answers them all, without
+    /// listing the non-members.
+    pub fn absent_by_rank(&self, ranks: &[usize]) -> Vec<Option<usize>> {
+        let mut order: Vec<usize> = (0..ranks.len()).collect();
+        order.sort_unstable_by_key(|&i| ranks[i]);
+        let mut pending = order.into_iter().peekable();
+        let mut out = vec![None; ranks.len()];
+        let mut before = 0; // non-members in the words already swept
+        for (wi, &word) in self.words.iter().enumerate() {
+            if pending.peek().is_none() {
+                break;
+            }
+            let in_universe = self.len - wi * 64;
+            let mut absent = !word;
+            if in_universe < 64 {
+                absent &= (1u64 << in_universe) - 1;
+            }
+            let count = absent.count_ones() as usize;
+            // Ranks are swept ascending, so every pending rank is at least
+            // `before`.
+            while let Some(&i) = pending.peek() {
+                let r = ranks[i] - before;
+                if r >= count {
+                    break;
+                }
+                let mut bits = absent;
+                for _ in 0..r {
+                    bits &= bits - 1; // clear the lowest non-member
+                }
+                out[i] = Some(wi * 64 + bits.trailing_zeros() as usize);
+                pending.next();
+            }
+            before += count;
+        }
+        out
+    }
+
     /// Iterates the members in ascending order, skipping empty words.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
@@ -155,6 +195,23 @@ mod tests {
         assert_eq!(s.count_ones(), 0);
         s.insert(299);
         assert!(s.contains(299));
+    }
+
+    #[test]
+    fn absent_by_rank_selects_non_members_in_any_order() {
+        let mut s = BitSet::new(130);
+        for id in [0, 2, 63, 64, 127] {
+            s.insert(id);
+        }
+        let absent: Vec<usize> = (0..130).filter(|&id| !s.contains(id)).collect();
+        assert_eq!(absent.len(), 125);
+        let ranks = [124, 0, 61, 61, 62, 1, 123, 125, 1000];
+        let want: Vec<Option<usize>> = ranks.iter().map(|&k| absent.get(k).copied()).collect();
+        assert_eq!(s.absent_by_rank(&ranks), want);
+        // The two bits past the universe in the last word are never picked.
+        assert_eq!(s.absent_by_rank(&[124, 125]), vec![Some(129), None]);
+        assert!(s.absent_by_rank(&[]).is_empty());
+        assert_eq!(BitSet::new(0).absent_by_rank(&[0]), vec![None]);
     }
 
     #[test]

@@ -668,11 +668,13 @@ impl VoteTracker {
     ///
     /// This is what `PROBE&SEEKADVICE` follows: "probe the object j votes
     /// for, if exists".
+    #[inline]
     pub fn vote_of(&self, player: PlayerId) -> Option<ObjectId> {
         self.votes_by_player.first(player.index()).map(|v| v.object)
     }
 
     /// All current votes of `player` (at most `f`).
+    #[inline]
     pub fn votes_of(&self, player: PlayerId) -> &[VoteRecord] {
         self.votes_by_player.votes(player.index())
     }

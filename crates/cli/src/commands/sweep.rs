@@ -141,9 +141,9 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     let out_path = args.flags.get("out").map(PathBuf::from);
     let config = SweepConfig {
         trials,
-        threads: args.get_or("threads", num_threads())?,
+        threads: parse_positive(args, "threads", num_threads())?,
         checkpoint,
-        checkpoint_every: args.get_or("checkpoint-every", 8)?,
+        checkpoint_every: parse_positive(args, "checkpoint-every", 8)?,
         resume,
         quarantine: quarantine.clone(),
         policy,
@@ -277,7 +277,7 @@ fn parse_worker_config(args: &Args, trials: u64) -> Result<WorkerConfig, CliErro
         chunk_size,
         max_claims,
         lease_ttl_ms: u64::try_from(lease_ttl.as_millis().max(1)).unwrap_or(u64::MAX),
-        checkpoint_every: args.get_or("checkpoint-every", 8)?,
+        checkpoint_every: parse_positive(args, "checkpoint-every", 8)?,
         policy: parse_supervisor_policy(args)?,
         quarantine,
         poll: Duration::from_millis(parse_positive(args, "poll-ms", 50)?),
@@ -617,7 +617,7 @@ mod tests {
                 "{flag} {bad}"
             );
         }
-        for flag in ["--m", "--max-rounds"] {
+        for flag in ["--m", "--max-rounds", "--threads", "--checkpoint-every"] {
             assert_eq!(
                 dispatch(&parse(&["sweep", flag, "0"]))
                     .unwrap_err()
@@ -853,15 +853,18 @@ cost p50/p90/p99 (rank err <= 0.005n)  3.950 / 7.400 / 7.400
         ]))
         .is_err());
         // A zero poll would spin: the supervisor re-reading the queue, an
-        // idle worker re-taking the queue lock the busy ones need.
+        // idle worker re-taking the queue lock the busy ones need. A zero
+        // checkpoint cadence would append after every trial.
         for cmd in ["sweep-worker", "sweep-supervise"] {
-            assert_eq!(
-                dispatch(&parse(&[cmd, "--queue", "/tmp/q", "--poll-ms", "0"]))
-                    .unwrap_err()
-                    .to_string(),
-                "--poll-ms must be at least 1",
-                "{cmd}"
-            );
+            for flag in ["--poll-ms", "--checkpoint-every"] {
+                assert_eq!(
+                    dispatch(&parse(&[cmd, "--queue", "/tmp/q", flag, "0"]))
+                        .unwrap_err()
+                        .to_string(),
+                    format!("{flag} must be at least 1"),
+                    "{cmd}"
+                );
+            }
         }
         // Unknown flags rejected on both.
         assert!(dispatch(&parse(&[

@@ -102,22 +102,32 @@ pub trait SampleRange<T> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
-/// Unbiased uniform draw from `[0, bound)` via rejection sampling on the
-/// widening-multiply method.
+/// Unbiased uniform draw from `[0, bound)`: Lemire's nearly-divisionless
+/// method (ACM TOMS 2019, arXiv:1805.10941).
+///
+/// The draw is the high word of `next_u64() · bound`; a low word below
+/// `2^64 mod bound` marks one of the few biased products, which is rejected
+/// and redrawn. That zone is smaller than `bound`, so a low word at or above
+/// `bound` is accepted without computing it: the division runs only when
+/// the low word falls below `bound`, with probability `bound / 2^64`. The
+/// acceptance test is the same as computing the zone first, so the same
+/// draws give the same value.
 #[inline]
 pub(crate) fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0, "empty range");
-    // Widening multiply: maps next_u64 into [0, bound) with a small biased
-    // zone rejected for exactness.
-    let zone = bound.wrapping_neg() % bound; // number of biased low values
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128).wrapping_mul(bound as u128);
-        let lo = m as u64;
-        if lo >= zone {
-            return (m >> 64) as u64;
+    // The high and low words of `x · bound`.
+    let wide = |x: u64| {
+        let high = (u128::from(x) * u128::from(bound)) >> 64;
+        (high as u64, x.wrapping_mul(bound))
+    };
+    let (mut hi, mut lo) = wide(rng.next_u64());
+    if lo < bound {
+        let zone = bound.wrapping_neg() % bound; // 2^64 mod bound
+        while lo < zone {
+            (hi, lo) = wide(rng.next_u64());
         }
     }
+    hi
 }
 
 macro_rules! impl_sample_range_int {
@@ -255,6 +265,75 @@ mod tests {
             seen[rng.gen_range(0usize..4)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues reached: {seen:?}");
+    }
+
+    /// The zone-first sampler `uniform_u64_below` replaced: it computes
+    /// `2^64 mod bound` before every draw.
+    fn zone_first_below(rng: &mut SmallRng, bound: u64) -> u64 {
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let x = rng.next_u64();
+            if x.wrapping_mul(bound) >= zone {
+                return ((u128::from(x) * u128::from(bound)) >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn divisionless_sampler_matches_the_zone_first_one() {
+        let fixed = [
+            1,
+            2,
+            3,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        let mut bounds_rng = SmallRng::seed_from_u64(0xB0);
+        for seed in 0..200u64 {
+            // Random bounds of every magnitude: a random word shifted right
+            // by a random amount, so small and huge bounds both appear.
+            let random = (0..16).map(|_| {
+                let shift = bounds_rng.next_u64() % 64;
+                (bounds_rng.next_u64() >> shift).max(1)
+            });
+            for bound in fixed.into_iter().chain(random) {
+                let mut new = SmallRng::seed_from_u64(seed);
+                let mut reference = new.clone();
+                for _ in 0..64 {
+                    let got = uniform_u64_below(&mut new, bound);
+                    assert_eq!(
+                        got,
+                        zone_first_below(&mut reference, bound),
+                        "bound {bound}"
+                    );
+                    assert!(got < bound);
+                    assert_eq!(new, reference, "RNG state diverged at bound {bound}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffle_matches_a_zone_first_shuffle() {
+        use crate::seq::SliceRandom;
+        for seed in 0..8 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut reference_rng = rng.clone();
+            let mut shuffled: Vec<u32> = (0..10_000).collect();
+            shuffled.shuffle(&mut rng);
+            let mut reference: Vec<u32> = (0..10_000).collect();
+            for i in (1..reference.len()).rev() {
+                let bound = u64::try_from(i + 1).unwrap();
+                let j = usize::try_from(zone_first_below(&mut reference_rng, bound)).unwrap();
+                reference.swap(i, j);
+            }
+            assert_eq!(shuffled, reference);
+            assert_eq!(rng, reference_rng);
+        }
     }
 
     #[test]

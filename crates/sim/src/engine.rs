@@ -16,12 +16,14 @@ use distill_billboard::{
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// A pending honest probe, resolved against the start-of-round view.
+/// An honest probe's post, settled in the round's probe pass and appended
+/// once the posting order allows (after a non-strongly-adaptive adversary's
+/// turn).
 #[derive(Clone, Copy)]
-struct HonestProbe {
+struct HonestPost {
     player: PlayerId,
     object: ObjectId,
-    via_advice: bool,
+    kind: ReportKind,
 }
 
 /// The synchronous execution engine (§1.2, §2.1).
@@ -37,11 +39,16 @@ struct HonestProbe {
 ///
 /// 1. the cohort reads the end-of-round-`r−1` billboard and emits this
 ///    round's directive;
-/// 2. honest probes are resolved against the same view (synchronous model —
-///    everyone acts on the same snapshot);
+/// 2. one ascending pass over the active honest players settles every
+///    probe against the same view (synchronous model — everyone acts on the
+///    same snapshot): per player, the participation coin, the directive's
+///    draws, the probe's charges, the §4.1 error coin, the drop coin, the
+///    trace events and satisfaction, in that order; satisfied players leave
+///    the active list in the same pass;
 /// 3. the adversary acts: under [`InfoModel::StronglyAdaptive`] it first sees
 ///    the honest round-`r` posts; otherwise it sees only rounds `< r`;
-/// 4. all round-`r` posts are appended and ingested.
+/// 4. all round-`r` posts are appended and ingested — the honest ones after
+///    a non-strongly-adaptive adversary has acted, in player order.
 ///
 /// When the config carries a non-noop [`FaultPlan`](crate::FaultPlan), the
 /// engine additionally processes crash/recovery churn at each round start,
@@ -78,8 +85,9 @@ pub struct Engine<'w> {
     trace: Option<Vec<TraceEvent>>,
     round: Round,
     rounds_executed: u64,
-    /// Reused across rounds to avoid a per-round allocation.
-    probe_buf: Vec<HonestProbe>,
+    /// The round's honest posts, held back until the adversary's turn;
+    /// reused across rounds to avoid a per-round allocation.
+    post_buf: Vec<HonestPost>,
     /// Start of the tally window currently registered with the tracker
     /// (mirrors the cohort's `PhaseInfo::window_start`).
     open_window_start: Option<Round>,
@@ -157,7 +165,7 @@ impl<'w> Engine<'w> {
             trace: None,
             round: Round(0),
             rounds_executed: 0,
-            probe_buf: Vec::with_capacity(n_honest),
+            post_buf: Vec::with_capacity(n_honest),
             open_window_start: None,
             faults_rng: stream_rng(seed, Stream::Faults),
             churn: Churn::new(config.n_honest),
@@ -262,7 +270,7 @@ impl<'w> Engine<'w> {
         self.forged_rejected = 0;
         self.trace = self.config.record_trace.then(Vec::new);
         self.rounds_executed = 0;
-        self.probe_buf.clear();
+        self.post_buf.clear();
         self.open_window_start = None;
         Ok(())
     }
@@ -486,18 +494,26 @@ impl<'w> Engine<'w> {
             }
         }
 
-        // 1+2: cohort directive and honest probe resolution, both against the
-        // same snapshot (built once per round): the end-of-previous-round
-        // board when reads are fresh, or the stale prefix under view lag.
-        self.probe_buf.clear();
+        // 1+2: the cohort's directive, then one ascending pass that settles
+        // every active player's probe, both against the same snapshot (built
+        // once per round): the end-of-previous-round board when reads are
+        // fresh, or the stale prefix under view lag. Players stay in the
+        // active list behind a write cursor unless their probe satisfies
+        // them; only the posts wait, in `post_buf`, for step 4a.
+        let local_testing = self.world.model().has_local_testing();
+        self.post_buf.clear();
         {
             let view = match self.lagged_tracker.as_ref() {
                 Some(lt) if lag > 0 => BoardView::new_lagged(&self.board, lt, round, lag_cutoff),
                 _ => BoardView::new(&self.board, &self.tracker, round),
             };
             let directive = self.cohort.directive(&view);
+            let mut kept = 0;
             for idx in 0..self.active_players.len() {
                 let p = self.active_players[idx];
+                // Kept unless its probe satisfies it (`kept -= 1` below).
+                self.active_players[kept] = p;
+                kept += 1;
                 if churn && self.churn.is_crashed(p) {
                     continue;
                 }
@@ -518,39 +534,117 @@ impl<'w> Engine<'w> {
                 if !participates {
                     continue;
                 }
-                let resolved = match &directive {
-                    Directive::ProbeUniform(set) => Some((set.sample(m, rng), false)),
+                let (object, via_advice) = match &directive {
+                    Directive::ProbeUniform(set) => (set.sample(m, rng), false),
                     Directive::SeekAdvice { fallback } => {
-                        Some(Self::advice_probe(&view, fallback, n, m, rng))
+                        Self::advice_probe(&view, fallback, n, m, rng)
                     }
                     Directive::Mixed { explore, set } => {
                         if rng.gen::<f64>() < *explore {
-                            Some((set.sample(m, rng), false))
+                            (set.sample(m, rng), false)
                         } else {
-                            Some(Self::advice_probe(&view, set, n, m, rng))
+                            Self::advice_probe(&view, set, n, m, rng)
                         }
                     }
-                    Directive::Idle => None,
+                    Directive::Idle => continue,
                 };
-                if let Some((object, via_advice)) = resolved {
-                    // A hostile (or buggy) cohort can hand back a Subset with
-                    // out-of-range ids; indexing the world with one would
-                    // panic, so reject the directive instead.
-                    if object.0 >= m {
-                        // lint: allow(alloc) — error path that aborts the
-                        // run; never taken on the per-round fast path
-                        return Err(SimError::InvalidDirective(format!(
-                            "cohort produced object {} outside universe of {m} objects",
-                            object.0
-                        )));
+                // A hostile (or buggy) cohort can hand back a Subset with
+                // out-of-range ids; indexing the world with one would panic,
+                // so reject the directive instead. The round is abandoned:
+                // none of its honest posts reach the board, and the active
+                // list keeps exactly the unsatisfied players.
+                if object.0 >= m {
+                    self.active_players.drain(kept..=idx);
+                    // lint: allow(alloc) — error path that aborts the
+                    // run; never taken on the per-round fast path
+                    return Err(SimError::InvalidDirective(format!(
+                        "cohort produced object {} outside universe of {m} objects",
+                        object.0
+                    )));
+                }
+                let player = PlayerId(p);
+                let outcome = &mut self.outcomes[p as usize];
+                outcome.probes += 1;
+                outcome.cost_paid += self.world.cost(object);
+                if via_advice {
+                    outcome.advice_probes += 1;
+                } else {
+                    outcome.explore_probes += 1;
+                }
+                if !local_testing {
+                    // Only the §5.3 final evaluation reads this; skipping it
+                    // for local-testing worlds keeps the plane out of the
+                    // hot loop.
+                    let value = self.world.value(object);
+                    match self.best_probe[p as usize] {
+                        Some((_, best)) if best >= value => {}
+                        _ => self.best_probe[p as usize] = Some((object, value)),
                     }
-                    self.probe_buf.push(HonestProbe {
-                        player: PlayerId(p),
+                }
+                // The value plane is read in step 4a only for a probe that
+                // posts, so a local-testing probe of a bad object that posts
+                // nothing reads just the good bitset and the cost.
+                let good = self.world.is_good(object);
+                if let Some(t) = self.trace.as_mut() {
+                    t.push(TraceEvent::Probe {
+                        round,
+                        player,
                         object,
                         via_advice,
+                        good,
                     });
                 }
+                let kind = if !local_testing {
+                    // §5.3: no local testing — every probe's true value is
+                    // posted; the tracker derives best-value votes from it.
+                    Some(ReportKind::Negative)
+                } else if good
+                    || (self.config.honest_error_rate > 0.0
+                        && rng.gen::<f64>() < self.config.honest_error_rate)
+                {
+                    // §4.1: an honest player occasionally submits an
+                    // erroneous (positive) vote for a bad object by mistake.
+                    Some(ReportKind::Positive)
+                } else {
+                    self.config
+                        .post_negative_reports
+                        .then_some(ReportKind::Negative)
+                };
+                if let Some(kind) = kind {
+                    // Fault injection may lose the post in transit; the probe
+                    // (and any satisfaction) already happened locally.
+                    if self.config.faults.drops_post(&mut self.faults_rng) {
+                        self.fault_counters.posts_dropped += 1;
+                        if let Some(t) = self.trace.as_mut() {
+                            t.push(TraceEvent::PostDropped {
+                                round,
+                                player,
+                                object,
+                            });
+                        }
+                    } else {
+                        self.post_buf.push(HonestPost {
+                            player,
+                            object,
+                            kind,
+                        });
+                    }
+                }
+                if local_testing && good {
+                    self.satisfied.insert(p as usize);
+                    self.n_satisfied += 1;
+                    self.outcomes[p as usize].satisfied_round = Some(round);
+                    if let Some(t) = self.trace.as_mut() {
+                        t.push(TraceEvent::Satisfied {
+                            round,
+                            player,
+                            object,
+                        });
+                    }
+                    kept -= 1;
+                }
             }
+            self.active_players.truncate(kept);
         }
         let phase = self.cohort.phase_info();
 
@@ -576,88 +670,11 @@ impl<'w> Engine<'w> {
             Vec::new()
         };
 
-        // 4a: honest posts.
-        let local_testing = self.world.model().has_local_testing();
-        let mut any_satisfied_this_round = false;
-        for idx in 0..self.probe_buf.len() {
-            let probe = self.probe_buf[idx];
-            let p = probe.player;
-            let outcome = &mut self.outcomes[p.index()];
-            outcome.probes += 1;
-            outcome.cost_paid += self.world.cost(probe.object);
-            if probe.via_advice {
-                outcome.advice_probes += 1;
-            } else {
-                outcome.explore_probes += 1;
-            }
-            if !local_testing {
-                // Only the §5.3 final evaluation reads this; skipping it for
-                // local-testing worlds keeps the plane out of the hot loop.
-                let value = self.world.value(probe.object);
-                match self.best_probe[p.index()] {
-                    Some((_, best)) if best >= value => {}
-                    _ => self.best_probe[p.index()] = Some((probe.object, value)),
-                }
-            }
-            // The value plane is read below only for a probe that posts, so
-            // a local-testing probe of a bad object that posts nothing reads
-            // just the good bitset and the cost.
-            let good = self.world.is_good(probe.object);
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceEvent::Probe {
-                    round,
-                    player: p,
-                    object: probe.object,
-                    via_advice: probe.via_advice,
-                    good,
-                });
-            }
-            let kind = if !local_testing {
-                // §5.3: no local testing — every probe's true value is
-                // posted; the tracker derives best-value votes from it.
-                Some(ReportKind::Negative)
-            } else if good
-                || (self.config.honest_error_rate > 0.0
-                    && self.player_rngs[p.index()].gen::<f64>() < self.config.honest_error_rate)
-            {
-                // §4.1: an honest player occasionally submits an erroneous
-                // (positive) vote for a bad object by mistake.
-                Some(ReportKind::Positive)
-            } else {
-                self.config
-                    .post_negative_reports
-                    .then_some(ReportKind::Negative)
-            };
-            if let Some(kind) = kind {
-                // Fault injection may lose the post in transit; the probe
-                // (and any satisfaction) already happened locally.
-                if self.config.faults.drops_post(&mut self.faults_rng) {
-                    self.fault_counters.posts_dropped += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::PostDropped {
-                            round,
-                            player: p,
-                            object: probe.object,
-                        });
-                    }
-                } else {
-                    let value = self.world.value(probe.object);
-                    self.board.append(round, p, probe.object, value, kind)?;
-                }
-            }
-            if local_testing && good {
-                self.satisfied.insert(p.index());
-                self.n_satisfied += 1;
-                any_satisfied_this_round = true;
-                self.outcomes[p.index()].satisfied_round = Some(round);
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::Satisfied {
-                        round,
-                        player: p,
-                        object: probe.object,
-                    });
-                }
-            }
+        // 4a: honest posts, in player order.
+        for post in &self.post_buf {
+            let value = self.world.value(post.object);
+            self.board
+                .append(round, post.player, post.object, value, post.kind)?;
         }
 
         // 3b: strongly-adaptive adversaries see the honest posts first.
@@ -685,11 +702,6 @@ impl<'w> Engine<'w> {
         }
 
         self.tracker.ingest(&self.board);
-        if any_satisfied_this_round {
-            let satisfied = &self.satisfied;
-            self.active_players
-                .retain(|&p| !satisfied.contains(p as usize));
-        }
         if self.config.record_satisfaction_curve {
             self.satisfied_per_round.push(self.n_satisfied);
         }
@@ -1203,10 +1215,10 @@ mod tests {
         // index-out-of-bounds panic when the world was consulted for the
         // probe's value; it must surface as SimError::InvalidDirective.
         #[derive(Debug)]
-        struct Rogue;
+        struct Rogue(Vec<ObjectId>);
         impl Cohort for Rogue {
             fn directive(&mut self, _v: &BoardView<'_>) -> Directive {
-                Directive::ProbeUniform(CandidateSet::subset(vec![ObjectId(999)]))
+                Directive::ProbeUniform(CandidateSet::subset(self.0.clone()))
             }
             fn phase_info(&self) -> PhaseInfo {
                 PhaseInfo::plain("rogue")
@@ -1217,13 +1229,35 @@ mod tests {
         }
         let world = small_world();
         let config = SimConfig::new(4, 4, 0).with_stop(StopRule::all_satisfied(25));
-        let err = Engine::new(config, &world, Box::new(Rogue), Box::new(NullAdversary))
+        let rogue = Box::new(Rogue(vec![ObjectId(999)]));
+        let err = Engine::new(config, &world, rogue, Box::new(NullAdversary))
             .unwrap()
             .run()
             .unwrap_err();
         assert!(
             matches!(err, SimError::InvalidDirective(ref msg) if msg.contains("999")),
             "expected InvalidDirective, got {err:?}"
+        );
+
+        // Mixed with the good object, the rogue id comes up only after some
+        // players have probed, been charged and been satisfied; none of the
+        // failing round's honest posts may reach the board.
+        let good = world.good_objects()[0];
+        let config = SimConfig::new(64, 64, 1).with_stop(StopRule::all_satisfied(25));
+        let rogue = Box::new(Rogue(vec![good, good, good, ObjectId(999)]));
+        let mut engine = Engine::new(config, &world, rogue, Box::new(NullAdversary)).unwrap();
+        let err = engine.step().unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidDirective(ref msg) if msg.contains("999")),
+            "expected InvalidDirective, got {err:?}"
+        );
+        assert!(
+            engine.satisfied_count() > 0,
+            "players ahead of the rogue draw probed the good object"
+        );
+        assert!(
+            engine.board().is_empty(),
+            "an honest post of the failing round reached the board"
         );
     }
 

@@ -325,6 +325,25 @@ impl World {
         self.objects().filter(|&o| !self.is_good(o)).collect()
     }
 
+    /// `bad_objects()[k]` for each rank `k` of `ranks`, in the order given,
+    /// without building that list: one sweep over the goodness bitset
+    /// answers the whole batch.
+    ///
+    /// # Panics
+    /// Panics if a rank is not below the number of bad objects.
+    pub fn bad_objects_at(&self, ranks: &[usize]) -> Vec<ObjectId> {
+        let n_bad = self.values.len() - self.good_count as usize;
+        assert!(
+            ranks.iter().all(|&k| k < n_bad),
+            "bad-object rank out of range for a world of {n_bad} bad objects"
+        );
+        self.good
+            .absent_by_rank(ranks)
+            .into_iter()
+            .filter_map(|id| id.and_then(|i| ObjectId::try_from(i).ok()))
+            .collect()
+    }
+
     /// Probes `object`: returns its value and charges its cost.
     ///
     /// # Panics

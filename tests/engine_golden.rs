@@ -61,6 +61,30 @@ impl Cohort for Trivial {
     }
 }
 
+/// Idles every other round and probes uniformly in between: the `Idle` arm
+/// of the round loop, where a sampled player still draws its participation
+/// coin and then probes nothing.
+#[derive(Debug, Default)]
+struct IdleEveryOther {
+    rounds: u64,
+}
+impl Cohort for IdleEveryOther {
+    fn directive(&mut self, _view: &BoardView<'_>) -> Directive {
+        self.rounds += 1;
+        if self.rounds % 2 == 1 {
+            Directive::Idle
+        } else {
+            Directive::ProbeUniform(CandidateSet::All)
+        }
+    }
+    fn phase_info(&self) -> PhaseInfo {
+        PhaseInfo::plain("idle-every-other")
+    }
+    fn name(&self) -> &'static str {
+        "idle-every-other"
+    }
+}
+
 fn distill_engine<'w>(
     world: &'w World,
     config: SimConfig,
@@ -206,6 +230,43 @@ fn run_scenario(name: &str) -> u64 {
                 .expect("run");
             digest(&result)
         }
+        "balance_mixed_errors_traced" => {
+            // `Directive::Mixed` (Balance's fair explore/exploit coin) with
+            // §4.1 erroneous votes: per player, the explore coin, the
+            // advice draws and the error coin come from one stream.
+            let world = World::binary(40, 2, 31).expect("world");
+            let config = SimConfig::new(40, 34, 919)
+                .with_honest_error_rate(0.1)
+                .with_trace(true)
+                .with_stop(StopRule::all_satisfied(200_000));
+            let result = Engine::new(
+                config,
+                &world,
+                Box::new(Balance::new()),
+                Box::new(UniformBad::new()),
+            )
+            .expect("engine")
+            .run()
+            .expect("run");
+            digest(&result)
+        }
+        "idle_every_other_random_subset" => {
+            let world = World::binary(32, 2, 37).expect("world");
+            let config = SimConfig::new(32, 28, 929)
+                .with_participation(Participation::RandomSubset { p: 0.5 })
+                .with_trace(true)
+                .with_stop(StopRule::all_satisfied(200_000));
+            let result = Engine::new(
+                config,
+                &world,
+                Box::<IdleEveryOther>::default(),
+                Box::new(UniformBad::new()),
+            )
+            .expect("engine")
+            .run()
+            .expect("run");
+            digest(&result)
+        }
         "best_value_horizon" => {
             let world = World::uniform_top_beta(64, 0.1, 9).expect("world");
             let config = SimConfig::new(24, 20, 606)
@@ -314,7 +375,10 @@ fn run_async(
 /// that still kept one copy of the fault layer each, before they came to
 /// share `sim::faults`. The `e18_distill_2e17` pin was recorded while the
 /// world still kept goodness as one byte per object and a cost per object,
-/// and the tracker a 4-byte vote count per player.
+/// and the tracker a 4-byte vote count per player. The
+/// `balance_mixed_errors_traced` and `idle_every_other_random_subset` pins
+/// were recorded while the round loop still resolved every honest probe in
+/// one pass and charged it in a second.
 const PINS: &[(&str, u64)] = &[
     ("plain_distill", 0xc76af13208f9fe6a),
     ("tally_scan_path", 0xc76af13208f9fe6a),
@@ -331,6 +395,8 @@ const PINS: &[(&str, u64)] = &[
     ("async_isolate_plain", 0xfbcd6a8be9046b3b),
     ("async_random_faulted", 0x3c4ac0f7a5af49e5),
     ("e18_distill_2e17", 0x2f5c611da36dd5fe),
+    ("balance_mixed_errors_traced", 0xa9550c0a08472e1d),
+    ("idle_every_other_random_subset", 0xb020534a5b228052),
 ];
 
 #[test]

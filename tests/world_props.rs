@@ -2,6 +2,7 @@
 //! bitset, and one stored cost when every object costs the same. Every
 //! accessor must answer as a direct recomputation from the input vectors
 //! does, and the per-object accessors must still panic past the last object.
+//! Bad objects picked by rank match the full list of bad objects.
 
 use distill::billboard::ObjectId;
 use distill::sim::{ObjectModel, World, WorldBuilder};
@@ -137,6 +138,19 @@ fn check_world(
             .collect();
         prop_assert_eq!(world.cost_class_members(class), members);
     }
+    // Every bad rank at once, scrambled and repeated, picks what the list
+    // holds; a rank past the last bad object panics.
+    let bad = ids(false);
+    let ranks: Vec<usize> = (0..bad.len())
+        .rev()
+        .chain((0..bad.len()).step_by(3))
+        .collect();
+    let picked: Vec<ObjectId> = ranks.iter().map(|&k| bad[k]).collect();
+    prop_assert_eq!(world.bad_objects_at(&ranks), picked);
+    prop_assert!(
+        panics(|| world.bad_objects_at(&[bad.len()])),
+        "bad rank past the end"
+    );
     let past = ObjectId(world.m());
     prop_assert!(panics(|| world.value(past)), "value past the end");
     prop_assert!(panics(|| world.cost(past)), "cost past the end");
