@@ -119,6 +119,9 @@ pub fn run_async(args: &Args) -> Result<String, CliError> {
     let goods: u32 = args.get_or("goods", 1)?;
     let trials: u64 = parse_positive(args, "trials", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
+    if goods == 0 || goods > n {
+        return Err(err(format!("--goods {goods} must be in 1..={n}")));
+    }
     let schedule_name = args.str_or("schedule", "round-robin");
     match schedule_name.as_str() {
         "round-robin" | "random" | "isolate" | "starve" => {}
@@ -487,6 +490,14 @@ mod tests {
             assert!(out.contains("player-0 probes"), "{sched}: {out}");
         }
         assert!(dispatch(&parse(&["async", "--schedule", "nope"])).is_err());
+        for goods in ["0", "9"] {
+            assert_eq!(
+                dispatch(&parse(&["async", "--n", "8", "--goods", goods]))
+                    .unwrap_err()
+                    .to_string(),
+                format!("--goods {goods} must be in 1..=8")
+            );
+        }
     }
 
     #[test]

@@ -73,13 +73,14 @@ pub(super) fn ensure_spec_flags(args: &Args, extra: &[&str]) -> Result<(), CliEr
 }
 
 /// Runs trials `0..trials` of `spec` through the sweep, in streaming mode
-/// on every core, and hands each result to `fold` in trial order. The
-/// trials are the program's own, so a failed trial is a bug: it is neither
-/// retried nor skipped, and the command fails naming it.
+/// on every core, and hands each result to `fold` in trial order, on the
+/// worker thread that settles it. The trials are the program's own, so a
+/// failed trial is a bug: it is neither retried nor skipped, and the
+/// command fails naming it.
 pub(super) fn run_spec<S: TrialSpec>(
     spec: S,
     trials: u64,
-    mut fold: impl FnMut(u64, &SimResult),
+    mut fold: impl FnMut(u64, &SimResult) + Send,
 ) -> Result<(), CliError> {
     let config = SweepConfig {
         threads: num_threads(),

@@ -26,8 +26,8 @@
 //!   retries with exponential backoff, and the wall-clock watchdog.
 //! - [`quarantine`] — replayable `(seed, config)` JSONL records for trials
 //!   that exhaust their retry budget.
-//! - [`sweep`] — the orchestrator tying the above together
-//!   ([`run_sweep`]).
+//! - [`sweep`] — the in-process sweep ([`run_sweep`]) tying the above
+//!   together: its workers settle their own trials under one lock.
 //! - [`lease`] — the shared on-disk lease queue ([`LeaseQueue`]) that
 //!   multi-process sweeps claim chunked trial ranges from under
 //!   time-bounded, heartbeat-renewed leases; expired leases are reclaimed

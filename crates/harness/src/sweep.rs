@@ -1,11 +1,11 @@
 //! The crash-safe supervised sweep runner.
 //!
-//! Composes the other three modules: trials run under
-//! [`supervise`] (panic isolation + retries +
-//! watchdog), completed results accumulate into an ordered map (or stream
-//! into a fold), every `checkpoint_every` new completions are appended to
-//! the checkpoint log as one frame, and exhausted failures become
-//! [`QuarantineRecord`] lines.
+//! Composes the other three modules: scoped workers run trials under
+//! [`supervise`] (panic isolation + retries + watchdog) and settle each one
+//! under the sweep's one lock — its result joins the checkpoint log, which
+//! appends one frame per `checkpoint_every` new completions, or its
+//! exhausted failure becomes a [`QuarantineRecord`] line — and results
+//! reach the fold (and, retained, the report) in trial order.
 //!
 //! ## Why resume preserves determinism
 //!
@@ -25,8 +25,8 @@ use distill_sim::{ResultFold, SimResult};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A sweep's trial generator: a pure, thread-safe function from trial index
 /// to result, plus the metadata that makes checkpoints and quarantine
@@ -76,17 +76,18 @@ pub struct SweepConfig {
     pub policy: SupervisorPolicy,
     /// Test hook simulating a crash: stop the sweep after this many *new*
     /// completions — append the unsaved results, abandon the rest, and mark
-    /// the report aborted. `None` runs to completion.
+    /// the report aborted. The fold and the report then stop at the first
+    /// trial still missing. `None` runs to completion.
     pub stop_after: Option<u64>,
     /// Keep every completed [`SimResult`] in [`SweepReport::results`]
-    /// (the historical behavior). Setting this to `false` turns on
-    /// *streaming* mode: results are handed to the
-    /// [`ResultFold`] passed to [`run_sweep_with`] in ascending trial order
-    /// and then dropped, so sweep memory is O(1) in the trial count. A
-    /// streaming sweep checkpoints like a retained one: the log holds each
-    /// result, encoded, only until its frame is appended. Resuming is the
-    /// exception: it decodes the whole log at once, so it costs memory in
-    /// proportion to the trials already in the log.
+    /// (the historical behavior). Either way, each result reaches the
+    /// [`ResultFold`] passed to [`run_sweep_with`] as soon as trial order
+    /// allows; setting this to `false` (*streaming* mode) then drops it, so
+    /// sweep memory is O(1) in the trial count. A streaming sweep
+    /// checkpoints like a retained one: the log holds each result, encoded,
+    /// only until its frame is appended. Resuming is the exception: it
+    /// decodes the whole log at once, so it costs memory in proportion to
+    /// the trials already in the log.
     pub retain_results: bool,
 }
 
@@ -166,12 +167,11 @@ impl From<CheckpointError> for SweepError {
 /// Runs the sweep described by `config` over `spec`.
 ///
 /// Workers pull trial indices work-stealing style (a shared atomic cursor
-/// over the pending list) and report `(index, outcome)` pairs to the
-/// coordinating thread, which owns all file I/O — checkpoints and
-/// quarantine appends never race.
+/// over the pending list), run each trial, and settle it under the sweep's
+/// one lock — checkpoints and quarantine appends never race.
 ///
 /// # Errors
-/// Checkpoint and quarantine I/O failures abort the sweep with a
+/// Checkpoint and quarantine I/O failures stop the sweep with a
 /// [`SweepError`]; trial panics and timeouts do *not* — they quarantine.
 pub fn run_sweep<S: TrialSpec>(
     spec: Arc<S>,
@@ -184,33 +184,29 @@ pub fn run_sweep<S: TrialSpec>(
 ///
 /// `fold` sees every completed trial exactly once, in ascending trial
 /// order, resumed trials included — so a fold over a resumed sweep equals a
-/// fold over an uninterrupted one. With `retain_results = true` the fold
-/// runs over the final result set (results are *also* returned in the
-/// report); with `retain_results = false` each result is folded as soon as
-/// trial order allows and then dropped, holding only the out-of-order
-/// reorder window in memory — O(1) in the trial count, once the trials a
-/// resume loaded from the log have been folded. Quarantined trials are
-/// never folded (they have no result); in streaming mode they simply close
-/// their gap in the trial order.
+/// fold over an uninterrupted one. Each result is folded, on the worker
+/// that completes its turn, as soon as trial order allows, so the sweep
+/// holds only the out-of-order reorder window besides the results it
+/// retains. Quarantined trials are never folded (they have no result);
+/// they simply close their gap in the trial order.
 ///
 /// # Errors
-/// As [`run_sweep`].
+/// As [`run_sweep`]. A panic in `fold` reaches the caller as that panic.
 pub fn run_sweep_with<S: TrialSpec>(
     spec: Arc<S>,
     config: &SweepConfig,
-    mut fold: Option<&mut dyn ResultFold>,
+    fold: Option<&mut (dyn ResultFold + Send)>,
 ) -> Result<SweepReport, SweepError> {
     let fingerprint = fingerprint_of(spec.as_ref());
     if config.resume && config.checkpoint.is_none() {
         return Err(SweepError::ResumeWithoutCheckpoint);
     }
-    let streaming = !config.retain_results;
     let (trials, every) = (config.trials, config.checkpoint_every);
 
     // Resume continues the log: a missing file is a fresh start, a torn
     // last frame (a crash mid-append) is cut off, and any other damage or a
     // log from another sweep is a hard error.
-    let (mut log, resumed) = match &config.checkpoint {
+    let (log, resumed) = match &config.checkpoint {
         None => (None, Vec::new()),
         Some(path) if config.resume => {
             let (log, resumed) = CheckpointLog::resume(path, fingerprint, trials, every, |e| {
@@ -223,155 +219,167 @@ pub fn run_sweep_with<S: TrialSpec>(
             Vec::new(),
         ),
     };
-    let mut report = SweepReport {
-        results: Vec::new(),
-        completed: 0,
-        quarantined: Vec::new(),
-        resumed: resumed.len() as u64,
-        checkpoints_written: 0,
-        aborted: false,
-        fingerprint,
+    let mut sweep = Sweep {
+        config,
+        log,
+        fold,
+        report: SweepReport {
+            results: Vec::new(),
+            completed: 0,
+            quarantined: Vec::new(),
+            resumed: resumed.len() as u64,
+            checkpoints_written: 0,
+            aborted: false,
+            fingerprint,
+        },
+        window: resumed
+            .into_iter()
+            .map(|(trial, result)| (trial, Some(result)))
+            .collect(),
+        next: 0,
+        new_done: 0,
+        error: None,
     };
-
-    // Every result by trial, resumed ones included. Retained mode keeps
-    // them all; streaming mode folds and drops each one as soon as every
-    // earlier trial has been folded, so the map holds only the scheduling
-    // skew between workers. Quarantined trials hold `None` so the fold can
-    // pass them.
-    let mut results: BTreeMap<u64, Option<SimResult>> = resumed
-        .into_iter()
-        .map(|(trial, result)| (trial, Some(result)))
-        .collect();
     // Quarantined trials are deliberately absent from checkpoints, so a
     // resumed sweep retries them — a crash-then-resume gets a fresh retry
     // budget, which is the desired behavior for transient faults.
-    let pending: Vec<u64> = (0..trials).filter(|t| !results.contains_key(t)).collect();
-    let mut next_fold: u64 = 0;
-    if streaming {
-        report.completed += fold_ready(&mut results, &mut next_fold, &mut fold);
-    }
+    let pending: Vec<u64> = (0..trials)
+        .filter(|t| !sweep.window.contains_key(t))
+        .collect();
+    sweep.release();
 
-    if !pending.is_empty() {
-        let pending = Arc::new(pending);
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<(u64, crate::supervisor::Supervised<SimResult>)>();
-        let n_workers = config.threads.max(1).min(pending.len());
-
-        let mut handles = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let pending = Arc::clone(&pending);
-            let cursor = Arc::clone(&cursor);
-            let abort = Arc::clone(&abort);
-            let tx = tx.clone();
-            let spec = Arc::clone(&spec);
-            let policy = config.policy.clone();
-            handles.push(std::thread::spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&trial) = pending.get(i) else { break };
-                let spec_for_trial = Arc::clone(&spec);
-                let out = supervise(&policy, move || spec_for_trial.run_trial(trial));
-                if tx.send((trial, out)).is_err() {
-                    break;
-                }
-            }));
-        }
-        drop(tx); // coordinator's recv ends when the last worker exits
-
-        let mut new_done = 0u64;
-
-        let coordinate = (|| -> Result<(), SweepError> {
-            while let Ok((trial, out)) = rx.recv() {
-                match out.result {
-                    Ok(result) => {
-                        if let Some(log) = &mut log {
-                            report.checkpoints_written += u64::from(log.push(trial, &result)?);
-                        }
-                        results.insert(trial, Some(result));
-                        new_done += 1;
-                    }
-                    Err(failure) => {
-                        let record = QuarantineRecord {
-                            trial,
-                            seed: spec.seed(trial),
-                            fingerprint,
-                            config: spec.describe(),
-                            attempts: out.attempts,
-                            failure,
-                            worker_id: None,
-                            lease: None,
-                        };
-                        if let Some(path) = &config.quarantine {
-                            record.append_to(path).map_err(SweepError::Quarantine)?;
-                        }
-                        results.insert(trial, None);
-                        report.quarantined.push(record);
-                    }
-                }
-                if streaming {
-                    report.completed += fold_ready(&mut results, &mut next_fold, &mut fold);
-                }
-                if config.stop_after.is_some_and(|s| new_done >= s) {
-                    report.aborted = true;
-                    break;
-                }
+    let sweep = Mutex::new(sweep);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(&trial) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let outcome = run_supervised(&spec, &config.policy, fingerprint, trial);
+            // A poisoned lock means a fold panicked on another worker, whose
+            // join hands the panic on.
+            let Ok(mut sweep) = sweep.lock() else { break };
+            // A stopped sweep drops what its workers still finish.
+            if !sweep.stopped() {
+                sweep.error = sweep.settle(trial, outcome).err();
             }
-            if let Some(log) = &mut log {
-                report.checkpoints_written += u64::from(log.append()?);
+            if sweep.stopped() {
+                break;
             }
-            Ok(())
-        })();
-
-        // Shut down workers whether coordination succeeded or not, so an
-        // I/O error cannot leak running threads.
-        abort.store(true, Ordering::Relaxed);
-        cursor.store(usize::MAX, Ordering::Relaxed);
-        drop(rx);
-        for handle in handles {
-            let _ = handle.join();
         }
-        coordinate?;
-    }
-
-    if !streaming {
-        // Retained mode: the fold runs over the final set (resumed trials
-        // included), which is already in ascending order.
-        report.results = results
-            .into_iter()
-            .filter_map(|(trial, result)| Some((trial, result?)))
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..config.threads.max(1).min(pending.len()))
+            .map(|_| scope.spawn(work))
             .collect();
-        if let Some(f) = fold {
-            for (trial, result) in &report.results {
-                f.fold(*trial, result);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
         }
-        report.completed = report.results.len() as u64;
+    });
+
+    // Only a fold's panic poisons the lock, and it was re-raised above.
+    let mut sweep = sweep.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(e) = sweep.error {
+        return Err(e);
     }
-    Ok(report)
+    if let Some(log) = &mut sweep.log {
+        sweep.report.checkpoints_written += u64::from(log.append()?);
+    }
+    Ok(sweep.report)
 }
 
-/// Folds and drops, in trial order, every result at the front of `results`
-/// that no earlier trial is still missing for; returns how many results
-/// (not quarantined gaps) it folded.
-fn fold_ready(
-    results: &mut BTreeMap<u64, Option<SimResult>>,
-    next: &mut u64,
-    fold: &mut Option<&mut dyn ResultFold>,
-) -> u64 {
-    let mut folded = 0;
-    while let Some(entry) = results.first_entry().filter(|e| *e.key() == *next) {
-        if let Some(result) = entry.remove() {
-            if let Some(f) = fold {
-                f.fold(*next, &result);
-            }
-            folded += 1;
-        }
-        *next += 1;
+/// Runs trial `trial` of `spec` (whose fingerprint is `fingerprint`) under
+/// `policy`. A trial that exhausts its retries comes back as its quarantine
+/// record, not yet attributed to a fabric worker or lease.
+pub(crate) fn run_supervised<S: TrialSpec>(
+    spec: &Arc<S>,
+    policy: &SupervisorPolicy,
+    fingerprint: u64,
+    trial: u64,
+) -> Result<SimResult, QuarantineRecord> {
+    let spec_for_trial = Arc::clone(spec);
+    let out = supervise(policy, move || spec_for_trial.run_trial(trial));
+    out.result.map_err(|failure| QuarantineRecord {
+        trial,
+        seed: spec.seed(trial),
+        fingerprint,
+        config: spec.describe(),
+        attempts: out.attempts,
+        failure,
+        worker_id: None,
+        lease: None,
+    })
+}
+
+/// What a sweep's workers share under its one lock.
+struct Sweep<'c, 'f> {
+    config: &'c SweepConfig,
+    log: Option<CheckpointLog>,
+    fold: Option<&'f mut (dyn ResultFold + Send)>,
+    report: SweepReport,
+    /// Trials waiting for an earlier one; a quarantined trial is `None`.
+    window: BTreeMap<u64, Option<SimResult>>,
+    /// The trial the release waits for.
+    next: u64,
+    /// Results settled by this run, resumed ones not counted.
+    new_done: u64,
+    /// The I/O error that stopped the sweep.
+    error: Option<SweepError>,
+}
+
+impl Sweep<'_, '_> {
+    /// Whether the sweep has stopped: at `stop_after`, or on an I/O error.
+    fn stopped(&self) -> bool {
+        self.report.aborted || self.error.is_some()
     }
-    folded
+
+    /// Settles one finished trial: pushes its result to the checkpoint log
+    /// or appends its quarantine record (the append that fails is the
+    /// error), parks it in the window, and releases every result whose turn
+    /// has come.
+    fn settle(
+        &mut self,
+        trial: u64,
+        outcome: Result<SimResult, QuarantineRecord>,
+    ) -> Result<(), SweepError> {
+        let parked = match outcome {
+            Ok(result) => {
+                if let Some(log) = &mut self.log {
+                    self.report.checkpoints_written += u64::from(log.push(trial, &result)?);
+                }
+                self.new_done += 1;
+                Some(result)
+            }
+            Err(record) => {
+                if let Some(path) = &self.config.quarantine {
+                    record.append_to(path).map_err(SweepError::Quarantine)?;
+                }
+                self.report.quarantined.push(record);
+                None
+            }
+        };
+        self.window.insert(trial, parked);
+        self.release();
+        self.report.aborted = self.config.stop_after.is_some_and(|s| self.new_done >= s);
+        Ok(())
+    }
+
+    /// Releases, in trial order, every parked result that no earlier trial
+    /// is still missing for: the fold sees it, and a retaining sweep keeps
+    /// it in the report.
+    fn release(&mut self) {
+        while let Some(entry) = self.window.first_entry().filter(|e| *e.key() == self.next) {
+            if let Some(result) = entry.remove() {
+                if let Some(fold) = &mut self.fold {
+                    fold.fold(self.next, &result);
+                }
+                if self.config.retain_results {
+                    self.report.results.push((self.next, result));
+                }
+                self.report.completed += 1;
+            }
+            self.next += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -380,6 +388,7 @@ mod tests {
     use distill_core::RandomProbing;
     use distill_sim::{Engine, NullAdversary, SimConfig, StopRule, World};
     use std::path::Path;
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     /// A real simulation spec: binary world, random-probing baseline.
@@ -434,6 +443,49 @@ mod tests {
                 "injected panic at trial {trial}"
             );
             self.inner.run_trial(trial)
+        }
+
+        fn seed(&self, trial: u64) -> u64 {
+            self.inner.seed(trial)
+        }
+
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+    }
+
+    /// A spec that counts, across its workers, the attempts it started and
+    /// the results that are finished but not yet folded (a fold takes them
+    /// off), with the most of those there ever were. Trial `panic_on`
+    /// panics on every attempt.
+    struct CountingSpec {
+        inner: SimSpec,
+        panic_on: Option<u64>,
+        started: AtomicU64,
+        unfolded: AtomicU64,
+        peak_unfolded: AtomicU64,
+    }
+
+    impl CountingSpec {
+        fn new(panic_on: Option<u64>) -> Self {
+            CountingSpec {
+                inner: small_spec(),
+                panic_on,
+                started: AtomicU64::new(0),
+                unfolded: AtomicU64::new(0),
+                peak_unfolded: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl TrialSpec for CountingSpec {
+        fn run_trial(&self, trial: u64) -> SimResult {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            assert_ne!(Some(trial), self.panic_on, "injected panic");
+            let result = self.inner.run_trial(trial);
+            let unfolded = self.unfolded.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak_unfolded.fetch_max(unfolded, Ordering::SeqCst);
+            result
         }
 
         fn seed(&self, trial: u64) -> u64 {
@@ -771,6 +823,75 @@ mod tests {
         assert_eq!(trials, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(report.completed, 6);
         std::fs::remove_file(&ckpt).ok();
+    }
+
+    /// A worker settles and folds its own result before it starts another
+    /// trial, so a one-worker sweep holds at most one finished result
+    /// however slow its fold is.
+    #[test]
+    fn one_worker_holds_at_most_one_finished_result() {
+        let spec = Arc::new(CountingSpec::new(None));
+        let mut config = SweepConfig::new(64);
+        config.policy = quick_policy();
+        config.retain_results = false;
+        let mut fold = |_: u64, _: &SimResult| {
+            spec.unfolded.fetch_sub(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let report = run_sweep_with(Arc::clone(&spec), &config, Some(&mut fold)).unwrap();
+        assert_eq!(report.completed, 64);
+        assert_eq!(spec.peak_unfolded.load(Ordering::SeqCst), 1);
+    }
+
+    /// The fold runs on a worker; a panic in it stops the other workers
+    /// and reaches the caller with the fold's own message.
+    #[test]
+    fn fold_panic_reaches_the_caller_with_its_message() {
+        for threads in [1, 2] {
+            let mut config = SweepConfig::new(8);
+            config.threads = threads;
+            config.policy = quick_policy();
+            config.retain_results = false;
+            let mut folded = Vec::new();
+            let mut fold = |trial: u64, _: &SimResult| {
+                assert_ne!(trial, 3, "the fold refuses trial 3");
+                folded.push(trial);
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_sweep_with(Arc::new(small_spec()), &config, Some(&mut fold))
+            }))
+            .unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains("the fold refuses trial 3"),
+                "{threads} threads: {message}"
+            );
+            assert_eq!(folded, vec![0, 1, 2], "{threads} threads");
+        }
+    }
+
+    /// A quarantine append that fails mid-sweep stops the workers: the
+    /// sweep returns the error instead of running the trials left.
+    #[test]
+    fn failed_quarantine_append_stops_the_sweep() {
+        let missing = tmp("missing-dir").join("q.jsonl");
+        for threads in [1, 2] {
+            let spec = Arc::new(CountingSpec::new(Some(2)));
+            let mut config = SweepConfig::new(64);
+            config.threads = threads;
+            config.policy = quick_policy();
+            config.quarantine = Some(missing.clone());
+            let err = run_sweep(Arc::clone(&spec), &config).unwrap_err();
+            assert!(
+                matches!(&err, SweepError::Quarantine(msg) if msg.contains("missing-dir")),
+                "{threads} threads: {err:?}"
+            );
+            if threads == 1 {
+                // Trials 0 and 1, then trial 2's two attempts.
+                assert_eq!(spec.started.load(Ordering::SeqCst), 4);
+            }
+        }
+        assert!(!missing.exists());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! One sweep, many processes. Each worker loops: claim a chunk from the
 //! on-disk queue (reclaiming expired leases), run its trials under
-//! [`supervise`], append *its own* results
+//! [`supervise`](crate::supervise), append *its own* results
 //! to the checkpoint log `<queue>.worker<id>.ckpt`, heartbeat-renew the
 //! lease while working, and mark the chunk done once its results are
 //! durably appended. Kill -9 a worker at any instant and its current lease
@@ -41,8 +41,8 @@ use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::frame::{self, FrameError};
 use crate::lease::{LeaseError, LeaseOutcome, LeaseQueue};
 use crate::quarantine::QuarantineRecord;
-use crate::supervisor::{supervise, SupervisorPolicy};
-use crate::sweep::{fingerprint_of, TrialSpec};
+use crate::supervisor::SupervisorPolicy;
+use crate::sweep::{fingerprint_of, run_supervised, TrialSpec};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
@@ -440,25 +440,15 @@ pub fn run_worker<S: TrialSpec>(
                     break;
                 }
             }
-            let spec_for_trial = Arc::clone(&spec);
-            let out = supervise(&config.policy, move || spec_for_trial.run_trial(trial));
-            match out.result {
+            match run_supervised(&spec, &config.policy, fingerprint, trial) {
                 Ok(result) => {
                     log.push(trial, &result)?;
                     finished.insert(trial);
                     report.trials_run += 1;
                 }
-                Err(failure) => {
-                    let record = QuarantineRecord {
-                        trial,
-                        seed: spec.seed(trial),
-                        fingerprint,
-                        config: spec.describe(),
-                        attempts: out.attempts,
-                        failure,
-                        worker_id: Some(worker),
-                        lease: Some(chunk),
-                    };
+                Err(mut record) => {
+                    record.worker_id = Some(worker);
+                    record.lease = Some(chunk);
                     if let Some(path) = &config.quarantine {
                         record.append_to(path).map_err(WorkerError::Quarantine)?;
                     }

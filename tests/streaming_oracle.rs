@@ -193,8 +193,8 @@ fn hundred_thousand_trials_stream_within_bounds_at_bounded_size() {
 
 /// The same property through the harness: an unretained `run_sweep_with`
 /// fold aggregates 2·10^4 trials into a `StreamingSummary` that matches the
-/// retained sweep's exact batch summary — the coordinator never needs the
-/// full result vector.
+/// retained sweep's exact batch summary — the sweep never needs the full
+/// result vector.
 #[test]
 fn unretained_sweep_fold_matches_the_retained_summary() {
     use distill_harness::{run_sweep, run_sweep_with, SweepConfig, TrialSpec};
