@@ -101,6 +101,11 @@ impl Adversary for ThresholdMatcher {
                 if bad.is_empty() {
                     return Vec::new();
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "seed_fraction lies in [0, 1], so the floor lies in [0, total_budget]"
+                )]
                 let spend = ((total_budget as f64) * self.seed_fraction).floor() as usize;
                 let mut posts = Vec::with_capacity(spend);
                 let mut slot = 0usize;
@@ -136,7 +141,17 @@ impl Adversary for ThresholdMatcher {
         // stricter of the two (⌊thr⌋+1) satisfies both. Each of those votes
         // must come from a *distinct* player — honest readers count an
         // author's repeat votes for the same object once.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the survival threshold is a non-negative vote count; `as` saturates anything larger than usize"
+        )]
         let needed = (threshold.floor() as usize) + 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "aggressiveness lies in (0, 1], so the ceiling lies in [0, total_budget]"
+        )]
         let spend_cap = (((total_budget as f64) * self.aggressiveness).ceil() as usize).max(needed);
 
         // Targets: bad objects in the current candidate set (during Step 2),

@@ -44,6 +44,10 @@ pub fn bootstrap_ci_mean(
         let mut sum = 0.0;
         for _ in 0..n {
             state = mix(state);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the remainder is below n, a usize"
+            )]
             let idx = (state % n as u64) as usize;
             sum += xs[idx];
         }
@@ -51,10 +55,17 @@ pub fn bootstrap_ci_mean(
     }
     means.sort_by(f64::total_cmp);
     let tail = (1.0 - level) / 2.0;
-    let lo_idx = ((tail * resamples as f64).floor() as usize).min(resamples - 1);
-    let hi_idx = (((1.0 - tail) * resamples as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(resamples - 1);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "tail lies in (0, 0.5), so both bounds lie in [0, resamples] before the clamp to the last index"
+    )]
+    let (lo_idx, hi_idx) = (
+        ((tail * resamples as f64).floor() as usize).min(resamples - 1),
+        (((1.0 - tail) * resamples as f64).ceil() as usize)
+            .saturating_sub(1)
+            .min(resamples - 1),
+    );
     Some(ConfidenceInterval {
         mean,
         lo: means[lo_idx],

@@ -83,7 +83,7 @@ mod tests {
         let beta = 0.05;
         let curve = random_probing_curve(beta, 50);
         for (t, &s) in curve.iter().enumerate() {
-            let expect = 1.0 - (1.0 - beta).powi(t as i32);
+            let expect = 1.0 - (1.0 - beta).powi(i32::try_from(t).unwrap());
             assert!((s - expect).abs() < 1e-12, "round {t}: {s} vs {expect}");
         }
         // expected cost ≈ 1/beta for a long enough horizon

@@ -94,8 +94,12 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
         return sorted[0];
     }
     let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "q is clamped into [0, 1], so pos lies in [0, len - 1]"
+    )]
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
@@ -125,6 +129,12 @@ impl Histogram {
         let mut counts = vec![0u64; bins];
         let width = (hi - lo) / bins as f64;
         for &x in xs {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                clippy::cast_sign_loss,
+                reason = "the bucket index is clamped into [0, bins - 1] before it becomes a usize"
+            )]
             let idx = (((x - lo) / width).floor() as i64).clamp(0, bins as i64 - 1) as usize;
             counts[idx] += 1;
         }
@@ -143,6 +153,12 @@ impl Histogram {
             return 0.0;
         }
         let width = (self.hi - self.lo) / self.counts.len() as f64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            clippy::cast_sign_loss,
+            reason = "the bucket index is clamped into [0, bins - 1] before it becomes a usize"
+        )]
         let idx = (((x - self.lo) / width).floor() as i64).clamp(0, self.counts.len() as i64 - 1)
             as usize;
         self.counts[idx..].iter().sum::<u64>() as f64 / total as f64

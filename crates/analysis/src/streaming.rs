@@ -163,13 +163,18 @@ impl GkSketch {
         };
         // Compressing roughly every 1/(2ε) inserts amortises the O(s) pass
         // without letting the buffer outgrow the space bound.
-        let compress_every = (1.0 / (2.0 * epsilon)).ceil().max(1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "epsilon is clamped into [1e-6, 0.5], so the interval lies in [1, 500000]"
+        )]
+        let compress_every = (1.0 / (2.0 * epsilon)).ceil().max(1.0) as u64;
         GkSketch {
             epsilon,
             count: 0,
             entries: Vec::new(),
             inserts_since_compress: 0,
-            compress_every: compress_every as u64,
+            compress_every,
         }
     }
 

@@ -116,9 +116,11 @@ impl Authenticator {
     }
 
     /// Number of registered players.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "secrets is populated from a `0..n: u32` range at construction, so its length always fits a u32"
+    )]
     pub fn n_players(&self) -> u32 {
-        // lint: allow(cast) — secrets is populated from a `0..n: u32` range
-        // at construction, so its length always fits a u32
         self.secrets.len() as u32
     }
 

@@ -153,6 +153,10 @@ pub struct Seq(pub u64);
 impl Seq {
     /// The sequence number as a `usize` index into the log.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a sequence number counts posts held in memory, so it fits a usize"
+    )]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -200,6 +204,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the ids' Hash impls are what this test checks"
+    )]
     fn ids_are_hashable_defaults() {
         use std::collections::HashSet;
         let mut s = HashSet::new();

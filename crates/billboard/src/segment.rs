@@ -197,7 +197,14 @@ impl SegmentLog {
             .flat_map(|block| block.iter())
             .chain(&self.tail)
             .skip_while(move |(start, seg)| start + seg.len() as u64 <= target)
-            .map(move |(start, seg)| &seg[target.saturating_sub(*start) as usize..])
+            .map(move |(start, seg)| {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the offset is below seg.len(), a usize, once skip_while has passed every earlier segment"
+                )]
+                let offset = target.saturating_sub(*start) as usize;
+                &seg[offset..]
+            })
     }
 
     /// Copies every post from sequence `from` onward into `board` via

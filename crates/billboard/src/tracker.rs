@@ -707,12 +707,15 @@ impl VoteTracker {
         self.voted_by_scan().collect()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "index ranges over the tracker's m: u32 objects"
+    )]
     fn voted_by_scan(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.votes_for_object
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            // lint: allow(cast) — index ranges over the tracker's m: u32 objects
             .map(|(i, _)| ObjectId(i as u32))
     }
 
@@ -755,13 +758,14 @@ impl VoteTracker {
 
     /// [`window_votes_for`](VoteTracker::window_votes_for) computed by
     /// scanning the event stream (the incremental path's oracle).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "one event per player per round in a window of u32 rounds over u32 players stays far below 2^32 in practice, and the incremental tally this oracle checks is itself u32"
+    )]
     pub fn window_votes_for_scan(&self, window: Window, object: ObjectId) -> u32 {
         self.events_in(window)
             .iter()
             .filter(|e| e.object == object)
-            // lint: allow(cast) — one event per player per round in a window
-            // of u32 rounds over u32 players stays far below 2^32 in practice,
-            // and the incremental tally this oracle checks is itself u32
             .count() as u32
     }
 
@@ -1145,7 +1149,7 @@ mod tests {
         for r in 2..6u64 {
             b.append(
                 Round(r),
-                PlayerId(r as u32),
+                PlayerId(u32::try_from(r).unwrap()),
                 ObjectId(3),
                 1.0,
                 ReportKind::Positive,
@@ -1153,7 +1157,10 @@ mod tests {
             .unwrap();
             t.ingest(&b);
             let w = Window::new(Round(2), Round(r + 1));
-            assert_eq!(t.window_votes_for(w, ObjectId(3)), (r - 1) as u32);
+            assert_eq!(
+                t.window_votes_for(w, ObjectId(3)),
+                u32::try_from(r - 1).unwrap()
+            );
             assert_eq!(
                 t.window_votes_for(w, ObjectId(5)),
                 0,
@@ -1170,7 +1177,7 @@ mod tests {
         for r in 0..4u64 {
             b.append(
                 Round(r),
-                PlayerId(r as u32),
+                PlayerId(u32::try_from(r).unwrap()),
                 ObjectId(1),
                 1.0,
                 ReportKind::Positive,
@@ -1192,7 +1199,7 @@ mod tests {
         for r in 0..6u64 {
             b.append(
                 Round(r),
-                PlayerId(r as u32 % 4),
+                PlayerId(u32::try_from(r).unwrap() % 4),
                 ObjectId(2),
                 1.0,
                 ReportKind::Positive,
@@ -1261,7 +1268,7 @@ mod tests {
         for r in 0..6u64 {
             b.append(
                 Round(r),
-                PlayerId(r as u32),
+                PlayerId(u32::try_from(r).unwrap()),
                 ObjectId((r % 3) as u32),
                 1.0,
                 ReportKind::Positive,
@@ -1335,8 +1342,8 @@ mod tests {
         for r in 0..3u64 {
             b.append(
                 Round(r),
-                PlayerId(r as u32),
-                ObjectId(r as u32),
+                PlayerId(u32::try_from(r).unwrap()),
+                ObjectId(u32::try_from(r).unwrap()),
                 1.0,
                 ReportKind::Positive,
             )

@@ -116,10 +116,14 @@ impl CostClassSearch {
         }
         let ln_n = f64::from(self.n.max(2)).ln();
         let base = self.k3 * ln_n * (m_i as f64 / f64::from(self.n) + 1.0) / self.alpha;
-        // lint: allow(cast) — cycles is a doubling counter; past ~1024 the
-        // f64 budget is infinite anyway, so the i32 exponent cannot overflow
-        // meaningfully
-        ((2f64.powi(self.cycles as i32) * base).ceil() as u64).max(2)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            clippy::cast_sign_loss,
+            reason = "cycles is a doubling counter; past ~1024 the f64 budget is infinite anyway, so the i32 exponent cannot overflow meaningfully"
+        )]
+        let budget = (2f64.powi(self.cycles as i32) * base).ceil() as u64;
+        budget.max(2)
     }
 
     /// Number of class instances started so far.

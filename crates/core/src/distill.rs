@@ -441,7 +441,7 @@ mod tests {
                 board
                     .append(
                         Round(r),
-                        PlayerId(r as u32),
+                        PlayerId(u32::try_from(r).unwrap()),
                         ObjectId(3),
                         1.0,
                         ReportKind::Positive,
@@ -470,7 +470,7 @@ mod tests {
                 board
                     .append(
                         Round(r),
-                        PlayerId(8 + i as u32),
+                        PlayerId(8 + u32::try_from(i).unwrap()),
                         ObjectId(3),
                         1.0,
                         ReportKind::Positive,
@@ -512,7 +512,7 @@ mod tests {
                 board
                     .append(
                         Round(r),
-                        PlayerId(i as u32),
+                        PlayerId(u32::try_from(i).unwrap()),
                         ObjectId(3),
                         1.0,
                         ReportKind::Positive,
@@ -530,7 +530,7 @@ mod tests {
                 board
                     .append(
                         Round(r),
-                        PlayerId(8 + i as u32),
+                        PlayerId(8 + u32::try_from(i).unwrap()),
                         ObjectId(3),
                         1.0,
                         ReportKind::Positive,

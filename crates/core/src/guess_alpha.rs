@@ -47,8 +47,11 @@ impl GuessAlpha {
                 "k3 {k3} must be positive"
             )));
         }
-        // lint: allow(cast) — floor(log2(n)) of a u32 lies in [0, 32] and is
-        // exact in f64
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "floor(log2(n)) of a u32 lies in [0, 32] and is exact in f64"
+        )]
         let max_epoch = (f64::from(n)).log2().floor().max(0.0) as u32;
         Ok(GuessAlpha {
             n,
@@ -68,15 +71,22 @@ impl GuessAlpha {
     pub fn epoch_rounds(&self, i: u32) -> u64 {
         let ln_n = f64::from(self.n.max(2)).ln();
         let base = self.k3 * ln_n * (1.0 / (self.beta * f64::from(self.n)) + 1.0);
-        // lint: allow(cast) — the epoch index is capped at max_epoch ≤ 32 by
-        // the §5.1 ladder, far inside i32 range
-        ((2f64.powi(i as i32) * base).ceil() as u64).max(2)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            clippy::cast_sign_loss,
+            reason = "the epoch index is capped at max_epoch ≤ 32 by the §5.1 ladder, far inside i32 range"
+        )]
+        let rounds = (2f64.powi(i as i32) * base).ceil() as u64;
+        rounds.max(2)
     }
 
     /// The α̂ used in epoch `i`.
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "min with max_epoch ≤ 32 keeps the exponent inside i32 range"
+    )]
     pub fn alpha_hat(&self, i: u32) -> f64 {
-        // lint: allow(cast) — min with max_epoch ≤ 32 keeps the exponent
-        // inside i32 range
         2f64.powi(-(i.min(self.max_epoch) as i32))
     }
 

@@ -20,7 +20,13 @@ use crate::params::DistillParams;
 pub fn prescribed_horizon(n: u32, alpha: f64, beta: f64, k3: f64) -> u64 {
     let ln_n = f64::from(n.max(2)).ln();
     let rounds = k3 * (ln_n / (alpha * beta * f64::from(n)) + ln_n / alpha);
-    (rounds.ceil() as u64).max(1)
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rounds is positive for valid inputs; `as` saturates, so a huge horizon clamps to u64::MAX"
+    )]
+    let rounds = rounds.ceil() as u64;
+    rounds.max(1)
 }
 
 /// The cohort for Theorem 13: DISTILL^HP run unchanged, with the *vote*

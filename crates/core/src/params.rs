@@ -127,16 +127,31 @@ impl DistillParams {
 
     /// Number of `PROBE&SEEKADVICE` invocations in Step 1.1:
     /// `⌈k₁ / (α β n)⌉`, at least 1. Each invocation is two rounds.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "validated parameters make the ratio positive; `as` saturates, so a huge count clamps to u64::MAX"
+    )]
     pub fn invocations_step11(&self) -> u64 {
         ((self.k1 / (self.alpha * self.beta * f64::from(self.n))).ceil() as u64).max(1)
     }
 
     /// Number of invocations in Step 1.3: `⌈k₂ / α⌉`, at least 1.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "validated parameters make the ratio positive; `as` saturates, so a huge count clamps to u64::MAX"
+    )]
     pub fn invocations_step13(&self) -> u64 {
         ((self.k2 / self.alpha).ceil() as u64).max(1)
     }
 
     /// Number of invocations per Step 2 iteration: `⌈1 / α⌉`, at least 1.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "validated parameters make the ratio positive; `as` saturates, so a huge count clamps to u64::MAX"
+    )]
     pub fn invocations_step2(&self) -> u64 {
         ((1.0 / self.alpha).ceil() as u64).max(1)
     }
@@ -206,7 +221,7 @@ mod tests {
         // β n huge ⇒ step 1.1 would be < 1 invocation; clamp to 1.
         let p = DistillParams::new(1_000_000, 1_000_000, 1.0, 1.0).unwrap();
         assert_eq!(p.invocations_step11(), 1);
-        assert_eq!(p.invocations_step13(), (DEFAULT_K2.ceil()) as u64);
+        assert_eq!(p.invocations_step13() as f64, DEFAULT_K2.ceil());
         assert_eq!(p.invocations_step2(), 1);
     }
 

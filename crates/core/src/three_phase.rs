@@ -178,7 +178,7 @@ mod tests {
                 board
                     .append(
                         Round(r),
-                        PlayerId(p + 5 * r as u32),
+                        PlayerId(p + 5 * u32::try_from(r).unwrap()),
                         ObjectId(5),
                         1.0,
                         ReportKind::Positive,

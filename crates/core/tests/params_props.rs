@@ -3,9 +3,10 @@
 use distill_core::{DistillParams, DEFAULT_K1, DEFAULT_K2};
 use proptest::prelude::*;
 
-// Test-only helper; `allow-expect-in-tests` does not reach strategy
-// constructors outside `#[test]` functions.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "test-only helper; `allow-expect-in-tests` does not reach strategy constructors outside `#[test]` functions"
+)]
 fn arb_params() -> impl Strategy<Value = DistillParams> {
     (
         1u32..100_000,
@@ -65,6 +66,11 @@ proptest! {
 
     /// Figure 1's counts are exact ceilings.
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the oracle repeats the schedule's saturating float-to-integer ceilings"
+    )]
     fn counts_are_exact_ceilings(p in arb_params()) {
         let expect11 = (p.k1 / (p.alpha * p.beta * f64::from(p.n))).ceil().max(1.0) as u64;
         let expect13 = (p.k2 / p.alpha).ceil().max(1.0) as u64;

@@ -269,14 +269,13 @@ impl<'a> Reader<'a> {
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let at = self.pos;
         let len = self.u64()?;
-        let fits = usize::try_from(len)
+        usize::try_from(len)
             .ok()
-            .and_then(|l| l.checked_mul(min_elem_bytes.max(1)))
-            .is_some_and(|bytes| bytes <= self.remaining());
-        if !fits {
-            return Err(CodecError::LengthOverflow { at, len });
-        }
-        Ok(len as usize)
+            .filter(|l| {
+                l.checked_mul(min_elem_bytes.max(1))
+                    .is_some_and(|bytes| bytes <= self.remaining())
+            })
+            .ok_or(CodecError::LengthOverflow { at, len })
     }
 
     /// Reads a length-prefixed UTF-8 string.

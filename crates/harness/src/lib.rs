@@ -42,16 +42,16 @@
 //!
 //! ## Lint posture
 //!
-//! This crate is deliberately **not** on the distill-lint protected list:
-//! rule D1 bans `catch_unwind` and rule D2 bans wall-clock reads precisely
-//! so that panic absorption and timing live *here*, in the supervision
-//! layer, and nowhere in the simulation crates. See DESIGN.md §12. The
+//! This crate inherits the workspace lints like the simulation crates, so
+//! rules D1–D7 hold here too. Rule D1 bans `catch_unwind` and rule D2 bans
+//! wall-clock reads precisely so that panic absorption and timing live
+//! *here*, in the supervision layer: each such site in [`supervisor`] and
+//! the fabric clock in [`worker`] carries an
+//! `#[expect(clippy::disallowed_…, reason = "…")]` (DESIGN.md §12). The
 //! persistence modules ([`frame`], [`checkpoint`], [`store`], [`codec`],
-//! [`lease`], [`merge`]) need neither escape hatch, so they are
-//! individually file-protected under rules D1–D7 via
-//! `xtask::LintConfig::protected_files` (DESIGN.md §16); [`lease`] in
-//! particular takes the clock as an explicit argument so it stays
-//! deterministic, leaving wall-clock reads to [`worker`].
+//! [`lease`], [`merge`]) need neither escape hatch; [`lease`] in particular
+//! takes the clock as an explicit argument so it stays deterministic,
+//! leaving wall-clock reads to [`worker`].
 
 #![forbid(unsafe_code)]
 

@@ -717,9 +717,11 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRow>, StoreError> {
         if !(samples_raw.is_finite() && samples_raw >= 0.0 && samples_raw.fract() == 0.0) {
             return Err(missing("samples"));
         }
-        // Verified integral and non-negative just above; 2^53 caps exact
-        // f64 integers far below u64::MAX.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "verified integral and non-negative just above; 2^53 caps exact f64 integers far below u64::MAX"
+        )]
         let samples = samples_raw as u64;
         out.push(BenchRow {
             id,
@@ -1066,6 +1068,10 @@ mod tests {
     /// load succeeds, and the store ends with every record. The readers
     /// are this test binary, re-run on this test alone.
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the race runs against a wall-clock deadline"
+    )]
     fn loads_never_fail_a_concurrent_append() {
         use std::time::{Duration, Instant};
         let deadline = Instant::now() + Duration::from_secs(60);

@@ -1,12 +1,12 @@
 //! Per-trial supervision: panic isolation, bounded deterministic retries
 //! with exponential backoff, and a wall-clock watchdog for hung trials.
 //!
-//! This module is the reason `crates/harness` is *not* on the distill-lint
-//! protected list: supervision inherently needs `catch_unwind` (rule D1
-//! bans panic machinery from simulation crates) and wall-clock time (rule
-//! D2 bans nondeterminism). Keeping that machinery in one unprotected crate
-//! keeps the lint honest — the simulation itself stays panic-free and
-//! deterministic, and the *runner around it* absorbs failures.
+//! Supervision inherently needs `catch_unwind` (rule D1 bans panic
+//! machinery) and wall-clock time (rule D2 bans nondeterminism), so each of
+//! those sites here carries an `#[expect(clippy::disallowed_…, reason)]`
+//! and nothing else in the protected crates does — the simulation itself
+//! stays panic-free and deterministic, and the *runner around it* absorbs
+//! failures.
 //!
 //! Determinism note: retries re-run the same closure with the same trial
 //! index, so a deterministic trial function yields the same `SimResult`
@@ -17,7 +17,12 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the watchdog and retry backoff measure wall-clock time by design"
+)]
+use std::time::Instant;
 
 /// How a supervised attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +109,10 @@ where
     T: Send + 'static,
 {
     match timeout {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "supervision turns a trial's panic into a TrialFailure the sweep can retry or quarantine"
+        )]
         None => catch_unwind(AssertUnwindSafe(|| f()))
             .map_err(|p| TrialFailure::Panic(render_panic(p.as_ref()))),
         Some(limit) => {
@@ -116,6 +125,10 @@ where
             let spawned = std::thread::Builder::new()
                 .name("distill-trial".into())
                 .spawn(move || {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the watchdog's trial thread reports a panic as a TrialFailure instead of dying with it"
+                    )]
                     let out = catch_unwind(AssertUnwindSafe(|| f()))
                         .map_err(|p| TrialFailure::Panic(render_panic(p.as_ref())));
                     let _ = tx.send(out);
@@ -161,6 +174,10 @@ where
     T: Send + 'static,
 {
     let f = Arc::new(f);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "Supervised::elapsed reports wall-clock time across attempts and backoff sleeps"
+    )]
     let start = Instant::now();
     let mut attempts = 0u32;
     loop {

@@ -857,6 +857,10 @@ mod tests {
                 assert_ne!(trial, 3, "the fold refuses trial 3");
                 folded.push(trial);
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test catches the fold's panic to read its message"
+            )]
             let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_sweep_with(Arc::new(small_spec()), &config, Some(&mut fold))
             }))

@@ -58,8 +58,12 @@ pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 /// The wall clock: milliseconds since the Unix epoch.
 pub fn system_clock() -> ClockFn {
     Arc::new(|| {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lease expiry across worker processes is wall-clock time by design; tests inject a clock instead"
+        )]
+        let now = std::time::SystemTime::now();
+        now.duration_since(std::time::UNIX_EPOCH)
             .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
             .unwrap_or(0)
     })

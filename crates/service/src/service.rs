@@ -422,8 +422,8 @@ mod tests {
     fn drafts(n: u32, m: u32, count: usize, salt: usize) -> Vec<Draft> {
         (0..count)
             .map(|i| Draft {
-                author: PlayerId(((i + salt) % n as usize) as u32),
-                object: ObjectId(((i * 3 + salt) % m as usize) as u32),
+                author: PlayerId(u32::try_from((i + salt) % n as usize).unwrap()),
+                object: ObjectId(u32::try_from((i * 3 + salt) % m as usize).unwrap()),
                 value: 1.0,
                 kind: if (i + salt).is_multiple_of(3) {
                     ReportKind::Positive

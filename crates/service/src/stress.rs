@@ -22,8 +22,10 @@ use distill_billboard::{
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-// lint: allow(nondet) — wall-clock throughput/latency measurement is the
-// service layer's contract; simulation logic never touches this module.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock throughput/latency measurement is the service layer's contract; simulation logic never touches this module."
+)]
 use std::time::Instant;
 
 /// The full tally window (service rounds never reach `u64::MAX`).
@@ -206,8 +208,10 @@ fn draft_at(i: u64, n_players: u32, n_objects: u32) -> Draft {
     }
 }
 
-// lint: allow(nondet) — wall-clock helper for the stress driver's latency
-// measurements; never on a simulation path
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock helper for the stress driver's latency measurements; never on a simulation path"
+)]
 fn duration_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -276,13 +280,13 @@ pub fn run_stress(
                 let snapshot = cell.load();
                 if snapshot.epoch() > seen {
                     seen = snapshot.epoch();
-                    // lint: allow(nondet) — reader-latency sample point
+                    #[expect(clippy::disallowed_types, reason = "reader-latency sample point")]
                     let t = Instant::now();
                     if reader.sync(&snapshot).is_err() {
                         break;
                     }
                     sync_lat.push(duration_ns(t));
-                    // lint: allow(nondet) — reader-latency sample point
+                    #[expect(clippy::disallowed_types, reason = "reader-latency sample point")]
                     let t = Instant::now();
                     reader.window_tally_into(FULL_WINDOW, &mut tally);
                     tally_lat.push(duration_ns(t));
@@ -298,7 +302,7 @@ pub fn run_stress(
 
     // Producers: contiguous split of the global workload.
     let chunk = config.posts.div_ceil(u64::from(config.producers));
-    // lint: allow(nondet) — end-to-end throughput clock
+    #[expect(clippy::disallowed_types, reason = "end-to-end throughput clock")]
     let t0 = Instant::now();
     let mut producers = Vec::new();
     for p in 0..u64::from(config.producers) {

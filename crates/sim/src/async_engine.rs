@@ -386,7 +386,10 @@ impl<'w> AsyncEngine<'w> {
     /// Returns [`SimError::InvalidConfig`] for empty populations or a
     /// non-local-testing world (the asynchronous model of \[1\] assumes
     /// players recognize good objects).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the population, seed, step cap, world, step policy, schedule and adversary are independent inputs of the asynchronous model"
+    )]
     pub fn new(
         n: u32,
         n_honest: u32,
@@ -1017,7 +1020,7 @@ mod tests {
             assert_eq!(board.posts(), direct_board.posts());
             assert_eq!(tracker.events(), direct_tracker.events());
             let counters = result.service.expect("service mode reports counters");
-            assert_eq!(counters.posts_submitted as usize, board.len());
+            assert_eq!(counters.posts_submitted, board.len() as u64);
             assert_eq!(counters.batches_applied, counters.batches_submitted);
             assert_eq!(counters.held_out_of_order, 0);
             assert_eq!(counters.shutdown_flushes, 0);
@@ -1050,10 +1053,10 @@ mod tests {
         let counters = a.service.expect("service counters present");
         // The shutdown drain must land every allocated sequence number on
         // the board, and the merged log must be seq-ordered and gap-free.
-        assert_eq!(counters.posts_submitted as usize, board_a.len());
+        assert_eq!(counters.posts_submitted, board_a.len() as u64);
         assert_eq!(counters.batches_applied, counters.batches_submitted);
         for (i, post) in board_a.posts().iter().enumerate() {
-            assert_eq!(post.seq.0 as usize, i, "merged log has a seq gap");
+            assert_eq!(post.seq.0, i as u64, "merged log has a seq gap");
         }
         // The tracker saw exactly the board: re-ingesting the final board
         // into a fresh tracker reproduces the same event log.

@@ -253,9 +253,12 @@ impl<'w> Engine<'w> {
             self.tracker.ingest(&self.board);
             self.round = Round(1);
         }
-        // lint: allow(cast) — count_ones over an n_honest-bit set, and
-        // n_honest is u32 by the id-space contract
-        self.n_satisfied = self.satisfied.count_ones() as u32;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "count_ones over an n_honest-bit set, and n_honest is u32 by the id-space contract"
+        )]
+        let n_satisfied = self.satisfied.count_ones() as u32;
+        self.n_satisfied = n_satisfied;
         let satisfied = &self.satisfied;
         self.active_players.clear();
         self.active_players
@@ -432,11 +435,14 @@ impl<'w> Engine<'w> {
         let m = self.world.m();
 
         if let Some(t) = self.trace.as_mut() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the active list holds at most n_honest (u32) player ids"
+            )]
+            let active_honest = self.active_players.len() as u32;
             t.push(TraceEvent::RoundStart {
                 round,
-                // lint: allow(cast) — the active list holds at most n_honest
-                // (u32) player ids
-                active_honest: self.active_players.len() as u32,
+                active_honest,
             });
         }
 
@@ -1397,7 +1403,7 @@ mod tests {
             let expected = if (r as u64) < LAG {
                 0
             } else {
-                fresh_seen[r - LAG as usize]
+                fresh_seen[r - usize::try_from(LAG).unwrap()]
             };
             assert_eq!(len, expected, "lagged view at round {r}");
         }

@@ -34,6 +34,10 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// assert_eq!(derive_seed(1, 0), derive_seed(1, 0));
 /// ```
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the RNG home: the seed derivation itself"
+)]
 pub fn derive_seed(master: u64, stream: u64) -> u64 {
     splitmix64(master ^ splitmix64(stream.wrapping_add(0xA5A5_A5A5_A5A5_A5A5)))
 }
@@ -72,11 +76,19 @@ impl Stream {
 }
 
 /// A `SmallRng` for the given stream of the master seed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the RNG home: the one place a generator is seeded"
+)]
 pub fn stream_rng(master: u64, stream: Stream) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(master, stream.tag()))
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the RNG home's tests exercise the raw derivation directly"
+)]
 mod tests {
     use super::*;
     use rand::Rng;

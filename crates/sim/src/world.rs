@@ -132,6 +132,11 @@ impl World {
                 if !(0.0 < beta && beta <= 1.0) {
                     return Err(SimError::InvalidWorld(format!("beta {beta} out of (0, 1]")));
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "ceil(beta * m) with beta in (0, 1] lies in [0, m], and clamp keeps it there"
+                )]
                 let k = ((beta * m as f64).ceil() as usize).clamp(1, m);
                 let mut idx: Vec<usize> = (0..m).collect();
                 // highest value first; ties broken by lower id
@@ -141,8 +146,10 @@ impl World {
                 }
             }
         }
-        // lint: allow(cast) — good has exactly m: u32 bits, so the count
-        // fits
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "good has exactly m: u32 bits, so the count fits"
+        )]
         let good_count = good.count_ones() as u32;
         if good_count == 0 {
             return Err(SimError::InvalidWorld(
@@ -214,8 +221,10 @@ impl World {
         let mut class_start = Vec::new();
         for (i, &size) in class_sizes.iter().enumerate() {
             class_start.push(values.len());
-            // lint: allow(cast) — cost classes number at most 64 (u64 cost
-            // doubles per class), so the index fits any width
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "cost classes number at most 64 (u64 cost doubles per class), so the index fits any width"
+            )]
             let cost = (2u64.pow(i as u32)) as f64;
             for _ in 0..size {
                 values.push(0.0);
@@ -235,9 +244,11 @@ impl World {
 
     /// Number of objects `m`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "worlds are constructed with m: u32 objects, so the length round-trips"
+    )]
     pub fn m(&self) -> u32 {
-        // lint: allow(cast) — worlds are constructed with m: u32 objects, so
-        // the length round-trips
         self.values.len() as u32
     }
 
@@ -367,12 +378,15 @@ impl World {
     }
 
     /// The largest cost-class index with at least one member, if costs ≥ 1.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "floor(log2) of a finite f64 ≥ 1 lies in [0, 1024), well inside u32"
+    )]
     pub fn max_cost_class(&self) -> u32 {
         self.costs
             .stored()
             .iter()
-            // lint: allow(cast) — floor(log2) of a finite f64 ≥ 1 lies in
-            // [0, 1024), well inside u32
             .map(|&c| if c >= 1.0 { c.log2().floor() as u32 } else { 0 })
             .max()
             .unwrap_or(0)

@@ -15,8 +15,8 @@
 //! oracle inside `window_tally_into` may allocate freely without tripping
 //! the rule.
 
-use crate::items::FnItem;
-use crate::{is_ident, Anchor};
+use crate::items::{Attribute, FnItem};
+use crate::{annotation_lines_above, is_ident, Anchor};
 
 /// Allocating constructs forbidden inside `// lint: hot` functions.
 /// `Anchor::Path` tokens match qualified constructor calls; `Anchor::Method`
@@ -47,29 +47,21 @@ pub const HOT_MARKER: &str = "lint: hot";
 /// the marker on the header line itself or in the contiguous
 /// comment/attribute block above it. `comments` is the
 /// `(1-based line, text)` list from [`crate::Stripped`].
-pub fn is_hot(item: &FnItem, src_lines: &[&str], comments: &[(usize, String)]) -> bool {
+pub fn is_hot(
+    item: &FnItem,
+    src_lines: &[&str],
+    attrs: &[Attribute],
+    comments: &[(usize, String)],
+) -> bool {
     let on = |l: usize| {
         comments
             .iter()
-            .filter(|(cl, _)| *cl == l)
-            .any(|(_, text)| text.contains(HOT_MARKER))
+            .any(|(cl, text)| *cl == l && text.contains(HOT_MARKER))
     };
-    if on(item.header_line) {
-        return true;
-    }
-    let mut l = item.header_line;
-    while l > 1 {
-        l -= 1;
-        let raw = src_lines.get(l - 1).map_or("", |s| s.trim_start());
-        let is_annotation = raw.starts_with("//") || raw.starts_with("#[") || raw.starts_with("#!");
-        if !is_annotation {
-            return false;
-        }
-        if on(l) {
-            return true;
-        }
-    }
-    false
+    on(item.header_line)
+        || annotation_lines_above(src_lines, attrs, item.header_line)
+            .into_iter()
+            .any(on)
 }
 
 /// Blanks `debug_assert!` / `debug_assert_eq!` / `debug_assert_ne!`
@@ -151,8 +143,19 @@ pub fn mask_debug_asserts(code: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::parse_fns;
+    use crate::items::{parse_attrs, parse_fns};
     use crate::strip_source;
+
+    /// Which of `src`'s functions are hot, in source order.
+    fn hot_flags(src: &str) -> Vec<bool> {
+        let stripped = strip_source(src);
+        let lines: Vec<&str> = src.lines().collect();
+        let attrs = parse_attrs(&stripped.code, src);
+        parse_fns(&stripped.code)
+            .iter()
+            .map(|f| is_hot(f, &lines, &attrs, &stripped.comments))
+            .collect()
+    }
 
     #[test]
     fn masks_debug_assert_family_only() {
@@ -175,29 +178,18 @@ mod tests {
 
     #[test]
     fn hot_marker_detected_above_attributes() {
-        let src = "// lint: hot\n#[inline]\npub fn step() {}\n\npub fn cold() {}\n";
-        let stripped = strip_source(src);
-        let lines: Vec<&str> = src.lines().collect();
-        let fns = parse_fns(&stripped.code, &lines);
-        assert!(is_hot(&fns[0], &lines, &stripped.comments));
-        assert!(!is_hot(&fns[1], &lines, &stripped.comments));
+        let src = "// lint: hot\n#[inline]\n#[expect(\n    clippy::x,\n    reason = \"y\"\n)]\npub fn step() {}\n\npub fn cold() {}\n";
+        assert_eq!(hot_flags(src), vec![true, false]);
     }
 
     #[test]
     fn hot_marker_on_header_line_counts() {
-        let src = "pub fn tally() { // lint: hot\n}\n";
-        let stripped = strip_source(src);
-        let lines: Vec<&str> = src.lines().collect();
-        let fns = parse_fns(&stripped.code, &lines);
-        assert!(is_hot(&fns[0], &lines, &stripped.comments));
+        assert_eq!(hot_flags("pub fn tally() { // lint: hot\n}\n"), vec![true]);
     }
 
     #[test]
     fn hot_marker_does_not_leak_past_code_lines() {
         let src = "// lint: hot\npub fn hot_one() {}\n\nlet x = 1;\npub fn unrelated() {}\n";
-        let stripped = strip_source(src);
-        let lines: Vec<&str> = src.lines().collect();
-        let fns = parse_fns(&stripped.code, &lines);
-        assert!(!is_hot(&fns[1], &lines, &stripped.comments));
+        assert_eq!(hot_flags(src), vec![true, false]);
     }
 }

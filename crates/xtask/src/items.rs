@@ -2,9 +2,10 @@
 //!
 //! distill-lint v1 was purely line-oriented; the v2 rules need *spans*:
 //! D7 (hot-path allocation hygiene) must know which lines belong to which
-//! function body, and diagnostics want to name the enclosing function. This
-//! module walks the masked character stream and recovers every `fn` item —
-//! name, signature line, attribute block, and brace-matched body span — by
+//! function body, and diagnostics want to name the enclosing function; the
+//! suppression ledger must read every `#[expect]` whole. This module walks
+//! the masked character stream and recovers every `fn` item — name,
+//! signature line, and brace-matched body span — and every attribute by
 //! delimiter matching, not a full grammar. Strings and comments are already
 //! blanked by the lexer, so brace counting is exact; exotic syntax (braces
 //! inside const-generic defaults) would confuse it, which `cargo clippy`
@@ -23,9 +24,18 @@ pub struct FnItem {
     /// 1-based lines of the body's `{` and `}` (inclusive). Declarations
     /// without a body (trait method signatures) are not emitted.
     pub body_lines: (usize, usize),
-    /// Attribute lines (`#[...]`) captured from the contiguous block above
-    /// the header, outermost first.
-    pub attrs: Vec<String>,
+}
+
+/// One attribute, `#[…]` or `#![…]`, with its brackets matched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribute {
+    /// 1-based lines of its `#` and of its closing `]`.
+    pub lines: (usize, usize),
+    /// The text between the brackets in masked code (strings and comments
+    /// blanked, so delimiters inside them cannot confuse a parse).
+    pub masked: String,
+    /// The same text in the original source.
+    pub source: String,
 }
 
 impl FnItem {
@@ -51,10 +61,8 @@ pub(crate) fn line_of(starts: &[usize], idx: usize) -> usize {
     starts.partition_point(|&s| s <= idx)
 }
 
-/// Parses every `fn` item out of masked code. `src_lines` (the original,
-/// unstripped source) is used only to capture the attribute block above each
-/// header.
-pub fn parse_fns(masked: &str, src_lines: &[&str]) -> Vec<FnItem> {
+/// Parses every `fn` item out of masked code.
+pub fn parse_fns(masked: &str) -> Vec<FnItem> {
     let chars: Vec<char> = masked.chars().collect();
     let starts = line_starts(&chars);
     let n = chars.len();
@@ -135,7 +143,6 @@ pub fn parse_fns(masked: &str, src_lines: &[&str]) -> Vec<FnItem> {
             name,
             header_line,
             body_lines: (line_of(&starts, open), line_of(&starts, close)),
-            attrs: attrs_above(src_lines, header_line),
         });
         // Keep scanning *inside* the body too: nested fns get their own
         // (narrower) items, and innermost-span attribution picks them up.
@@ -144,21 +151,53 @@ pub fn parse_fns(masked: &str, src_lines: &[&str]) -> Vec<FnItem> {
     items
 }
 
-/// Captures the contiguous `#[...]` attribute lines directly above
-/// `header_line` (1-based), outermost first. Comment lines may interleave.
-fn attrs_above(src_lines: &[&str], header_line: usize) -> Vec<String> {
+/// Parses every attribute out of masked code. The lexer blanks in place,
+/// so a char index into `masked` is the same index into `src`.
+pub fn parse_attrs(masked: &str, src: &str) -> Vec<Attribute> {
+    let chars: Vec<char> = masked.chars().collect();
+    let source: Vec<char> = src.chars().collect();
+    let starts = line_starts(&chars);
+    let n = chars.len();
     let mut attrs = Vec::new();
-    let mut l = header_line;
-    while l > 1 {
-        l -= 1;
-        let raw = src_lines.get(l - 1).map_or("", |s| s.trim_start());
-        if raw.starts_with("#[") {
-            attrs.push(raw.to_string());
-        } else if !(raw.starts_with("//") || raw.starts_with("#!")) {
-            break;
+    let mut i = 0usize;
+    while i < n {
+        if chars[i] != '#' {
+            i += 1;
+            continue;
         }
+        let mut open = i + 1;
+        if chars.get(open) == Some(&'!') {
+            open += 1;
+        }
+        while open < n && chars[open].is_whitespace() {
+            open += 1;
+        }
+        if chars.get(open) != Some(&'[') {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut close = open;
+        while close < n {
+            match chars[close] {
+                '[' => depth += 1,
+                ']' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            close += 1;
+        }
+        attrs.push(Attribute {
+            lines: (line_of(&starts, i), line_of(&starts, close.min(n - 1))),
+            masked: chars[open + 1..close].iter().collect(),
+            source: source.get(open + 1..close).unwrap_or(&[]).iter().collect(),
+        });
+        i = close + 1;
     }
-    attrs.reverse();
     attrs
 }
 
@@ -176,9 +215,7 @@ mod tests {
     use crate::strip_source;
 
     fn parse(src: &str) -> Vec<FnItem> {
-        let stripped = strip_source(src);
-        let lines: Vec<&str> = src.lines().collect();
-        parse_fns(&stripped.code, &lines)
+        parse_fns(&strip_source(src).code)
     }
 
     #[test]
@@ -214,14 +251,14 @@ mod tests {
     }
 
     #[test]
-    fn captures_attribute_block() {
-        let src = "#[inline]\n// a comment between\n#[must_use]\npub fn hot() -> u32 { 3 }\n";
-        let fns = parse(src);
-        assert_eq!(
-            fns[0].attrs,
-            vec!["#[inline]".to_string(), "#[must_use]".to_string()]
-        );
-        assert_eq!(fns[0].header_line, 4);
+    fn attributes_are_bracket_matched_across_lines() {
+        let src = "#[inline]\n#![expect(\n    x,\n    reason = \"a ] in a string\",\n)]\nfn f() {}\nlet v = xs[0]; // #[not] an attribute\n#[cfg(x)] fn g() {}\n";
+        let attrs = parse_attrs(&strip_source(src).code, src);
+        let spans: Vec<(usize, usize)> = attrs.iter().map(|a| a.lines).collect();
+        assert_eq!(spans, vec![(1, 1), (2, 5), (8, 8)]);
+        assert_eq!(attrs[0].source, "inline");
+        assert!(attrs[1].source.contains("\"a ] in a string\""));
+        assert!(!attrs[1].masked.contains("string"));
     }
 
     #[test]

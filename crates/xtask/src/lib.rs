@@ -1,46 +1,52 @@
-//! distill-lint: a from-scratch, offline, span-aware invariant checker for
-//! this workspace.
+//! distill-lint: a from-scratch, offline, span-aware checker for the
+//! workspace invariants that types cannot express.
 //!
-//! The checker enforces seven repo-wide invariants (see `DESIGN.md` §9 and
-//! §14):
+//! The repository holds seven invariants (see `DESIGN.md` §9 and §14).
+//! Clippy enforces four of them with types resolved, through the
+//! `[workspace.lints]` table and `clippy.toml`, in every crate that sets
+//! `lints.workspace = true`:
 //!
-//! * **D1 — panic-freedom.** Non-test code in the protected crates must not
-//!   call `unwrap()`/`expect()` or invoke `panic!`/`unreachable!`/`todo!`/
-//!   `unimplemented!`/`dbg!`, unless the site carries a justification
-//!   comment: `// lint: allow(panic) — <reason>`. `catch_unwind` is also
-//!   banned there: recovering from panics is supervision, and supervision
-//!   lives in the deliberately unprotected `crates/harness` crate so the
-//!   protected core stays panic-*free*, not panic-*tolerant*.
-//! * **D2 — determinism.** Non-test code in the protected crates must not
-//!   use `HashMap`/`HashSet` (iteration order is randomized per process),
-//!   wall-clock time (`Instant`/`SystemTime`), or ambient randomness
-//!   (`thread_rng`/`from_entropy`), unless justified with
-//!   `// lint: allow(nondet) — <reason>`.
-//! * **D3 — unsafe hygiene.** Every workspace crate (except the vendored
-//!   compat stubs) carries `#![forbid(unsafe_code)]` in its crate roots.
-//! * **D4 — lint policy.** The root manifest pins the clippy panic-lint
-//!   denies and the cast-lint warns under `[workspace.lints]`, and every
-//!   protected crate opts in with `lints.workspace = true`.
-//! * **D5 — lossy-cast audit** ([`casts`]). Narrowing or sign-changing `as`
-//!   casts in protected crates are violations unless justified with
-//!   `// lint: allow(cast) — <reason>`; widening casts stay allowed.
-//! * **D6 — RNG stream discipline** ([`rngrule`]). RNG construction routes
-//!   through `stream_rng(seed, Stream::…)`; raw seed arithmetic outside the
-//!   RNG home module is a violation, and literal `Stream::Aux(k)` tags are
-//!   collected workspace-wide and checked for duplicates and reserved-
-//!   namespace wraps.
+//! * **D1 — panic-freedom**: `unwrap_used`, `expect_used`, `panic`,
+//!   `unreachable`, `todo`, `unimplemented`, `dbg_macro`, and
+//!   `std::panic::catch_unwind` as a disallowed method.
+//! * **D2 — determinism**: `HashMap`, `HashSet`, `Instant` and `SystemTime`
+//!   as disallowed types.
+//! * **D5 — lossy casts**: `cast_possible_truncation`, `cast_sign_loss` and
+//!   `cast_possible_wrap`. Integer→float casts are allowed.
+//! * **D6's seeding ban**: `SeedableRng::{seed_from_u64, from_seed}` and
+//!   `distill_sim::rng::{derive_seed, splitmix64}` as disallowed methods.
+//!
+//! A justified site carries `#[expect(<lint>, reason = "…")]`, which clippy
+//! rejects without a reason and reports once it suppresses nothing.
+//!
+//! This crate checks the rest:
+//!
+//! * **D3 — unsafe hygiene.** Every workspace member (except the vendored
+//!   compat stubs) forbids unsafe code in its manifest: it inherits
+//!   `[workspace.lints.rust] unsafe_code = "forbid"` or sets it in its own
+//!   `[lints.rust]`.
+//! * **D4 — lint policy.** `[workspace.lints.clippy]` sets every lint the
+//!   rules above rest on to `deny`, and every protected crate opts in with
+//!   `lints.workspace = true`.
+//! * **D6 — `Stream::Aux` tags** ([`rngrule`]). Literal `Stream::Aux(k)`
+//!   tags are collected workspace-wide and checked for duplicates and
+//!   reserved-namespace wraps.
 //! * **D7 — hot-path allocation hygiene** ([`hotpath`]). Functions
 //!   annotated `// lint: hot` must not contain allocating constructs;
 //!   `debug_assert!` oracle bodies are span-masked out first.
+//!
+//! D6 and D7 sites are justified with `// lint: allow(rng|alloc) — <reason>`.
+//! The suppression ledger lists those comments and every `#[expect]` in
+//! protected non-test code, so the baseline ratchet fails on a new
+//! suppression of either kind.
 //!
 //! The pass is *token-level with spans*, not a full parser: sources are
 //! lexed just enough to blank out strings, char literals, and comments
 //! (comments are kept on the side for justification lookup), `#[cfg(test)]`
 //! spans are masked by brace matching, a lightweight item parser ([`items`])
-//! recovers brace-matched `fn` spans, and the rules then run word-boundary
-//! token scans over the result. That keeps the checker dependency-free,
-//! offline, and fast, at the cost of being advisory about exotic syntax —
-//! which `cargo clippy` (rule D4) backstops at the semantic level.
+//! recovers brace-matched `fn` and attribute spans, and the rules then run
+//! word-boundary token scans over the result. That keeps the checker
+//! dependency-free, offline, and fast.
 //!
 //! Diagnostics can be emitted as deterministic JSON ([`report::to_json`])
 //! and ratcheted against a committed baseline ([`report::ratchet`]): CI
@@ -54,56 +60,42 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod casts;
 pub mod hotpath;
 pub mod items;
 pub mod report;
 pub mod rngrule;
 
-/// The seven invariants distill-lint enforces.
+/// The invariants distill-lint checks itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// D1: no panicking constructs in protected non-test code.
-    PanicFreedom,
-    /// D2: no nondeterministic containers, clocks, or ambient RNG.
-    Determinism,
-    /// D3: `#![forbid(unsafe_code)]` in every non-exempt crate root.
+    /// D3: every non-exempt member forbids unsafe code in its manifest.
     UnsafeHygiene,
     /// D4: workspace lint policy present and inherited.
     LintPolicy,
-    /// D5: no narrowing or sign-changing `as` casts.
-    CastAudit,
-    /// D6: RNG construction routes through `stream_rng`; `Aux` tags are
-    /// literal, unique, and inside the `Aux` namespace.
+    /// D6: `Aux` tags are literal, unique, and inside the `Aux` namespace.
     RngDiscipline,
     /// D7: no allocating constructs inside `// lint: hot` functions.
     HotPathAlloc,
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: [Rule; 7] = [
-    Rule::PanicFreedom,
-    Rule::Determinism,
+pub const ALL_RULES: [Rule; 4] = [
     Rule::UnsafeHygiene,
     Rule::LintPolicy,
-    Rule::CastAudit,
     Rule::RngDiscipline,
     Rule::HotPathAlloc,
 ];
 
 /// Every suppression kind a `// lint: allow(<kind>) — <reason>` comment may
 /// name, in report order.
-pub const SUPPRESSION_KINDS: &[&str] = &["alloc", "cast", "nondet", "panic", "rng"];
+pub const SUPPRESSION_KINDS: &[&str] = &["alloc", "rng"];
 
 impl Rule {
     /// Short rule code used in reports.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::PanicFreedom => "D1",
-            Rule::Determinism => "D2",
             Rule::UnsafeHygiene => "D3",
             Rule::LintPolicy => "D4",
-            Rule::CastAudit => "D5",
             Rule::RngDiscipline => "D6",
             Rule::HotPathAlloc => "D7",
         }
@@ -139,37 +131,44 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A finding that *would* have been a violation but was justified by a
-/// `// lint: allow(<kind>) — <reason>` comment. Tracked so the suppression
-/// ledger (`xtask lint --list-suppressions`) and the baseline ratchet see
-/// the full burndown surface, not just the failures.
+/// A justified site: a finding silenced by a `// lint: allow(<kind>) —
+/// <reason>` comment, or an `#[expect(<lint>, reason = "…")]` attribute.
+/// Tracked so the suppression ledger (`xtask lint --list-suppressions`)
+/// and the baseline ratchet see the full burndown surface, not just the
+/// failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
-    /// The rule that would have fired.
-    pub rule: Rule,
-    /// The allowance kind (`panic`, `nondet`, `cast`, `rng`, `alloc`).
+    /// The rule a comment allowance silences; `None` for an `#[expect]`,
+    /// which clippy checks.
+    pub rule: Option<Rule>,
+    /// The allowance kind (`rng`, `alloc`), or the lint an `#[expect]`
+    /// names (`clippy::cast_sign_loss`). The ratchet counts by this key.
     pub kind: String,
     /// File the suppressed site is in, relative to the linted root.
     pub file: PathBuf,
-    /// 1-based line number of the suppressed site.
+    /// 1-based line number of the suppressed site (of the `#` for an
+    /// `#[expect]`).
     pub line: usize,
-    /// 1-based char columns `[start, end)` of the suppressed token.
+    /// 1-based char columns `[start, end)` of the suppressed token; `None`
+    /// for an `#[expect]`.
     pub span: Option<(usize, usize)>,
-    /// The justification text following the allowance marker.
+    /// The justification text.
     pub reason: String,
 }
 
 impl fmt::Display for Suppression {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {}:{}: allow({}) — {}",
-            self.rule.code(),
-            self.file.display(),
-            self.line,
-            self.kind,
-            self.reason
-        )
+        let (file, line) = (self.file.display(), self.line);
+        match self.rule {
+            Some(rule) => write!(
+                f,
+                "{} {file}:{line}: allow({}) — {}",
+                rule.code(),
+                self.kind,
+                self.reason
+            ),
+            None => write!(f, "{file}:{line}: expect({}) — {}", self.kind, self.reason),
+        }
     }
 }
 
@@ -205,24 +204,15 @@ impl From<std::io::Error> for LintError {
 pub struct LintConfig {
     /// Workspace root (the directory holding the root `Cargo.toml`).
     pub root: PathBuf,
-    /// Member paths (relative, as written in `members = [...]`) whose
-    /// sources are D1/D2/D5/D6/D7-protected and must opt into the workspace
-    /// lints.
+    /// Member paths (relative, as written in `members = [...]`) that must
+    /// opt into the workspace lints and whose non-test sources the D6 and
+    /// D7 scans and the suppression ledger cover.
     pub protected: Vec<String>,
-    /// Root-relative source paths in *unprotected* crates that receive the
-    /// same per-source D1/D2/D5/D6/D7 scan. This is how individual modules
-    /// earn protection without dragging a whole crate onto the list — the
-    /// harness persistence modules (`store`, `atomic`) need neither the
-    /// `catch_unwind` nor the wall-clock escape hatch their crate exists
-    /// for. Paths inside a protected member would be scanned twice; keep
-    /// them off this list.
-    pub protected_files: Vec<String>,
-    /// Member path prefixes exempt from the D3 `forbid(unsafe_code)` check
-    /// (vendored compat stubs that mirror upstream APIs).
+    /// Member path prefixes exempt from the D3 unsafe-code check (vendored
+    /// compat stubs that mirror upstream APIs).
     pub unsafe_exempt: Vec<String>,
-    /// Root-relative source paths that *are* the RNG home: raw seed
-    /// arithmetic (D6) is legal only here, and `Stream::Aux` pattern
-    /// matches in these files are not construction sites.
+    /// Root-relative source paths that *are* the RNG home: `Stream::Aux`
+    /// pattern matches in these files are not construction sites.
     pub rng_exempt: Vec<String>,
 }
 
@@ -238,17 +228,8 @@ impl LintConfig {
                 "crates/adversary",
                 "crates/analysis",
                 "crates/service",
-            ]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-            protected_files: [
-                "crates/harness/src/checkpoint.rs",
-                "crates/harness/src/codec.rs",
-                "crates/harness/src/frame.rs",
-                "crates/harness/src/lease.rs",
-                "crates/harness/src/merge.rs",
-                "crates/harness/src/store.rs",
+                "crates/harness",
+                "crates/xtask",
             ]
             .iter()
             .map(|s| (*s).to_string())
@@ -561,41 +542,15 @@ fn find_chars(haystack: &[char], needle: &[char], from: usize) -> Option<usize> 
 /// How a token must be anchored to count as a finding.
 #[derive(Debug, Clone, Copy)]
 pub enum Anchor {
-    /// `.word(` or `.word::<…>(` — a method call (e.g. `.unwrap()`,
+    /// `.word(` or `.word::<…>(` — a method call (e.g. `.clone()`,
     /// `.collect::<Vec<_>>()`).
     Method,
-    /// `word!` — a macro invocation (e.g. `panic!`).
+    /// `word!` — a macro invocation (e.g. `format!`).
     Macro,
-    /// A bare word-bounded occurrence (e.g. `HashMap`).
-    Word,
     /// A `::`-qualified path occurrence (e.g. `Vec::new`), word-bounded at
     /// both ends.
     Path,
 }
-
-/// The D1 (panic-freedom) token set.
-const PANIC_TOKENS: &[(&str, Anchor)] = &[
-    ("unwrap", Anchor::Method),
-    ("expect", Anchor::Method),
-    ("unwrap_err", Anchor::Method),
-    ("expect_err", Anchor::Method),
-    ("panic", Anchor::Macro),
-    ("unreachable", Anchor::Macro),
-    ("todo", Anchor::Macro),
-    ("unimplemented", Anchor::Macro),
-    ("dbg", Anchor::Macro),
-    ("catch_unwind", Anchor::Word),
-];
-
-/// The D2 (determinism) token set.
-const NONDET_TOKENS: &[(&str, Anchor)] = &[
-    ("HashMap", Anchor::Word),
-    ("HashSet", Anchor::Word),
-    ("thread_rng", Anchor::Word),
-    ("from_entropy", Anchor::Word),
-    ("Instant", Anchor::Word),
-    ("SystemTime", Anchor::Word),
-];
 
 /// Scans one line of masked code for anchored tokens; returns
 /// `(token, 0-based char column)` for each hit.
@@ -619,7 +574,7 @@ pub(crate) fn scan_line(
                 // The ident-boundary check above already rejects longer
                 // identifiers (`MyVec::new`); a leading `::` qualifier is
                 // still the same path.
-                Anchor::Word | Anchor::Path => true,
+                Anchor::Path => true,
                 Anchor::Macro => after == Some('!'),
                 Anchor::Method => {
                     let prev = chars[..at].iter().rev().find(|c| !c.is_whitespace());
@@ -642,7 +597,7 @@ pub(crate) fn scan_line(
 }
 
 // ---------------------------------------------------------------------------
-// Justification comments.
+// Justifications: allowance comments and `#[expect]` attributes.
 // ---------------------------------------------------------------------------
 
 /// If `comment` carries `lint: allow(<kind>)` *with* a non-empty reason
@@ -660,44 +615,85 @@ fn allow_reason(comment: &str, kind: &str) -> Option<String> {
     }
 }
 
-/// Returns true when `comment` carries `lint: allow(<kind>)` *with* a
-/// non-empty reason after it.
-#[cfg(test)]
-fn comment_allows(comment: &str, kind: &str) -> bool {
-    allow_reason(comment, kind).is_some()
-}
-
-/// Finds the justification of `kind` covering `line` (1-based): on the same
-/// line or on the contiguous run of comment/attribute lines directly above
-/// it. Returns the reason text when justified.
-fn allow_reason_at(
+/// The 1-based lines of the contiguous comment/attribute block directly
+/// above `line`, nearest first. Every line of a multi-line attribute counts.
+pub(crate) fn annotation_lines_above(
     src_lines: &[&str],
-    comments: &[(usize, String)],
+    attrs: &[items::Attribute],
     line: usize,
-    kind: &str,
-) -> Option<String> {
-    let on = |l: usize| {
-        comments
-            .iter()
-            .filter(|(cl, _)| *cl == l)
-            .find_map(|(_, text)| allow_reason(text, kind))
-    };
-    if let Some(reason) = on(line) {
-        return Some(reason);
-    }
+) -> Vec<usize> {
+    let mut above = Vec::new();
     let mut l = line;
     while l > 1 {
         l -= 1;
-        let raw = src_lines.get(l - 1).map_or("", |s| s.trim_start());
-        let is_annotation = raw.starts_with("//") || raw.starts_with("#[") || raw.starts_with("#!");
-        if !is_annotation {
-            return None;
+        let comment = src_lines
+            .get(l - 1)
+            .is_some_and(|s| s.trim_start().starts_with("//"));
+        if !(comment || attrs.iter().any(|a| a.lines.0 <= l && l <= a.lines.1)) {
+            break;
         }
-        if let Some(reason) = on(l) {
-            return Some(reason);
+        above.push(l);
+    }
+    above
+}
+
+/// If `attr` is `#[expect(<lints>, reason = "…")]`, returns the lints it
+/// names and its reason (empty when it gives none, which clippy's
+/// `allow_attributes_without_reason` rejects).
+fn expectation(attr: &items::Attribute) -> Option<(Vec<String>, String)> {
+    let masked: Vec<char> = attr.masked.chars().collect();
+    let source: Vec<char> = attr.source.chars().collect();
+    let head: String = masked
+        .iter()
+        .filter(|c| !c.is_whitespace())
+        .take(7)
+        .collect();
+    if head != "expect(" {
+        return None;
+    }
+    let mut from = masked.iter().position(|&c| c == '(')? + 1;
+    let mut lints = Vec::new();
+    let mut reason = String::new();
+    // Strings are blanked in the masked body, so a comma or a parenthesis
+    // inside the reason cannot end an argument early.
+    for (i, &c) in masked.iter().enumerate().skip(from) {
+        if c != ',' && c != ')' {
+            continue;
+        }
+        let arg: String = masked[from..i].iter().collect();
+        match arg.split_once('=') {
+            Some((key, _)) if key.trim() == "reason" => {
+                reason = string_literal(source.get(from..i).unwrap_or(&[]));
+            }
+            _ if !arg.trim().is_empty() => lints.push(arg.split_whitespace().collect()),
+            _ => {}
+        }
+        from = i + 1;
+        if c == ')' {
+            break;
         }
     }
-    None
+    Some((lints, reason))
+}
+
+/// The contents of the first string literal in `chars`, with escapes
+/// resolved, a `\`-newline continuation dropped, and runs of whitespace
+/// collapsed to one space.
+fn string_literal(chars: &[char]) -> String {
+    let mut out = String::new();
+    let mut it = chars.iter().skip_while(|&&c| c != '"').skip(1).peekable();
+    while let Some(&c) = it.next() {
+        match c {
+            '"' => break,
+            '\\' => match it.next() {
+                Some('n' | 't' | '\n') => out.push(' '),
+                Some(&other) => out.push(other),
+                None => break,
+            },
+            c => out.push(c),
+        }
+    }
+    out.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 // ---------------------------------------------------------------------------
@@ -788,18 +784,32 @@ fn workspace_members(root: &Path, manifest: &str) -> Result<Vec<String>, LintErr
 // The lint pass.
 // ---------------------------------------------------------------------------
 
-/// The clippy lints rule D4 requires at `deny` in `[workspace.lints.clippy]`.
-const REQUIRED_CLIPPY_DENIES: &[&str] = &["unwrap_used", "expect_used", "dbg_macro"];
-
-/// The clippy lints rule D4 requires at `warn` in `[workspace.lints.clippy]`
-/// (the semantic backstop for the token-level D5 cast audit).
-const REQUIRED_CLIPPY_WARNS: &[&str] = &["cast_possible_truncation", "cast_sign_loss"];
+/// The clippy lints rule D4 requires at `deny` in `[workspace.lints.clippy]`:
+/// everything D1, D2, D5 and D6's seeding ban rest on, plus the two lints
+/// that make every suppression an `#[expect]` with a reason.
+pub const REQUIRED_CLIPPY_DENIES: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "dbg_macro",
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "cast_possible_truncation",
+    "cast_sign_loss",
+    "cast_possible_wrap",
+    "disallowed_types",
+    "disallowed_methods",
+    "allow_attributes",
+    "allow_attributes_without_reason",
+];
 
 /// Per-file scan state: resolves each finding into a violation or a tracked
 /// suppression depending on the justification comments in scope.
 struct FileScan<'a> {
     rel: &'a Path,
     src_lines: &'a [&'a str],
+    attrs: &'a [items::Attribute],
     comments: &'a [(usize, String)],
     report: &'a mut LintReport,
 }
@@ -813,9 +823,9 @@ impl FileScan<'_> {
         span: Option<(usize, usize)>,
         message: String,
     ) {
-        match allow_reason_at(self.src_lines, self.comments, line, kind) {
+        match self.allow_reason_at(line, kind) {
             Some(reason) => self.report.suppressions.push(Suppression {
-                rule,
+                rule: Some(rule),
                 kind: kind.to_string(),
                 file: self.rel.to_path_buf(),
                 line,
@@ -831,6 +841,23 @@ impl FileScan<'_> {
             }),
         }
     }
+
+    /// Finds the justification of `kind` covering `line` (1-based): on the
+    /// same line or on the contiguous run of comment/attribute lines
+    /// directly above it. Returns the reason text when justified.
+    fn allow_reason_at(&self, line: usize, kind: &str) -> Option<String> {
+        let on = |l: usize| {
+            self.comments
+                .iter()
+                .filter(|(cl, _)| *cl == l)
+                .find_map(|(_, text)| allow_reason(text, kind))
+        };
+        on(line).or_else(|| {
+            annotation_lines_above(self.src_lines, self.attrs, line)
+                .into_iter()
+                .find_map(on)
+        })
+    }
 }
 
 /// Converts a 0-based char column and token into a 1-based `[start, end)`
@@ -839,10 +866,11 @@ fn token_span(col: usize, token: &str) -> Option<(usize, usize)> {
     Some((col + 1, col + 1 + token.chars().count()))
 }
 
-/// Runs every per-source rule (D1, D2, D5, D6, D7) over one file, pushing
-/// findings into `report` and literal `Stream::Aux` sites into `aux_sites`
-/// for the workspace-wide collision check. `rng_home` marks the module where
-/// raw seed arithmetic is legal (D6's exemption).
+/// Runs the per-source rules (D6, D7) over one file and records its
+/// `#[expect]`s in the ledger, pushing findings into `report` and literal
+/// `Stream::Aux` sites into `aux_sites` for the workspace-wide collision
+/// check. `rng_home` marks the module whose `Stream::Aux` pattern matches
+/// are not construction sites.
 fn lint_source_report(
     text: &str,
     rel_path: &Path,
@@ -853,74 +881,35 @@ fn lint_source_report(
     let stripped = strip_source(text);
     let masked = mask_cfg_test(&stripped.code);
     let src_lines: Vec<&str> = text.lines().collect();
+    let attrs = items::parse_attrs(&masked, text);
+
+    // The ledger's `#[expect]` half: clippy checks each one, and the
+    // ratchet counts them by the lint they name.
+    for attr in &attrs {
+        let Some((lints, reason)) = expectation(attr) else {
+            continue;
+        };
+        for lint in lints {
+            report.suppressions.push(Suppression {
+                rule: None,
+                kind: lint,
+                file: rel_path.to_path_buf(),
+                line: attr.lines.0,
+                span: None,
+                reason: reason.clone(),
+            });
+        }
+    }
+
     let mut scan = FileScan {
         rel: rel_path,
         src_lines: &src_lines,
+        attrs: &attrs,
         comments: &stripped.comments,
         report,
     };
 
-    // D1 + D2: line-oriented token scans.
-    for (idx, line) in masked.lines().enumerate() {
-        let line_no = idx + 1;
-        for (token, col) in scan_line(line, PANIC_TOKENS) {
-            let message = if token == "catch_unwind" {
-                "`catch_unwind` swallows panics instead of preventing them; \
-                 move supervision into the unprotected `crates/harness` crate \
-                 or justify with `// lint: allow(panic) — <reason>`"
-                    .to_string()
-            } else {
-                format!(
-                    "`{token}` can panic; return an error or justify with \
-                     `// lint: allow(panic) — <reason>`"
-                )
-            };
-            scan.finding(
-                Rule::PanicFreedom,
-                "panic",
-                line_no,
-                token_span(col, token),
-                message,
-            );
-        }
-        for (token, col) in scan_line(line, NONDET_TOKENS) {
-            scan.finding(
-                Rule::Determinism,
-                "nondet",
-                line_no,
-                token_span(col, token),
-                format!(
-                    "`{token}` is nondeterministic; use an ordered/seeded \
-                     alternative or justify with `// lint: allow(nondet) — <reason>`"
-                ),
-            );
-        }
-        // D6a: raw seed arithmetic outside the RNG home module.
-        if !rng_home {
-            for (token, col) in scan_line(line, rngrule::RAW_SEED_TOKENS) {
-                scan.finding(
-                    Rule::RngDiscipline,
-                    "rng",
-                    line_no,
-                    token_span(col, token),
-                    format!(
-                        "raw seed construction `{token}` bypasses the stream \
-                         derivation; route through `stream_rng(seed, Stream::…)` \
-                         or justify with `// lint: allow(rng) — <reason>`"
-                    ),
-                );
-            }
-        }
-    }
-
-    // D5: lossy-cast audit.
-    for site in casts::scan_casts(&masked) {
-        if let Some(message) = casts::classify(&site) {
-            scan.finding(Rule::CastAudit, "cast", site.line, Some(site.span), message);
-        }
-    }
-
-    // D6b: `Stream::Aux` construction sites. Non-literal tags fire here;
+    // D6: `Stream::Aux` construction sites. Non-literal tags fire here;
     // literal tags are deferred to the workspace-wide collision check.
     if !rng_home {
         for mut site in rngrule::scan_aux(&masked) {
@@ -937,8 +926,7 @@ fn lint_source_report(
                 ),
                 Some(_) => {
                     site.file = rel_path.to_path_buf();
-                    site.allow_reason =
-                        allow_reason_at(&src_lines, &stripped.comments, site.line, "rng");
+                    site.allow_reason = scan.allow_reason_at(site.line, "rng");
                     aux_sites.push(site);
                 }
             }
@@ -947,10 +935,10 @@ fn lint_source_report(
 
     // D7: allocation scan inside `// lint: hot` functions, with
     // debug_assert oracle bodies span-masked out first.
-    let fns = items::parse_fns(&masked, &src_lines);
+    let fns = items::parse_fns(&masked);
     let hot: Vec<&items::FnItem> = fns
         .iter()
-        .filter(|f| hotpath::is_hot(f, &src_lines, &stripped.comments))
+        .filter(|f| hotpath::is_hot(f, &src_lines, &attrs, &stripped.comments))
         .collect();
     if !hot.is_empty() {
         let alloc_masked = hotpath::mask_debug_asserts(&masked);
@@ -1016,7 +1004,7 @@ fn check_aux_collisions(aux_sites: &mut [rngrule::AuxSite], report: &mut LintRep
         for message in problems {
             match &site.allow_reason {
                 Some(reason) => report.suppressions.push(Suppression {
-                    rule: Rule::RngDiscipline,
+                    rule: Some(Rule::RngDiscipline),
                     kind: "rng".to_string(),
                     file: site.file.clone(),
                     line: site.line,
@@ -1049,8 +1037,19 @@ fn sort_report(report: &mut LintReport) {
     });
 }
 
-/// Runs all seven rules over the workspace described by `config`, returning
-/// both violations and the justified-suppression ledger.
+/// A manifest-level finding (line 0, no span).
+fn manifest_violation(rule: Rule, file: PathBuf, message: String) -> Violation {
+    Violation {
+        rule,
+        file,
+        line: 0,
+        span: None,
+        message,
+    }
+}
+
+/// Runs every rule over the workspace described by `config`, returning
+/// both violations and the suppression ledger.
 pub fn lint_workspace_report(config: &LintConfig) -> Result<LintReport, LintError> {
     let root_manifest_path = config.root.join("Cargo.toml");
     let root_manifest = std::fs::read_to_string(&root_manifest_path)
@@ -1058,44 +1057,28 @@ pub fn lint_workspace_report(config: &LintConfig) -> Result<LintReport, LintErro
     let mut report = LintReport::default();
     let mut aux_sites: Vec<rngrule::AuxSite> = Vec::new();
 
-    // D4 (root): the clippy panic-lint denies and cast-lint warns must be
-    // pinned.
+    // D4 (root): every lint the type-checked rules rest on is at deny.
     match toml_section(&root_manifest, "workspace.lints.clippy") {
-        None => report.violations.push(Violation {
-            rule: Rule::LintPolicy,
-            file: PathBuf::from("Cargo.toml"),
-            line: 0,
-            span: None,
-            message: "missing [workspace.lints.clippy] table".to_string(),
-        }),
+        None => report.violations.push(manifest_violation(
+            Rule::LintPolicy,
+            PathBuf::from("Cargo.toml"),
+            "missing [workspace.lints.clippy] table".to_string(),
+        )),
         Some(body) => {
             for lint in REQUIRED_CLIPPY_DENIES {
                 if !section_assigns(&body, lint, "deny") {
-                    report.violations.push(Violation {
-                        rule: Rule::LintPolicy,
-                        file: PathBuf::from("Cargo.toml"),
-                        line: 0,
-                        span: None,
-                        message: format!("[workspace.lints.clippy] must set {lint} = \"deny\""),
-                    });
-                }
-            }
-            for lint in REQUIRED_CLIPPY_WARNS {
-                if !section_assigns(&body, lint, "warn") {
-                    report.violations.push(Violation {
-                        rule: Rule::LintPolicy,
-                        file: PathBuf::from("Cargo.toml"),
-                        line: 0,
-                        span: None,
-                        message: format!(
-                            "[workspace.lints.clippy] must set {lint} = \"warn\" \
-                             (semantic backstop for D5)"
-                        ),
-                    });
+                    report.violations.push(manifest_violation(
+                        Rule::LintPolicy,
+                        PathBuf::from("Cargo.toml"),
+                        format!("[workspace.lints.clippy] must set {lint} = \"deny\""),
+                    ));
                 }
             }
         }
     }
+    let forbids_unsafe =
+        |body: Option<String>| body.is_some_and(|b| section_assigns(&b, "unsafe_code", "forbid"));
+    let workspace_forbids = forbids_unsafe(toml_section(&root_manifest, "workspace.lints.rust"));
 
     let mut members = workspace_members(&config.root, &root_manifest)?;
     if toml_section(&root_manifest, "package").is_some() {
@@ -1113,56 +1096,42 @@ pub fn lint_workspace_report(config: &LintConfig) -> Result<LintReport, LintErro
         } else {
             PathBuf::from(member).join("Cargo.toml")
         };
+        let inherits = toml_section(&manifest, "lints")
+            .is_some_and(|body| section_assigns(&body, "workspace", "true"))
+            || manifest
+                .lines()
+                .any(|l| l.trim().replace(' ', "") == "lints.workspace=true");
 
         // D4 (member): protected crates must inherit the workspace lints.
-        if is_protected {
-            let inherits = toml_section(&manifest, "lints")
-                .is_some_and(|body| section_assigns(&body, "workspace", "true"))
-                || manifest
-                    .lines()
-                    .any(|l| l.trim().replace(' ', "") == "lints.workspace=true");
-            if !inherits {
-                report.violations.push(Violation {
-                    rule: Rule::LintPolicy,
-                    file: rel_manifest.clone(),
-                    line: 0,
-                    span: None,
-                    message: "protected crate must set lints.workspace = true".to_string(),
-                });
-            }
+        if is_protected && !inherits {
+            report.violations.push(manifest_violation(
+                Rule::LintPolicy,
+                rel_manifest.clone(),
+                "protected crate must set lints.workspace = true".to_string(),
+            ));
         }
 
-        // D3: crate roots must forbid unsafe code.
+        // D3: the member forbids unsafe code, inherited or in its own table.
         let exempt = config
             .unsafe_exempt
             .iter()
             .any(|p| member == p || member.starts_with(&format!("{p}/")));
-        if !exempt {
-            for crate_root in ["src/lib.rs", "src/main.rs"] {
-                let path = member_dir.join(crate_root);
-                if !path.is_file() {
-                    continue;
-                }
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| LintError(format!("{}: {e}", path.display())))?;
-                let stripped = strip_source(&text);
-                if !stripped.code.contains("#![forbid(unsafe_code)]") {
-                    report.violations.push(Violation {
-                        rule: Rule::UnsafeHygiene,
-                        file: rel_source_path(member, crate_root),
-                        line: 1,
-                        span: None,
-                        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-                    });
-                }
-            }
+        let forbids = (inherits && workspace_forbids)
+            || forbids_unsafe(toml_section(&manifest, "lints.rust"));
+        if !exempt && !forbids {
+            report.violations.push(manifest_violation(
+                Rule::UnsafeHygiene,
+                rel_manifest,
+                "crate must forbid unsafe code: inherit [workspace.lints.rust] \
+                 unsafe_code = \"forbid\" or set it in its own [lints.rust]"
+                    .to_string(),
+            ));
         }
 
-        // D1/D2/D5/D6/D7: per-source scans of protected non-test code.
+        // D6/D7 and the ledger: per-source scans of protected non-test code.
         if is_protected {
-            let src_dir = member_dir.join("src");
             let mut files = Vec::new();
-            collect_rs_files(&src_dir, &mut files)?;
+            collect_rs_files(&member_dir.join("src"), &mut files)?;
             for path in files {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| LintError(format!("{}: {e}", path.display())))?;
@@ -1179,22 +1148,6 @@ pub fn lint_workspace_report(config: &LintConfig) -> Result<LintReport, LintErro
         }
     }
 
-    // D1/D2/D5/D6/D7: individually protected sources in otherwise
-    // unprotected crates (the harness persistence modules — total decode and
-    // atomic writes must be panic-free and deterministic even though their
-    // crate keeps the supervision escape hatches).
-    for entry in &config.protected_files {
-        let path = config.root.join(entry);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| LintError(format!("{}: {e}", path.display())))?;
-        let rel = PathBuf::from(entry);
-        let rng_home = config
-            .rng_exempt
-            .iter()
-            .any(|exempt| Path::new(exempt) == rel.as_path());
-        lint_source_report(&text, &rel, rng_home, &mut report, &mut aux_sites);
-    }
-
     check_aux_collisions(&mut aux_sites, &mut report);
     sort_report(&mut report);
     Ok(report)
@@ -1206,15 +1159,6 @@ pub fn lint_workspace_report(config: &LintConfig) -> Result<LintReport, LintErro
 /// for callers that only care about hard failures.
 pub fn lint_workspace(config: &LintConfig) -> Result<Vec<Violation>, LintError> {
     Ok(lint_workspace_report(config)?.violations)
-}
-
-/// Joins a member path and an in-crate source path for reporting.
-fn rel_source_path(member: &str, source: &str) -> PathBuf {
-    if member == "." {
-        PathBuf::from(source)
-    } else {
-        PathBuf::from(member).join(source)
-    }
 }
 
 /// Recursively gathers `.rs` files under `dir` in sorted order.
@@ -1238,9 +1182,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError>
     Ok(())
 }
 
-/// Runs the per-source rules (D1, D2, D5, D6, D7) over one file, appending
-/// unjustified findings to `violations`. The `Stream::Aux` collision check
-/// runs file-locally here; [`lint_workspace_report`] widens it to the whole
+/// Runs the per-source rules (D6, D7) over one file, appending unjustified
+/// findings to `violations`. The `Stream::Aux` collision check runs
+/// file-locally here; [`lint_workspace_report`] widens it to the whole
 /// workspace.
 pub fn lint_source(text: &str, rel_path: &Path, violations: &mut Vec<Violation>) {
     let mut report = LintReport::default();
@@ -1259,98 +1203,32 @@ mod tests {
         hits.into_iter().map(|(t, _)| t).collect()
     }
 
-    /// The fault-injection module rides inside `crates/sim`, which must stay
-    /// on the protected list, and the source walker must actually visit it —
-    /// otherwise a rename could silently drop the fault layer out of the
-    /// D1/D2 gates.
+    /// The crates that carry the fault layer, the service's wall clock and
+    /// trial supervision must stay in the protected set, and the source
+    /// walker must actually visit those modules — otherwise a rename could
+    /// silently drop them out of the D6/D7 scans and the ledger.
     #[test]
-    fn fault_module_is_under_lint_protection() {
+    fn fault_service_and_supervision_modules_are_under_lint_protection() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)
             .expect("workspace root")
             .to_path_buf();
         let config = LintConfig::for_repo(root.clone());
-        assert!(
-            config.protected.iter().any(|p| p == "crates/sim"),
-            "crates/sim must be a protected crate"
-        );
-        let mut files = Vec::new();
-        collect_rs_files(&root.join("crates/sim/src"), &mut files).expect("walk sim sources");
-        assert!(
-            files.iter().any(|f| f.ends_with("faults.rs")),
-            "lint walker must visit crates/sim/src/faults.rs; saw {files:?}"
-        );
-    }
-
-    #[test]
-    fn service_crate_is_under_lint_protection() {
-        // The concurrent service crate carries the same determinism/panic
-        // discipline as the substrate it fronts — unlike `crates/harness`,
-        // it is production code on the protected list, and its wall-clock
-        // sites must go through justified suppressions.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("workspace root")
-            .to_path_buf();
-        let config = LintConfig::for_repo(root.clone());
-        assert!(
-            config.protected.iter().any(|p| p == "crates/service"),
-            "crates/service must be a protected crate"
-        );
-        let mut files = Vec::new();
-        collect_rs_files(&root.join("crates/service/src"), &mut files)
-            .expect("walk service sources");
-        assert!(
-            files.iter().any(|f| f.ends_with("stress.rs")),
-            "lint walker must visit crates/service/src/stress.rs; saw {files:?}"
-        );
-    }
-
-    /// The harness crate must stay *off* the protected-crate list (its
-    /// supervisor legitimately uses `catch_unwind` and wall clocks), while
-    /// its persistence modules must stay individually file-protected —
-    /// otherwise a rename or a config edit could silently drop the store
-    /// format out of the D1/D2 gates.
-    #[test]
-    fn harness_persistence_modules_are_file_protected() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("workspace root")
-            .to_path_buf();
-        let config = LintConfig::for_repo(root.clone());
-        assert!(
-            !config.protected.iter().any(|p| p == "crates/harness"),
-            "crates/harness must stay off the protected-crate list"
-        );
-        for file in [
-            "crates/harness/src/checkpoint.rs",
-            "crates/harness/src/codec.rs",
-            "crates/harness/src/frame.rs",
-            "crates/harness/src/lease.rs",
-            "crates/harness/src/merge.rs",
-            "crates/harness/src/store.rs",
+        for (member, module) in [
+            ("crates/sim", "faults.rs"),
+            ("crates/service", "stress.rs"),
+            ("crates/harness", "supervisor.rs"),
         ] {
             assert!(
-                config.protected_files.iter().any(|p| p == file),
-                "{file} must be on the protected_files list"
+                config.protected.iter().any(|p| p == member),
+                "{member} must be a protected crate"
             );
+            let mut files = Vec::new();
+            collect_rs_files(&root.join(member).join("src"), &mut files).expect("walk sources");
             assert!(
-                root.join(file).is_file(),
-                "{file} listed in protected_files must exist"
-            );
-        }
-        // None of the file-protected paths may sit inside a protected
-        // member (that would double-scan and double-report).
-        for file in &config.protected_files {
-            assert!(
-                !config
-                    .protected
-                    .iter()
-                    .any(|member| file.starts_with(&format!("{member}/"))),
-                "{file} is already covered by a protected crate"
+                files.iter().any(|f| f.ends_with(module)),
+                "lint walker must visit {member}/src/{module}; saw {files:?}"
             );
         }
     }
@@ -1397,15 +1275,16 @@ mod tests {
 
     #[test]
     fn method_anchor_requires_dot_and_paren() {
-        assert_eq!(names(scan_line("x.unwrap()", PANIC_TOKENS)), vec!["unwrap"]);
-        assert!(scan_line("x.unwrap_or(0)", PANIC_TOKENS).is_empty());
-        assert!(scan_line("fn unwrap(x: u32) {}", PANIC_TOKENS).is_empty());
-        assert!(scan_line("#[allow(clippy::expect_used)]", PANIC_TOKENS).is_empty());
+        use crate::hotpath::ALLOC_TOKENS;
+        assert_eq!(names(scan_line("x.clone()", ALLOC_TOKENS)), vec!["clone"]);
+        assert!(scan_line("x.clone_from(&y)", ALLOC_TOKENS).is_empty());
+        assert!(scan_line("fn clone(x: u32) {}", ALLOC_TOKENS).is_empty());
+        assert!(scan_line("#[derive(Clone)]", ALLOC_TOKENS).is_empty());
         assert_eq!(
-            names(scan_line("panic!(\"boom\")", PANIC_TOKENS)),
-            vec!["panic"]
+            names(scan_line("format!(\"{x}\")", ALLOC_TOKENS)),
+            vec!["format"]
         );
-        assert!(scan_line("debug_assert!(true)", PANIC_TOKENS).is_empty());
+        assert!(scan_line("debug_format!(x)", ALLOC_TOKENS).is_empty());
     }
 
     #[test]
@@ -1441,60 +1320,65 @@ mod tests {
     }
 
     #[test]
-    fn word_anchor_bounds() {
-        assert_eq!(
-            scan_line("use std::collections::HashMap;", NONDET_TOKENS).len(),
-            1
-        );
-        assert!(scan_line("let MyHashMapLike = 3;", NONDET_TOKENS).is_empty());
-        assert_eq!(
-            names(scan_line("Instant::now()", NONDET_TOKENS)),
-            vec!["Instant"]
-        );
-    }
-
-    #[test]
     fn scan_line_reports_columns() {
-        let hits = scan_line("    x.unwrap()", PANIC_TOKENS);
-        assert_eq!(hits, vec![("unwrap", 6)]);
+        let hits = scan_line("    x.clone()", hotpath::ALLOC_TOKENS);
+        assert_eq!(hits, vec![("clone", 6)]);
     }
 
     #[test]
     fn justification_requires_a_reason() {
-        assert!(comment_allows(
-            "// lint: allow(panic) — scoped threads fill every slot",
-            "panic"
-        ));
-        assert!(comment_allows(
-            "// lint: allow(nondet): cache only",
-            "nondet"
-        ));
-        assert!(!comment_allows("// lint: allow(panic)", "panic"));
-        assert!(!comment_allows("// lint: allow(panic) — ", "panic"));
-        assert!(!comment_allows("// lint: allow(nondet) x", "nondet"));
-    }
-
-    #[test]
-    fn allow_reason_extracts_the_text() {
         assert_eq!(
-            allow_reason("// lint: allow(cast) — bounded by the u32 universe", "cast").as_deref(),
-            Some("bounded by the u32 universe")
+            allow_reason("// lint: allow(alloc) — cold error path", "alloc").as_deref(),
+            Some("cold error path")
         );
-        assert_eq!(allow_reason("// lint: allow(cast)", "cast"), None);
-        assert_eq!(allow_reason("// lint: allow(cast) — ok", "alloc"), None);
+        assert!(allow_reason("// lint: allow(rng): replay on purpose", "rng").is_some());
+        assert_eq!(allow_reason("// lint: allow(alloc)", "alloc"), None);
+        assert_eq!(allow_reason("// lint: allow(alloc) — ", "alloc"), None);
+        assert_eq!(allow_reason("// lint: allow(rng) x", "rng"), None);
+        assert_eq!(allow_reason("// lint: allow(rng) — replay", "alloc"), None);
     }
 
     #[test]
     fn allowance_looks_upward_through_annotations() {
-        let src = "// lint: allow(panic) — provably infallible here\n#[allow(clippy::expect_used)]\nlet v = x.expect(\"set\");\n";
+        let hot = "// lint: hot\nfn f(x: &[u32]) -> Vec<u32> {\n";
+        let src = format!(
+            "{hot}    // lint: allow(alloc) — provably cold here\n    #[expect(\n        clippy::x,\n        reason = \"multi-line\"\n    )]\n    let v = x.to_vec();\n    v\n}}\n"
+        );
         let mut v = Vec::new();
-        lint_source(src, Path::new("t.rs"), &mut v);
+        lint_source(&src, Path::new("t.rs"), &mut v);
         assert!(v.is_empty(), "justified site must not fire: {v:?}");
 
-        let src2 = "let ready = true;\n// lint: allow(panic) — reason\nlet a = 1;\nlet v = x.expect(\"set\");\n";
+        let src2 = format!(
+            "{hot}    // lint: allow(alloc) — reason\n    let a = 1;\n    x.to_vec()\n}}\n"
+        );
         let mut v2 = Vec::new();
-        lint_source(src2, Path::new("t.rs"), &mut v2);
+        lint_source(&src2, Path::new("t.rs"), &mut v2);
         assert_eq!(v2.len(), 1, "non-adjacent comment must not suppress");
+    }
+
+    #[test]
+    fn expectations_join_the_ledger_with_their_reasons() {
+        let src = "\
+#[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = \"a, \\\"quoted\\\" \\
+    reason\")]
+fn f() {}
+#![expect(clippy::too_many_arguments)]
+#[allow(dead_code)]
+#[cfg(test)]
+#[expect(clippy::unwrap_used, reason = \"test code is masked\")]
+mod tests {}
+";
+        let mut report = LintReport::default();
+        lint_source_report(src, Path::new("t.rs"), false, &mut report, &mut Vec::new());
+        let ledger: Vec<String> = report.suppressions.iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            ledger,
+            vec![
+                "t.rs:1: expect(clippy::cast_possible_truncation) — a, \"quoted\" reason",
+                "t.rs:1: expect(clippy::cast_sign_loss) — a, \"quoted\" reason",
+                "t.rs:4: expect(clippy::too_many_arguments) — ",
+            ]
+        );
     }
 
     #[test]
@@ -1507,22 +1391,20 @@ mod tests {
     }
 
     #[test]
-    fn lint_source_runs_the_new_rules() {
+    fn lint_source_runs_the_hot_path_rule() {
         let src = "\
 // lint: hot
-pub fn hot_loop(xs: &[u64]) -> u32 {
+pub fn hot_loop(xs: &[u64]) -> usize {
     let mut buf = Vec::new();
-    buf.push(xs.len() as u32);
+    buf.push(xs.len());
     buf[0]
 }
 ";
         let mut v = Vec::new();
         lint_source(src, Path::new("t.rs"), &mut v);
         let codes: Vec<&str> = v.iter().map(|x| x.rule.code()).collect();
-        assert!(codes.contains(&"D7"), "Vec::new in hot fn: {v:?}");
-        assert!(codes.contains(&"D5"), "narrowing cast: {v:?}");
+        assert_eq!(codes, vec!["D7"], "Vec::new in hot fn: {v:?}");
         // Spans are 1-based char columns over the token.
-        let d7 = v.iter().find(|x| x.rule == Rule::HotPathAlloc).unwrap();
-        assert_eq!(d7.span, Some((19, 27)));
+        assert_eq!(v[0].span, Some((19, 27)));
     }
 }

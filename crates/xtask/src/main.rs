@@ -1,8 +1,9 @@
 //! Command-line entry point for the workspace tasks.
 //!
 //! `cargo run -p xtask -- lint` runs distill-lint over the workspace and
-//! exits non-zero when any invariant is violated. See
-//! `xtask::lint_workspace_report` and `DESIGN.md` §9/§14 for the rule set,
+//! exits non-zero when any invariant it checks is violated. Clippy checks
+//! the rest (`cargo clippy --workspace --all-targets -- -D warnings`). See
+//! `xtask::lint_workspace_report` and `DESIGN.md` §9/§14 for the split,
 //! the JSON diagnostics schema, and the baseline-ratchet workflow.
 
 #![forbid(unsafe_code)]
@@ -13,14 +14,14 @@ use xtask::{lint_workspace_report, report, LintConfig};
 
 const USAGE: &str = "usage: cargo run -p xtask -- lint [options]
 
-Runs distill-lint, the workspace invariant checker:
-  D1  panic-freedom in protected non-test code
-  D2  determinism (no hash containers, clocks, or ambient RNG)
-  D3  #![forbid(unsafe_code)] in every non-exempt crate root
-  D4  [workspace.lints] policy present and inherited
-  D5  no narrowing/sign-changing `as` casts (use typed conversions)
-  D6  RNG via stream_rng(seed, Stream::…); Aux tags literal + collision-free
+Runs distill-lint, the workspace invariant checker, on the rules that
+types cannot express:
+  D3  every non-exempt member forbids unsafe code in its manifest
+  D4  [workspace.lints] policy at deny and inherited by protected crates
+  D6  Stream::Aux tags literal and collision-free
   D7  no allocating constructs in `// lint: hot` functions
+Clippy enforces D1 panic-freedom, D2 determinism, D5 lossy casts and D6's
+seeding ban through [workspace.lints] and clippy.toml.
 
 Options:
   --root <dir>              lint this workspace root (default: this repo)
@@ -29,7 +30,8 @@ Options:
   --baseline <path>         ratchet mode: fail only on counts above the
                             committed baseline (burndown may shrink freely)
   --write-baseline <path>   bless the current counts as the new baseline
-  --list-suppressions       print the ledger of justified `lint: allow` sites
+  --list-suppressions       print the ledger: `lint: allow` comments and
+                            `#[expect]`s in protected non-test code
 
 Exit codes: 0 clean (or within baseline), 1 violations (or ratchet breach),
 2 usage or I/O error.";
@@ -150,7 +152,7 @@ fn run(args: Vec<String>) -> i32 {
             println!("{s}");
         }
         println!(
-            "distill-lint: {} justified suppression(s)",
+            "distill-lint: {} suppression(s)",
             lint_report.suppressions.len()
         );
         return 0;
@@ -214,7 +216,7 @@ fn run(args: Vec<String>) -> i32 {
             if lint_report.violations.is_empty() {
                 if !opts.json {
                     println!(
-                        "distill-lint: workspace clean (rules D1–D7, {} justified suppression(s))",
+                        "distill-lint: workspace clean (rules D3, D4, D6, D7; {} suppression(s))",
                         lint_report.suppressions.len()
                     );
                 }

@@ -3,8 +3,9 @@
 //! `xtask lint --format json` emits a deterministic document (sorted
 //! entries, stable key order, no timestamps) so CI can archive diagnostics
 //! as an artifact and diff them across commits. The committed
-//! `lint-baseline.json` holds per-rule violation counts and per-kind
-//! suppression counts; `--baseline` compares the current run against it and
+//! `lint-baseline.json` holds per-rule violation counts and suppression
+//! counts per allowance kind and per `#[expect]`ed lint; `--baseline`
+//! compares the current run against it and
 //! fails only when a count *exceeds* the baseline — a ratchet, not a
 //! threshold: the burndown may shrink freely, and shrinking prints a hint
 //! to re-bless so the ratchet tightens.
@@ -19,15 +20,16 @@ use crate::{LintError, LintReport, ALL_RULES, SUPPRESSION_KINDS};
 /// Aggregated per-rule / per-kind counts for ratcheting.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Counts {
-    /// Violations keyed by rule code (`"D1"` … `"D7"`), all rules present.
+    /// Violations keyed by rule code (`"D3"`, `"D4"`, `"D6"`, `"D7"`), all
+    /// rules present.
     pub violations: BTreeMap<String, u64>,
-    /// Suppressions keyed by kind (`"alloc"`, `"cast"`, …), all kinds
-    /// present.
+    /// Suppressions keyed by allowance kind (`"alloc"`, `"rng"`, both
+    /// present) or by the lint an `#[expect]` names.
     pub suppressions: BTreeMap<String, u64>,
 }
 
 impl Counts {
-    /// Tallies a report. Every known rule code and suppression kind is
+    /// Tallies a report. Every known rule code and allowance kind is
     /// present in the maps (zero-filled), so ratchets and JSON output are
     /// schema-stable as the burndown empties.
     pub fn of(report: &LintReport) -> Self {
@@ -85,10 +87,11 @@ pub fn json_escape(s: &str) -> String {
 }
 
 fn span_json(span: Option<(usize, usize)>) -> String {
-    match span {
-        Some((a, b)) => format!("[{a}, {b}]"),
-        None => "null".to_string(),
-    }
+    span.map_or_else(|| "null".to_string(), |(a, b)| format!("[{a}, {b}]"))
+}
+
+fn rule_json(rule: Option<crate::Rule>) -> String {
+    rule.map_or_else(|| "null".to_string(), |r| format!("\"{}\"", r.code()))
 }
 
 fn counts_obj(map: &BTreeMap<String, u64>, indent: &str) -> String {
@@ -107,7 +110,7 @@ pub fn to_json(report: &LintReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"distill-lint\",\n");
-    out.push_str("  \"version\": 2,\n");
+    out.push_str("  \"version\": 3,\n");
     out.push_str("  \"violations\": [");
     for (i, v) in report.violations.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
@@ -129,8 +132,8 @@ pub fn to_json(report: &LintReport) -> String {
     for (i, s) in report.suppressions.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
         out.push_str(&format!(
-            "{sep}    {{\"rule\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}, \"span\": {}, \"reason\": \"{}\"}}",
-            s.rule.code(),
+            "{sep}    {{\"rule\": {}, \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}, \"span\": {}, \"reason\": \"{}\"}}",
+            rule_json(s.rule),
             json_escape(&s.kind),
             json_escape(&s.file.display().to_string()),
             s.line,
@@ -290,20 +293,30 @@ mod tests {
     fn sample_report() -> LintReport {
         LintReport {
             violations: vec![Violation {
-                rule: Rule::CastAudit,
+                rule: Rule::HotPathAlloc,
                 file: PathBuf::from("member/src/lib.rs"),
                 line: 4,
                 span: Some((13, 19)),
-                message: "possibly narrowing cast `as u32`".to_string(),
+                message: "allocating construct `Vec::new`".to_string(),
             }],
-            suppressions: vec![Suppression {
-                rule: Rule::PanicFreedom,
-                kind: "panic".to_string(),
-                file: PathBuf::from("member/src/lib.rs"),
-                line: 9,
-                span: Some((5, 11)),
-                reason: "empty input is rejected at the CLI boundary".to_string(),
-            }],
+            suppressions: vec![
+                Suppression {
+                    rule: Some(Rule::RngDiscipline),
+                    kind: "rng".to_string(),
+                    file: PathBuf::from("member/src/lib.rs"),
+                    line: 9,
+                    span: Some((5, 11)),
+                    reason: "replays the stream on purpose".to_string(),
+                },
+                Suppression {
+                    rule: None,
+                    kind: "clippy::cast_sign_loss".to_string(),
+                    file: PathBuf::from("member/src/lib.rs"),
+                    line: 12,
+                    span: None,
+                    reason: "the operand is non-negative".to_string(),
+                },
+            ],
         }
     }
 
@@ -314,11 +327,13 @@ mod tests {
         let b = to_json(&report);
         assert_eq!(a, b);
         assert!(a.contains("\"tool\": \"distill-lint\""));
-        assert!(a.contains("\"rule\": \"D5\""));
+        assert!(a.contains("\"rule\": \"D7\""));
         assert!(a.contains("\"span\": [13, 19]"));
-        assert!(a.contains("\"kind\": \"panic\""));
+        assert!(a.contains("\"kind\": \"rng\""));
+        assert!(a.contains("\"rule\": null, \"kind\": \"clippy::cast_sign_loss\""));
+        assert!(a.contains("\"clippy::cast_sign_loss\": 1"));
         // Every rule and kind appears in counts even at zero.
-        for code in ["D1", "D2", "D3", "D4", "D5", "D6", "D7"] {
+        for code in ["D3", "D4", "D6", "D7"] {
             assert!(a.contains(&format!("\"{code}\":")), "missing {code}");
         }
         for kind in SUPPRESSION_KINDS {
@@ -350,16 +365,16 @@ mod tests {
         assert!(!shrank);
         // Baseline above current: clean, but flags shrinkage.
         let mut loose = current.clone();
-        loose.violations.insert("D5".to_string(), 5);
+        loose.violations.insert("D7".to_string(), 5);
         let (breaches, shrank) = ratchet(&current, &loose);
         assert!(breaches.is_empty());
         assert!(shrank);
         // Baseline below current: breach, attributed to the right key.
         let mut tight = current.clone();
-        tight.violations.insert("D5".to_string(), 0);
+        tight.violations.insert("D7".to_string(), 0);
         let (breaches, _) = ratchet(&current, &tight);
         assert_eq!(breaches.len(), 1);
-        assert_eq!(breaches[0].key, "D5");
+        assert_eq!(breaches[0].key, "D7");
         assert!(breaches[0].is_violation);
         assert!(breaches[0].to_string().contains("exceeds baseline"));
     }
@@ -367,10 +382,14 @@ mod tests {
     #[test]
     fn new_rule_missing_from_baseline_starts_ratcheted() {
         let current = Counts::of(&sample_report());
-        let empty = parse_baseline("{\n \"violations\": {\n \"D1\": 0\n }\n}").expect("parses");
+        let empty = parse_baseline("{\n \"violations\": {\n \"D3\": 0\n }\n}").expect("parses");
         let (breaches, _) = ratchet(&current, &empty);
-        assert!(breaches.iter().any(|b| b.key == "D5"));
-        assert!(breaches.iter().any(|b| b.key == "panic" && !b.is_violation));
+        assert!(breaches.iter().any(|b| b.key == "D7"));
+        assert!(breaches.iter().any(|b| b.key == "rng" && !b.is_violation));
+        // A lint first `#[expect]`ed after the baseline was blessed breaches.
+        assert!(breaches
+            .iter()
+            .any(|b| b.key == "clippy::cast_sign_loss" && !b.is_violation));
     }
 
     #[test]

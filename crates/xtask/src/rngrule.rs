@@ -1,4 +1,4 @@
-//! D6 — RNG stream discipline.
+//! D6 — RNG stream discipline: the `Stream::Aux` tag check.
 //!
 //! Bit-exact determinism across thread counts (DESIGN.md §7, §13) holds
 //! because every random decision draws from a `stream_rng(seed, Stream::…)`
@@ -9,29 +9,21 @@
 //! 1. **Raw seed arithmetic** outside `crates/sim/src/rng.rs` — hand-rolled
 //!    `seed_from_u64(seed ^ 17)` constructions reintroduce exactly the
 //!    cross-stream correlation the SplitMix64 derivation exists to prevent.
+//!    Clippy bans these: `clippy.toml` lists the seeding methods under
+//!    `disallowed-methods`.
 //! 2. **`Aux` tag collisions** — two subsystems picking the same `k`, or a
 //!    `k` large enough that `2^41 + k` wraps back into the reserved player
-//!    and singleton namespaces.
+//!    and singleton namespaces. No type sees these, so this pass does.
 //!
-//! This pass flags raw-seed tokens in protected crates outside the RNG home
-//! module, requires `Stream::Aux` tags to be integer literals (a computed
-//! tag cannot be collision-checked statically), and collects every literal
-//! tag *workspace-wide* to detect duplicates and namespace wraps.
+//! It requires `Stream::Aux` tags to be integer literals (a computed tag
+//! cannot be collision-checked statically), and collects every literal tag
+//! *workspace-wide* to detect duplicates and namespace wraps.
 //! Justification: `// lint: allow(rng) — <reason>`.
 
 use std::path::PathBuf;
 
+use crate::is_ident;
 use crate::items::{line_of, line_starts};
-use crate::{is_ident, Anchor};
-
-/// Raw seed-construction tokens: outside the RNG home module these bypass
-/// the stream derivation.
-pub const RAW_SEED_TOKENS: &[(&str, Anchor)] = &[
-    ("seed_from_u64", Anchor::Word),
-    ("from_seed", Anchor::Word),
-    ("derive_seed", Anchor::Word),
-    ("splitmix64", Anchor::Word),
-];
 
 /// The reserved tag space: `Aux(k)` maps to `(1 << 41) + k`, so any `k` at
 /// or above `2^64 - 2^41` wraps back under `2^41` into the player /

@@ -1,22 +1,61 @@
 //! Fixture and self-gate tests for distill-lint.
 //!
-//! The fixtures under `crates/xtask/fixtures/` are tiny workspaces that are
-//! parsed as text (never compiled): `clean_ws` satisfies every rule and
-//! `bad_ws` violates every rule at least once.
+//! The fixtures under `crates/xtask/fixtures/` are tiny workspaces.
+//! `clean_ws` satisfies every rule and `bad_ws` violates every rule this
+//! crate checks at least once; both are parsed as text, never compiled.
+//! `clippy_ws` is compiled: CI runs clippy on it (see its manifest), and
+//! here it must pass every rule this crate checks.
 
 use std::path::{Path, PathBuf};
-use xtask::{lint_source, lint_workspace, lint_workspace_report, report, LintConfig, Rule};
+use xtask::{
+    lint_source, lint_workspace, lint_workspace_report, report, LintConfig, Rule,
+    REQUIRED_CLIPPY_DENIES,
+};
 
-fn fixture_config(name: &str) -> LintConfig {
+fn fixture_dir(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(name)
+}
+
+fn config_at(root: PathBuf) -> LintConfig {
     LintConfig {
-        root: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("fixtures")
-            .join(name),
+        root,
         protected: vec!["member".to_string()],
-        protected_files: Vec::new(),
         unsafe_exempt: Vec::new(),
         rng_exempt: Vec::new(),
     }
+}
+
+fn fixture_config(name: &str) -> LintConfig {
+    config_at(fixture_dir(name))
+}
+
+/// A writable copy of `clean_ws` under the test's scratch directory.
+fn clean_copy(name: &str) -> std::io::Result<PathBuf> {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("member/src"))?;
+    for file in ["Cargo.toml", "member/Cargo.toml", "member/src/lib.rs"] {
+        std::fs::copy(fixture_dir("clean_ws").join(file), root.join(file))?;
+    }
+    Ok(root)
+}
+
+/// Rewrites `file` under `root` with every line `keep` rejects dropped.
+fn drop_lines(root: &Path, file: &str, keep: impl Fn(&str) -> bool) -> std::io::Result<()> {
+    let path = root.join(file);
+    let text = std::fs::read_to_string(&path)?;
+    let kept: Vec<&str> = text.lines().filter(|l| keep(l)).collect();
+    std::fs::write(&path, kept.join("\n") + "\n")
+}
+
+fn render(violations: &[xtask::Violation]) -> String {
+    violations
+        .iter()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[test]
@@ -25,11 +64,7 @@ fn clean_fixture_passes_every_rule() {
     assert!(
         violations.is_empty(),
         "clean fixture must lint clean, got:\n{}",
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        render(&violations)
     );
 }
 
@@ -38,33 +73,15 @@ fn bad_fixture_fires_every_rule() {
     let violations = lint_workspace(&fixture_config("bad_ws")).unwrap();
     let count = |rule: Rule| violations.iter().filter(|v| v.rule == rule).count();
     assert_eq!(count(Rule::LintPolicy), 2, "root table + member opt-in");
-    assert_eq!(count(Rule::UnsafeHygiene), 1, "missing forbid(unsafe_code)");
     assert_eq!(
-        count(Rule::PanicFreedom),
-        4,
-        "unwrap + panic! + reasonless-allowance expect + catch_unwind: {violations:#?}"
-    );
-    // The catch_unwind finding carries its tailored supervision message.
-    assert!(
-        violations.iter().any(|v| v.rule == Rule::PanicFreedom
-            && v.message.contains("catch_unwind")
-            && v.message.contains("crates/harness")),
-        "catch_unwind must point at the harness crate: {violations:#?}"
-    );
-    assert_eq!(
-        count(Rule::Determinism),
-        4,
-        "two HashMap uses + two Instant uses: {violations:#?}"
-    );
-    assert_eq!(
-        count(Rule::CastAudit),
-        3,
-        "invisible narrowing + sign change + f64 precision: {violations:#?}"
+        count(Rule::UnsafeHygiene),
+        1,
+        "member does not forbid unsafe code"
     );
     assert_eq!(
         count(Rule::RngDiscipline),
-        3,
-        "raw seed + duplicate tag + wrapping tag: {violations:#?}"
+        2,
+        "duplicate tag + wrapping tag: {violations:#?}"
     );
     assert_eq!(
         count(Rule::HotPathAlloc),
@@ -73,26 +90,75 @@ fn bad_fixture_fires_every_rule() {
     );
 }
 
+/// D4 demands every lint in the fixture's table: dropping any one of them
+/// yields exactly one finding, and it names that lint.
 #[test]
-fn cast_audit_classifies_each_loss_mode() {
-    let violations = lint_workspace(&fixture_config("bad_ws")).unwrap();
-    let d5: Vec<&str> = violations
-        .iter()
-        .filter(|v| v.rule == Rule::CastAudit)
-        .map(|v| v.message.as_str())
+fn d4_names_each_missing_deny() {
+    let table: Vec<String> = std::fs::read_to_string(fixture_dir("clean_ws").join("Cargo.toml"))
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_suffix(" = \"deny\""))
+        .map(String::from)
         .collect();
-    assert!(
-        d5.iter().any(|m| m.contains("source type not visible")),
-        "invisible-source narrowing must be called out: {d5:#?}"
-    );
-    assert!(
-        d5.iter().any(|m| m.contains("sign")),
-        "i64 -> u64 must be flagged as sign-changing: {d5:#?}"
-    );
-    assert!(
-        d5.iter().any(|m| m.contains("2^53")),
-        "u64 -> f64 must be flagged as imprecise: {d5:#?}"
-    );
+    let mut required: Vec<&str> = REQUIRED_CLIPPY_DENIES.to_vec();
+    required.sort_unstable();
+    let mut listed: Vec<&str> = table.iter().map(String::as_str).collect();
+    listed.sort_unstable();
+    assert_eq!(listed, required, "clean_ws's table is the required one");
+    for lint in &table {
+        let root = clean_copy("d4-missing-deny").unwrap();
+        let line = format!("{lint} = \"deny\"");
+        drop_lines(&root, "Cargo.toml", |l| l != line).unwrap();
+        let violations = lint_workspace(&config_at(root)).unwrap();
+        assert_eq!(violations.len(), 1, "without {lint}: {violations:#?}");
+        assert_eq!(violations[0].rule, Rule::LintPolicy);
+        assert!(
+            violations[0]
+                .message
+                .contains(&format!("must set {lint} = \"deny\"")),
+            "the finding must name {lint}: {violations:#?}"
+        );
+    }
+}
+
+/// D3 reads manifests: a member forbids unsafe code by inheriting the
+/// workspace table or by its own `[lints.rust]`, and nothing else counts.
+#[test]
+fn d3_needs_unsafe_code_forbidden_in_the_manifest() {
+    let d3 = |root: &Path| -> Vec<PathBuf> {
+        let mut config = config_at(root.to_path_buf());
+        config.protected.clear();
+        lint_workspace(&config)
+            .unwrap()
+            .into_iter()
+            .filter(|v| v.rule == Rule::UnsafeHygiene)
+            .map(|v| v.file)
+            .collect()
+    };
+    let root = clean_copy("d3-inherited").unwrap();
+    assert!(d3(&root).is_empty());
+    drop_lines(&root, "Cargo.toml", |l| l != "unsafe_code = \"forbid\"").unwrap();
+    assert_eq!(d3(&root), vec![PathBuf::from("member/Cargo.toml")]);
+
+    let root = clean_copy("d3-own-table").unwrap();
+    let member = root.join("member/Cargo.toml");
+    let package = "[package]\nname = \"member\"\nversion = \"0.1.0\"\nedition = \"2021\"\n";
+    std::fs::write(
+        &member,
+        format!("{package}\n[lints.rust]\nunsafe_code = \"forbid\"\n"),
+    )
+    .unwrap();
+    assert!(d3(&root).is_empty(), "its own [lints.rust] is enough");
+    std::fs::write(&member, package).unwrap();
+    assert_eq!(d3(&root), vec![PathBuf::from("member/Cargo.toml")]);
+}
+
+/// The compiled fixture breaks only what clippy checks, and its table is
+/// the one D4 demands of the repository.
+#[test]
+fn clippy_fixture_passes_every_rule_this_crate_checks() {
+    let violations = lint_workspace(&fixture_config("clippy_ws")).unwrap();
+    assert!(violations.is_empty(), "{}", render(&violations));
 }
 
 #[test]
@@ -102,11 +168,6 @@ fn rng_discipline_reports_collision_and_wrap_sites() {
         .iter()
         .filter(|v| v.rule == Rule::RngDiscipline)
         .collect();
-    assert!(
-        d6.iter()
-            .any(|v| v.message.contains("seed_from_u64") && v.file.ends_with("lib.rs")),
-        "raw seed construction must fire in lib.rs: {d6:#?}"
-    );
     // The duplicate fires on the *later* site in (file, line) order and
     // names the first one, so the report points back at lib.rs.
     assert!(
@@ -134,35 +195,32 @@ fn hot_path_rule_fires_on_allocations_only_inside_hot_functions() {
             && d7.iter().any(|v| v.message.contains("`format`")),
         "both allocating constructs must fire: {d7:#?}"
     );
-    // The same constructs outside a hot function stay quiet: `racy_elapsed`
-    // and friends allocate freely without firing D7.
+    // `cold_allocs` (lines 12–15) allocates the same way without firing D7.
     assert!(
-        d7.iter().all(|v| v.line > 23),
+        d7.iter().all(|v| v.line > 17),
         "D7 must only fire inside the annotated function: {d7:#?}"
     );
 }
 
+/// The ledger lists the comment allowances and the non-test `#[expect]`,
+/// each with its reason; the `#[expect]` on the test module stays out.
 #[test]
 fn clean_fixture_justifications_become_suppressions() {
     let report = lint_workspace_report(&fixture_config("clean_ws")).unwrap();
     assert!(report.violations.is_empty());
-    let kinds: Vec<&str> = report
-        .suppressions
-        .iter()
-        .map(|s| s.kind.as_str())
-        .collect();
-    assert!(
-        kinds.contains(&"panic") && kinds.contains(&"cast") && kinds.contains(&"rng"),
-        "justified sites must surface as suppressions: {kinds:?}"
+    let ledger: Vec<String> = report.suppressions.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        ledger,
+        vec![
+            "member/src/lib.rs:20: expect(clippy::cast_possible_truncation) — \
+             fixture lengths are tiny, far below u32::MAX",
+            "D6 member/src/lib.rs:39: allow(rng) — fixture replays the same stream on purpose",
+            "D7 member/src/lib.rs:55: allow(alloc) — fixture keeps one snapshot per call for the test",
+        ]
     );
-    assert!(
-        kinds.contains(&"alloc"),
-        "the hot function's justified clone must surface: {kinds:?}"
-    );
-    assert!(
-        report.suppressions.iter().all(|s| !s.reason.is_empty()),
-        "every recorded suppression carries its reason text"
-    );
+    let counts = report::Counts::of(&report);
+    assert_eq!(counts.suppressions["clippy::cast_possible_truncation"], 1);
+    assert!(!counts.suppressions.contains_key("clippy::disallowed_types"));
 }
 
 /// Pins the exact `--format json` output for the bad fixture. Regenerate
@@ -218,13 +276,13 @@ fn injected_allocation_in_hot_engine_step_fires() {
 #[test]
 fn bare_allowance_without_reason_does_not_suppress() {
     let violations = lint_workspace(&fixture_config("bad_ws")).unwrap();
-    // The fixture's `.expect(...)` on line 16 sits directly under a
-    // `// lint: allow(panic)` comment with no reason — it must still fire.
+    // The fixture's `Vec::new()` on line 20 sits directly under a
+    // `// lint: allow(alloc)` comment with no reason — it must still fire.
     assert!(
         violations
             .iter()
-            .any(|v| v.rule == Rule::PanicFreedom && v.line == 16),
-        "reasonless allowance must not suppress D1: {violations:#?}"
+            .any(|v| v.rule == Rule::HotPathAlloc && v.line == 20),
+        "reasonless allowance must not suppress D7: {violations:#?}"
     );
 }
 
@@ -242,47 +300,6 @@ fn violations_are_deterministically_ordered() {
     assert_eq!(a, sorted, "report order must be (file, line, rule)");
 }
 
-/// Pins the harness crate's lint posture: `crates/harness` deliberately uses
-/// `catch_unwind` (trial supervision) and `Instant` (watchdog/backoff), which
-/// is exactly why it must stay OFF the protected list — the same constructs
-/// in a protected crate fire D1 and D2. If someone promotes the harness to
-/// protected (or the tokens stop firing), this test catches it.
-#[test]
-fn harness_supervision_idiom_would_fire_in_a_protected_crate() {
-    // The harness crate is not protected…
-    let repo = LintConfig::for_repo(PathBuf::from("unused"));
-    assert!(
-        !repo.protected.iter().any(|p| p == "crates/harness"),
-        "crates/harness must stay unprotected: its whole job is supervision"
-    );
-
-    // …because its core idiom is a D1 + D2 violation by design.
-    let harness_style = "use std::panic::catch_unwind;\n\
-                         use std::time::Instant;\n\
-                         pub fn supervise(f: impl FnOnce() + std::panic::UnwindSafe) {\n\
-                             let started = Instant::now();\n\
-                             let _ = catch_unwind(f);\n\
-                             let _ = started.elapsed();\n\
-                         }\n";
-    let mut violations = Vec::new();
-    lint_source(harness_style, Path::new("supervisor.rs"), &mut violations);
-    let fired: Vec<Rule> = violations.iter().map(|v| v.rule).collect();
-    assert!(
-        fired.contains(&Rule::PanicFreedom),
-        "catch_unwind must fire D1 under protection: {violations:#?}"
-    );
-    assert!(
-        fired.contains(&Rule::Determinism),
-        "Instant must fire D2 under protection: {violations:#?}"
-    );
-
-    // And the real harness sources do use both constructs, so the posture
-    // above is load-bearing, not vacuous.
-    let supervisor = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../harness/src/supervisor.rs");
-    let text = std::fs::read_to_string(&supervisor).expect("harness supervisor source");
-    assert!(text.contains("catch_unwind") && text.contains("Instant"));
-}
-
 #[test]
 fn the_workspace_passes_its_own_gate() {
     // CARGO_MANIFEST_DIR = <repo>/crates/xtask; the repo root is two up.
@@ -293,10 +310,6 @@ fn the_workspace_passes_its_own_gate() {
     assert!(
         violations.is_empty(),
         "the workspace must pass distill-lint, got:\n{}",
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        render(&violations)
     );
 }

@@ -324,7 +324,7 @@ struct Hanging {
 impl TrialSpec for Hanging {
     fn run_trial(&self, trial: u64) -> SimResult {
         if trial == self.hang_trial {
-            // lint: allow(nondet) — deliberately hung trial for the watchdog test
+            // A deliberately hung trial for the watchdog test.
             std::thread::sleep(Duration::from_secs(3600));
         }
         self.inner.run_trial(trial)
