@@ -51,7 +51,6 @@ fn baseline_single_thread_posts_per_sec() -> f64 {
         let round = Round(i / POSTS_PER_ROUND);
         let author = PlayerId(u32::try_from(i % u64::from(N_PLAYERS)).unwrap_or(0));
         let object = ObjectId(u32::try_from(i % u64::from(N_OBJECTS)).unwrap_or(0));
-        #[allow(clippy::cast_precision_loss)]
         let value = (i % 7) as f64;
         let kind = if i % 3 == 0 {
             ReportKind::Positive
@@ -64,12 +63,9 @@ fn baseline_single_thread_posts_per_sec() -> f64 {
     }
     tracker.ingest(&board);
     let elapsed = start.elapsed().as_secs_f64();
-    #[allow(clippy::cast_precision_loss)]
-    let posts = POSTS as f64;
-    posts / elapsed
+    POSTS as f64 / elapsed
 }
 
-#[allow(clippy::cast_precision_loss)]
 fn bench_service(c: &mut Criterion) {
     let mut group = c.benchmark_group("billboard_service");
 

@@ -364,7 +364,6 @@ fn bench_alloc(c: &mut Criterion) {
             engine.step().expect("measured step");
         }
     });
-    #[allow(clippy::cast_precision_loss)]
     group.report_value(
         "steady_state_allocs_per_round_n256",
         delta.acquisitions() as f64 / MEASURED as f64,
@@ -418,7 +417,6 @@ fn bench_engine_scale(c: &mut Criterion) {
                 engine.step().expect("measured step");
             }
         });
-        #[allow(clippy::cast_precision_loss)]
         group.report_value(
             &format!("steady_state_allocs_per_round_n{n}"),
             delta.acquisitions() as f64 / MEASURED as f64,

@@ -1,10 +1,10 @@
 //! The synchronous round loop.
 
 use crate::adversary::{Adversary, AdversaryCtx, InfoModel};
-use crate::cohort::{Cohort, Directive};
-use crate::config::{SimConfig, StopRule};
+use crate::cohort::{CandidateSet, Cohort, Directive};
+use crate::config::{Participation, SimConfig, StopRule};
 use crate::error::SimError;
-use crate::faults::{Churn, ChurnEvent, FaultCounters};
+use crate::faults::{Churn, ChurnEvent, FaultCounters, FaultPlan};
 use crate::metrics::{FinalEval, PlayerOutcome, SimResult};
 use crate::object_model::ObjectModel;
 use crate::rng::{stream_rng, Stream};
@@ -26,6 +26,228 @@ struct HonestPost {
     kind: ReportKind,
 }
 
+/// One round's probe pass: the settings every probe reads, copied out of
+/// the config and the world, and the engine planes the pass writes, each
+/// borrowed on its own so that the directive's draw can hold the round's
+/// board view beside them.
+struct ProbePass<'a> {
+    round: Round,
+    m: u32,
+    local_testing: bool,
+    participation: Participation,
+    honest_error_rate: f64,
+    post_negative_reports: bool,
+    /// The fault plan, for its post-drop coin.
+    drops: FaultPlan,
+    /// The crash plane, when churn is on.
+    churn: Option<&'a Churn>,
+    /// The world's one shared cost, when it has one.
+    unit_cost: Option<f64>,
+    world: &'a World,
+    active: &'a mut Vec<u32>,
+    rngs: &'a mut [SmallRng],
+    outcomes: &'a mut [PlayerOutcome],
+    best_probe: &'a mut [Option<(ObjectId, f64)>],
+    posts: &'a mut Vec<HonestPost>,
+    satisfied: &'a mut BitSet,
+    n_satisfied: &'a mut u32,
+    trace: Option<&'a mut Vec<TraceEvent>>,
+    faults_rng: &'a mut SmallRng,
+    fault_counters: &'a mut FaultCounters,
+}
+
+impl ProbePass<'_> {
+    /// Settles every active player's probe. `draw` resolves the round's
+    /// directive from the player's stream into the object to probe and
+    /// whether advice named it, or `None` when the directive is idle. The
+    /// plain instantiation runs when the config leaves off every feature
+    /// that needs a coin, a trace event or a per-player test.
+    fn run(
+        self,
+        draw: impl FnMut(&mut SmallRng) -> Option<(ObjectId, bool)>,
+    ) -> Result<(), SimError> {
+        let plain = self.churn.is_none()
+            && matches!(self.participation, Participation::Full)
+            && self.trace.is_none()
+            && self.local_testing
+            && self.honest_error_rate == 0.0
+            && self.drops.drop_rate == 0.0;
+        if plain {
+            self.settle::<true>(draw)
+        } else {
+            self.settle::<false>(draw)
+        }
+    }
+
+    /// The probe pass. Per active player, ascending: the crash test, the
+    /// participation coin, `draw`, the range check, the charges, the §4.1
+    /// error coin, the drop coin, the trace events and satisfaction, in
+    /// that order; a write cursor keeps the unsatisfied players in place.
+    // lint: hot
+    fn settle<const PLAIN: bool>(
+        self,
+        mut draw: impl FnMut(&mut SmallRng) -> Option<(ObjectId, bool)>,
+    ) -> Result<(), SimError> {
+        let ProbePass {
+            round,
+            m,
+            local_testing,
+            participation,
+            honest_error_rate,
+            post_negative_reports,
+            drops,
+            churn,
+            unit_cost,
+            world,
+            active,
+            rngs,
+            outcomes,
+            best_probe,
+            posts,
+            satisfied,
+            n_satisfied,
+            trace,
+            faults_rng,
+            fault_counters,
+        } = self;
+        // The plain instantiation pins the settings `run` checked, so every
+        // test below that reads one folds to a constant and compiles out.
+        let churn = if PLAIN { None } else { churn };
+        let participation = if PLAIN {
+            Participation::Full
+        } else {
+            participation
+        };
+        let mut trace = if PLAIN { None } else { trace };
+        let local_testing = PLAIN || local_testing;
+        let honest_error_rate = if PLAIN { 0.0 } else { honest_error_rate };
+        let drops = if PLAIN { FaultPlan::none() } else { drops };
+        let mut kept = 0;
+        for idx in 0..active.len() {
+            let p = active[idx];
+            // Kept unless its probe satisfies it (`kept -= 1` below).
+            active[kept] = p;
+            kept += 1;
+            if churn.is_some_and(|c| c.is_crashed(p)) {
+                continue;
+            }
+            let rng = &mut rngs[p as usize];
+            let participates = match participation {
+                Participation::Full => true,
+                Participation::RandomSubset { p: prob } => rng.gen::<f64>() < prob,
+                Participation::RoundRobin { groups } => {
+                    (round.as_u64() + u64::from(p)).is_multiple_of(u64::from(groups))
+                }
+                Participation::Straggler {
+                    player,
+                    until_round,
+                } => player.0 != p || round.as_u64() >= until_round,
+            };
+            if !participates {
+                continue;
+            }
+            let Some((object, via_advice)) = draw(rng) else {
+                continue;
+            };
+            // A hostile (or buggy) cohort can hand back a Subset with
+            // out-of-range ids; indexing the world with one would panic, so
+            // reject the directive instead. The round is abandoned: none of
+            // its honest posts reach the board, and the active list keeps
+            // exactly the unsatisfied players.
+            if object.0 >= m {
+                active.drain(kept..=idx);
+                // lint: allow(alloc) — error path that aborts the
+                // run; never taken on the per-round fast path
+                return Err(SimError::InvalidDirective(format!(
+                    "cohort produced object {} outside universe of {m} objects",
+                    object.0
+                )));
+            }
+            let player = PlayerId(p);
+            let outcome = &mut outcomes[p as usize];
+            outcome.probes += 1;
+            outcome.cost_paid += match unit_cost {
+                Some(cost) => cost,
+                None => world.cost(object),
+            };
+            if via_advice {
+                outcome.advice_probes += 1;
+            } else {
+                outcome.explore_probes += 1;
+            }
+            if !local_testing {
+                // Only the §5.3 final evaluation reads this; skipping it
+                // for local-testing worlds keeps the plane out of the
+                // hot loop.
+                let value = world.value(object);
+                match best_probe[p as usize] {
+                    Some((_, best)) if best >= value => {}
+                    _ => best_probe[p as usize] = Some((object, value)),
+                }
+            }
+            // The value plane is read in step 4a only for a probe that
+            // posts, so a local-testing probe of a bad object that posts
+            // nothing reads just the good bitset and the cost.
+            let good = world.is_good(object);
+            if let Some(t) = trace.as_mut() {
+                t.push(TraceEvent::Probe {
+                    round,
+                    player,
+                    object,
+                    via_advice,
+                    good,
+                });
+            }
+            let kind = if !local_testing {
+                // §5.3: no local testing — every probe's true value is
+                // posted; the tracker derives best-value votes from it.
+                Some(ReportKind::Negative)
+            } else if good || (honest_error_rate > 0.0 && rng.gen::<f64>() < honest_error_rate) {
+                // §4.1: an honest player occasionally submits an
+                // erroneous (positive) vote for a bad object by mistake.
+                Some(ReportKind::Positive)
+            } else {
+                post_negative_reports.then_some(ReportKind::Negative)
+            };
+            if let Some(kind) = kind {
+                // Fault injection may lose the post in transit; the probe
+                // (and any satisfaction) already happened locally.
+                if drops.drops_post(faults_rng) {
+                    fault_counters.posts_dropped += 1;
+                    if let Some(t) = trace.as_mut() {
+                        t.push(TraceEvent::PostDropped {
+                            round,
+                            player,
+                            object,
+                        });
+                    }
+                } else {
+                    posts.push(HonestPost {
+                        player,
+                        object,
+                        kind,
+                    });
+                }
+            }
+            if local_testing && good {
+                satisfied.insert(p as usize);
+                *n_satisfied += 1;
+                outcomes[p as usize].satisfied_round = Some(round);
+                if let Some(t) = trace.as_mut() {
+                    t.push(TraceEvent::Satisfied {
+                        round,
+                        player,
+                        object,
+                    });
+                }
+                kept -= 1;
+            }
+        }
+        active.truncate(kept);
+        Ok(())
+    }
+}
+
 /// The synchronous execution engine (§1.2, §2.1).
 ///
 /// One `Engine` runs one execution: in every round each *active* honest
@@ -41,10 +263,14 @@ struct HonestPost {
 ///    round's directive;
 /// 2. one ascending pass over the active honest players settles every
 ///    probe against the same view (synchronous model — everyone acts on the
-///    same snapshot): per player, the participation coin, the directive's
-///    draws, the probe's charges, the §4.1 error coin, the drop coin, the
-///    trace events and satisfaction, in that order; satisfied players leave
-///    the active list in the same pass;
+///    same snapshot). The directive is matched once, and its arm's draw
+///    runs inside the pass: per player, the participation coin, the
+///    directive's draws, the probe's charges, the §4.1 error coin, the drop
+///    coin, the trace events and satisfaction, in that order; satisfied
+///    players leave the active list in the same pass. The pass has two
+///    instantiations: a plain one, for a config with no crash churn, full
+///    participation, no trace, local testing and no error or drop coins,
+///    from which those tests compile out, and a general one for any other;
 /// 3. the adversary acts: under [`InfoModel::StronglyAdaptive`] it first sees
 ///    the honest round-`r` posts; otherwise it sees only rounds `< r`;
 /// 4. all round-`r` posts are appended and ingested — the honest ones after
@@ -503,10 +729,9 @@ impl<'w> Engine<'w> {
         // 1+2: the cohort's directive, then one ascending pass that settles
         // every active player's probe, both against the same snapshot (built
         // once per round): the end-of-previous-round board when reads are
-        // fresh, or the stale prefix under view lag. Players stay in the
-        // active list behind a write cursor unless their probe satisfies
-        // them; only the posts wait, in `post_buf`, for step 4a.
-        let local_testing = self.world.model().has_local_testing();
+        // fresh, or the stale prefix under view lag. The directive is
+        // matched once, here, and each arm hands the pass its own draw;
+        // only the posts wait, in `post_buf`, for step 4a.
         self.post_buf.clear();
         {
             let view = match self.lagged_tracker.as_ref() {
@@ -514,143 +739,49 @@ impl<'w> Engine<'w> {
                 _ => BoardView::new(&self.board, &self.tracker, round),
             };
             let directive = self.cohort.directive(&view);
-            let mut kept = 0;
-            for idx in 0..self.active_players.len() {
-                let p = self.active_players[idx];
-                // Kept unless its probe satisfies it (`kept -= 1` below).
-                self.active_players[kept] = p;
-                kept += 1;
-                if churn && self.churn.is_crashed(p) {
-                    continue;
+            let pass = ProbePass {
+                round,
+                m,
+                local_testing: self.world.model().has_local_testing(),
+                participation: self.config.participation,
+                honest_error_rate: self.config.honest_error_rate,
+                post_negative_reports: self.config.post_negative_reports,
+                drops: self.config.faults,
+                churn: churn.then_some(&self.churn),
+                unit_cost: self.world.uniform_cost(),
+                world: self.world,
+                active: &mut self.active_players,
+                rngs: &mut self.player_rngs,
+                outcomes: &mut self.outcomes,
+                best_probe: &mut self.best_probe,
+                posts: &mut self.post_buf,
+                satisfied: &mut self.satisfied,
+                n_satisfied: &mut self.n_satisfied,
+                trace: self.trace.as_mut(),
+                faults_rng: &mut self.faults_rng,
+                fault_counters: &mut self.fault_counters,
+            };
+            match &directive {
+                Directive::ProbeUniform(CandidateSet::Subset(v)) if !v.is_empty() => {
+                    let v = v.as_slice();
+                    pass.run(|rng| Some((v[rng.gen_range(0..v.len())], false)))
                 }
-                let rng = &mut self.player_rngs[p as usize];
-                let participates = match self.config.participation {
-                    crate::config::Participation::Full => true,
-                    crate::config::Participation::RandomSubset { p: prob } => {
-                        rng.gen::<f64>() < prob
-                    }
-                    crate::config::Participation::RoundRobin { groups } => {
-                        (round.as_u64() + u64::from(p)).is_multiple_of(u64::from(groups))
-                    }
-                    crate::config::Participation::Straggler {
-                        player,
-                        until_round,
-                    } => player.0 != p || round.as_u64() >= until_round,
-                };
-                if !participates {
-                    continue;
+                // `CandidateSet::sample`: an empty subset means the universe.
+                Directive::ProbeUniform(_) => {
+                    pass.run(|rng| Some((ObjectId(rng.gen_range(0..m)), false)))
                 }
-                let (object, via_advice) = match &directive {
-                    Directive::ProbeUniform(set) => (set.sample(m, rng), false),
-                    Directive::SeekAdvice { fallback } => {
-                        Self::advice_probe(&view, fallback, n, m, rng)
-                    }
-                    Directive::Mixed { explore, set } => {
-                        if rng.gen::<f64>() < *explore {
-                            (set.sample(m, rng), false)
-                        } else {
-                            Self::advice_probe(&view, set, n, m, rng)
-                        }
-                    }
-                    Directive::Idle => continue,
-                };
-                // A hostile (or buggy) cohort can hand back a Subset with
-                // out-of-range ids; indexing the world with one would panic,
-                // so reject the directive instead. The round is abandoned:
-                // none of its honest posts reach the board, and the active
-                // list keeps exactly the unsatisfied players.
-                if object.0 >= m {
-                    self.active_players.drain(kept..=idx);
-                    // lint: allow(alloc) — error path that aborts the
-                    // run; never taken on the per-round fast path
-                    return Err(SimError::InvalidDirective(format!(
-                        "cohort produced object {} outside universe of {m} objects",
-                        object.0
-                    )));
+                Directive::SeekAdvice { fallback } => {
+                    pass.run(|rng| Some(Self::advice_probe(&view, fallback, n, m, rng)))
                 }
-                let player = PlayerId(p);
-                let outcome = &mut self.outcomes[p as usize];
-                outcome.probes += 1;
-                outcome.cost_paid += self.world.cost(object);
-                if via_advice {
-                    outcome.advice_probes += 1;
-                } else {
-                    outcome.explore_probes += 1;
-                }
-                if !local_testing {
-                    // Only the §5.3 final evaluation reads this; skipping it
-                    // for local-testing worlds keeps the plane out of the
-                    // hot loop.
-                    let value = self.world.value(object);
-                    match self.best_probe[p as usize] {
-                        Some((_, best)) if best >= value => {}
-                        _ => self.best_probe[p as usize] = Some((object, value)),
-                    }
-                }
-                // The value plane is read in step 4a only for a probe that
-                // posts, so a local-testing probe of a bad object that posts
-                // nothing reads just the good bitset and the cost.
-                let good = self.world.is_good(object);
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::Probe {
-                        round,
-                        player,
-                        object,
-                        via_advice,
-                        good,
-                    });
-                }
-                let kind = if !local_testing {
-                    // §5.3: no local testing — every probe's true value is
-                    // posted; the tracker derives best-value votes from it.
-                    Some(ReportKind::Negative)
-                } else if good
-                    || (self.config.honest_error_rate > 0.0
-                        && rng.gen::<f64>() < self.config.honest_error_rate)
-                {
-                    // §4.1: an honest player occasionally submits an
-                    // erroneous (positive) vote for a bad object by mistake.
-                    Some(ReportKind::Positive)
-                } else {
-                    self.config
-                        .post_negative_reports
-                        .then_some(ReportKind::Negative)
-                };
-                if let Some(kind) = kind {
-                    // Fault injection may lose the post in transit; the probe
-                    // (and any satisfaction) already happened locally.
-                    if self.config.faults.drops_post(&mut self.faults_rng) {
-                        self.fault_counters.posts_dropped += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.push(TraceEvent::PostDropped {
-                                round,
-                                player,
-                                object,
-                            });
-                        }
+                Directive::Mixed { explore, set } => pass.run(|rng| {
+                    Some(if rng.gen::<f64>() < *explore {
+                        (set.sample(m, rng), false)
                     } else {
-                        self.post_buf.push(HonestPost {
-                            player,
-                            object,
-                            kind,
-                        });
-                    }
-                }
-                if local_testing && good {
-                    self.satisfied.insert(p as usize);
-                    self.n_satisfied += 1;
-                    self.outcomes[p as usize].satisfied_round = Some(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Satisfied {
-                            round,
-                            player,
-                            object,
-                        });
-                    }
-                    kept -= 1;
-                }
-            }
-            self.active_players.truncate(kept);
+                        Self::advice_probe(&view, set, n, m, rng)
+                    })
+                }),
+                Directive::Idle => pass.run(|_| None),
+            }?;
         }
         let phase = self.cohort.phase_info();
 

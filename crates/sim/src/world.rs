@@ -309,6 +309,16 @@ impl World {
         }
     }
 
+    /// The one cost every object shares, when the world stores one cost
+    /// rather than a plane (every unit-cost world); `None` otherwise.
+    #[inline]
+    pub(crate) fn uniform_cost(&self) -> Option<f64> {
+        match self.costs {
+            Costs::Uniform(c) => Some(c),
+            Costs::PerObject(_) => None,
+        }
+    }
+
     /// Ground truth: is `object` good?
     ///
     /// Under local testing a prober learns this; without local testing only

@@ -243,7 +243,8 @@ fn bad_fixture_json_report_matches_golden_snapshot() {
 }
 
 /// The acceptance demand for D7: injecting an allocation into the real
-/// engine's `// lint: hot` `step` function must fail the gate.
+/// engine's `// lint: hot` `step` function, or into the probe kernel
+/// `settle` it dispatches to, must fail the gate.
 #[test]
 fn injected_allocation_in_hot_engine_step_fires() {
     let engine = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../sim/src/engine.rs");
@@ -258,19 +259,30 @@ fn injected_allocation_in_hot_engine_step_fires() {
         "pristine engine.rs must lint clean: {clean:#?}"
     );
 
-    // One injected Vec::new() inside the hot body must fire D7.
-    let needle = "pub fn step(&mut self) -> Result<(), SimError> {";
-    let at = text.find(needle).expect("Engine::step header") + needle.len();
-    let mut mutated = text.clone();
-    mutated.insert_str(at, "\n        let _scratch: Vec<u32> = Vec::new();");
-    let mut fired = Vec::new();
-    lint_source(&mutated, rel, &mut fired);
-    assert!(
-        fired
-            .iter()
-            .any(|v| v.rule == Rule::HotPathAlloc && v.message.contains("Vec::new")),
-        "injected allocation in hot Engine::step must fire D7: {fired:#?}"
-    );
+    // One injected Vec::new() inside either hot body must fire D7, and
+    // name the body it sits in.
+    for (name, header, body_open) in [
+        ("step", "pub fn step(&mut self)", " {"),
+        (
+            "settle",
+            "fn settle<const PLAIN: bool>(",
+            ") -> Result<(), SimError> {",
+        ),
+    ] {
+        let header_at = text.find(header).expect("hot fn header");
+        let at =
+            header_at + text[header_at..].find(body_open).expect("hot fn body") + body_open.len();
+        let mut mutated = text.clone();
+        mutated.insert_str(at, "\n        let _scratch: Vec<u32> = Vec::new();");
+        let mut fired = Vec::new();
+        lint_source(&mutated, rel, &mut fired);
+        assert!(
+            fired.iter().any(|v| v.rule == Rule::HotPathAlloc
+                && v.message.contains("Vec::new")
+                && v.message.contains(&format!("fn `{name}`"))),
+            "injected allocation in hot `{name}` must fire D7: {fired:#?}"
+        );
+    }
 }
 
 #[test]

@@ -267,6 +267,38 @@ fn run_scenario(name: &str) -> u64 {
             .expect("run");
             digest(&result)
         }
+        "balance_mixed_plain" => {
+            // `Directive::Mixed` with every feature the probe pass can
+            // switch off left off: the plain kernel's Mixed arm.
+            let world = World::binary(40, 2, 31).expect("world");
+            let config = SimConfig::new(40, 34, 919).with_stop(StopRule::all_satisfied(200_000));
+            let result = Engine::new(
+                config,
+                &world,
+                Box::new(Balance::new()),
+                Box::new(UniformBad::new()),
+            )
+            .expect("engine")
+            .run()
+            .expect("run");
+            digest(&result)
+        }
+        "idle_every_other_full" => {
+            // The plain kernel's `Idle` arm: every player participates,
+            // so an idle round draws nothing at all.
+            let world = World::binary(32, 2, 37).expect("world");
+            let config = SimConfig::new(32, 28, 929).with_stop(StopRule::all_satisfied(200_000));
+            let result = Engine::new(
+                config,
+                &world,
+                Box::<IdleEveryOther>::default(),
+                Box::new(UniformBad::new()),
+            )
+            .expect("engine")
+            .run()
+            .expect("run");
+            digest(&result)
+        }
         "best_value_horizon" => {
             let world = World::uniform_top_beta(64, 0.1, 9).expect("world");
             let config = SimConfig::new(24, 20, 606)
@@ -378,7 +410,9 @@ fn run_async(
 /// and the tracker a 4-byte vote count per player. The
 /// `balance_mixed_errors_traced` and `idle_every_other_random_subset` pins
 /// were recorded while the round loop still resolved every honest probe in
-/// one pass and charged it in a second.
+/// one pass and charged it in a second, and the `balance_mixed_plain` and
+/// `idle_every_other_full` pins while the probe pass still matched the
+/// directive for every probe, in one instantiation for every config.
 const PINS: &[(&str, u64)] = &[
     ("plain_distill", 0xc76af13208f9fe6a),
     ("tally_scan_path", 0xc76af13208f9fe6a),
@@ -397,6 +431,8 @@ const PINS: &[(&str, u64)] = &[
     ("e18_distill_2e17", 0x2f5c611da36dd5fe),
     ("balance_mixed_errors_traced", 0xa9550c0a08472e1d),
     ("idle_every_other_random_subset", 0xb020534a5b228052),
+    ("balance_mixed_plain", 0xf665c2e7f5fa8065),
+    ("idle_every_other_full", 0xa2f44ba2c55844f5),
 ];
 
 #[test]

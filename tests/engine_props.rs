@@ -1,6 +1,7 @@
 //! Property tests over randomized small simulation configurations.
 
 use distill::prelude::*;
+use distill::sim::Participation;
 use distill_harness::{run_sweep, SweepConfig, TrialSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -206,6 +207,32 @@ proptest! {
         let incremental = run_with(true);
         let scan = run_with(false);
         prop_assert_eq!(incremental, scan);
+    }
+
+    /// The probe pass's general instantiation agrees with the plain one
+    /// wherever it must: recording a trace changes nothing but the trace,
+    /// and round-robin participation in one group (every player acts every
+    /// round, and no coin is drawn) runs exactly as full participation.
+    #[test]
+    fn general_probe_pass_matches_plain(s in arb_scenario()) {
+        let world = World::binary(s.m, s.goods, s.world_seed).expect("world");
+        let alpha = f64::from(s.honest) / f64::from(s.n);
+        let params = DistillParams::new(s.n, s.m, alpha, world.beta()).expect("params");
+        let run_with = |config: SimConfig| {
+            let config = config
+                .with_policy(VotePolicy::multi_vote(s.f))
+                .with_stop(StopRule::all_satisfied(50_000));
+            Engine::new(config, &world, Box::new(Distill::new(params)), make_adversary(s.adversary))
+                .expect("engine")
+                .run().unwrap()
+        };
+        let config = SimConfig::new(s.n, s.honest, s.seed);
+        let plain = run_with(config.clone());
+        let mut traced = run_with(config.clone().with_trace(true));
+        prop_assert!(traced.trace.take().is_some());
+        prop_assert_eq!(&traced, &plain);
+        let rotated = run_with(config.with_participation(Participation::RoundRobin { groups: 1 }));
+        prop_assert_eq!(&rotated, &plain);
     }
 
     /// The sweep returns byte-identical results to a sequential loop on
